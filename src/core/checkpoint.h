@@ -41,11 +41,11 @@ uint32_t Crc32(const void* data, size_t size, uint32_t seed = 0);
 
 // Digest over the EngineOptions fields that change SIMULATED semantics
 // (counters, values, patterns, contract). Host-runtime knobs — host_threads,
-// parallel_push_replay, parallel_replay_min_records, first_touch_init,
-// profile_push_replay, keep_iteration_log, fault_spec — are deliberately
-// EXCLUDED: a checkpoint written by an 8-thread run must restore into a
-// 1-thread engine (and vice versa) and still reproduce the uninterrupted
-// fingerprint, which is exactly what the resume sweep asserts.
+// parallel_replay_min_records, profile_push_replay, keep_iteration_log,
+// fault_spec — are deliberately EXCLUDED: a checkpoint written by an
+// 8-thread run must restore into a 1-thread engine (and vice versa) and
+// still reproduce the uninterrupted fingerprint, which is exactly what the
+// resume sweep asserts.
 // host_memory_budget_bytes IS included: it steers the degradation ladder,
 // whose downgrade points are part of the run's trajectory.
 uint64_t SemanticOptionsDigest(const EngineOptions& options);

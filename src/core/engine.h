@@ -17,6 +17,11 @@
 // prev is synchronized to curr at every frontier commit, so
 // Active(curr, prev) during an iteration means exactly "changed since the
 // last commit" — the predicate the ballot filter scans.
+//
+// The member definitions live in one file per seam, included at the end:
+// engine_control.h (cancellation, faults, degradation, checkpoints),
+// engine_push.h (collect and the owner-computes drain) and engine_pull.h
+// (gathers).
 #ifndef SIMDX_CORE_ENGINE_H_
 #define SIMDX_CORE_ENGINE_H_
 
@@ -75,16 +80,17 @@ struct PushReplayIterationSplit {
   uint64_t applies = 0;
   double collect_ms = 0.0;
   double replay_ms = 0.0;
-  bool partitioned = false;    // owner-computes drain (vs the serial fallback)
+  bool partitioned = false;    // drained over several ranges (vs one inline)
   bool pre_combined = false;   // associative fold drain (one Apply per dst)
   bool collect_folded = false;  // collect-side fold armed for this iteration
 };
 
 struct PushReplayProfile {
   uint32_t ranges = 0;  // replay ranges armed for this run (1 = serial only)
+  // Drains split over the ranges vs drained as one inline range.
   uint64_t partitioned_replays = 0;
   uint64_t serial_replays = 0;
-  // Pre-combined drains (serial or partitioned) and their record/apply
+  // Pre-combined drains and their record/apply
   // totals; fold_records / fold_applies is the fold ratio — how many
   // candidates Combine folded away per issued Apply.
   uint64_t precombined_replays = 0;
@@ -198,22 +204,21 @@ class Engine {
     GlobalBarrier barrier(DeadlockFreeGridSize(
         device_, ResourcesFor(options_.fusion, Direction::kPush,
                               options_.threads_per_cta)));
-    // Stamp arrays zeroed through ParallelFor when first-touch is on, so
-    // their pages land near the replay workers that will stamp them.
-    ThreadPool* const init_pool = options_.first_touch_init ? pool_ : nullptr;
+    // Stamp arrays zeroed through ParallelFor, so their pages land near the
+    // drain workers that will stamp them.
     recorded_stamp_.clear();
-    ParallelFill(recorded_stamp_, n, init_pool, host_threads_, 8192,
+    ParallelFill(recorded_stamp_, n, pool_, host_threads_, 8192,
                  [](size_t) { return 0u; });
     if (options_.use_atomic_updates) {
       touch_stamp_.clear();
-      ParallelFill(touch_stamp_, n, init_pool, host_threads_, 8192,
+      ParallelFill(touch_stamp_, n, pool_, host_threads_, 8192,
                    [](size_t) { return 0u; });
     }
     if (pre_combine_) {
       // Per-vertex fold accumulators for the pre-combined drain. The stamp
       // guards staleness, so fold_acc_ needs no initialization.
       fold_stamp_.clear();
-      ParallelFill(fold_stamp_, n, init_pool, host_threads_, 8192,
+      ParallelFill(fold_stamp_, n, pool_, host_threads_, 8192,
                    [](size_t) { return 0u; });
       if (fold_acc_.size() < n) {
         fold_acc_.resize(n);
@@ -255,26 +260,18 @@ class Engine {
     run_collect_fold_iterations_ = 0;
     SetupReplayPartition();
 
-    Direction prev_dir = Direction::kPush;
-    bool frontier_sorted = true;  // the initial frontier comes in id order
     const bool static_frontier = StaticFrontierAfterFirst(program);
-
-    // Producer of the CURRENT iteration's frontier (Figure 8 logs the filter
-    // per executed iteration). Any seed set beyond a handful of sources can
-    // only have come from an init kernel scanning the metadata — k-Core's
-    // all-underfull-vertices seed, PageRank's and BP's all-vertices seed —
-    // so it is attributed (and charged) as a ballot pass on the first
-    // iteration. This is why Figure 8 shows k-Core/PR/BP activating the
-    // ballot filter at the initial iteration(s).
-    char pending_filter = 'O';
-    bool charge_init_scan = false;
+    LoopState loop;
+    // Any seed set beyond a handful of sources can only have come from an
+    // init kernel scanning the metadata — k-Core's all-underfull-vertices
+    // seed, PageRank's and BP's all-vertices seed — so it is attributed
+    // (and charged) as a ballot pass on the first iteration. This is why
+    // Figure 8 shows k-Core/PR/BP activating the ballot filter at the
+    // initial iteration(s).
     if (frontier.size() > options_.overflow_threshold) {
-      pending_filter = 'B';
-      charge_init_scan = true;
+      loop.pending_filter = 'B';
+      loop.charge_init_scan = true;
     }
-
-    uint64_t refill_words = 0;
-    uint32_t iter = 0;
     if (control.resume != nullptr) {
       // Restore AFTER the full normal arming above: InitialFrontier() and
       // the stamp fills have reset every piece of scratch and program state,
@@ -282,21 +279,18 @@ class Engine {
       // nothing else — the invariant that makes a resumed run bit-identical
       // to an uninterrupted one.
       if (!RestoreCheckpoint(*control.resume, program, meta, frontier, jit,
-                             fusion, result.stats, &iter, &prev_dir,
-                             &frontier_sorted, &pending_filter,
-                             &charge_init_scan, &refill_words)) {
+                             fusion, result.stats, &loop)) {
         result.stats.outcome = RunOutcome::kFaulted;
         result.values.assign(meta.values().begin(), meta.values().end());
         DisarmControl();
         return result;
       }
       result.stats.resumes += 1;
-      result.stats.resume_iteration = iter;
+      result.stats.resume_iteration = loop.iter;
     }
-    for (; iter < options_.max_iterations; ++iter) {
-      if (IterationControl(iter, program, meta, frontier, jit, fusion,
-                           result.stats, prev_dir, frontier_sorted,
-                           pending_filter, charge_init_scan, refill_words)) {
+    for (; loop.iter < options_.max_iterations; ++loop.iter) {
+      if (IterationControl(program, meta, frontier, jit, fusion, result.stats,
+                           loop)) {
         break;
       }
       if (frontier.empty()) {
@@ -306,11 +300,11 @@ class Engine {
         if (frontier.empty()) {
           break;
         }
-        frontier_sorted = false;
-        refill_words = 2ull * frontier.size();
+        loop.frontier_sorted = false;
+        loop.refill_words = 2ull * frontier.size();
       }
       IterationInfo info;
-      info.iteration = iter;
+      info.iteration = loop.iter;
       info.frontier_size = frontier.size();
       // Lazy classification: the Thread/Warp/CTA bins are only consumed by
       // push iterations, but the direction heuristic needs the frontier's
@@ -324,7 +318,7 @@ class Engine {
       // pull-heavy runs from building bins they discard.
       bool lists_ready = false;
       if (options_.classify_worklists &&
-          (prev_dir == Direction::kPush || options_.force_push)) {
+          (loop.prev_dir == Direction::kPush || options_.force_push)) {
         info.frontier_out_edges =
             classifier_.Classify(frontier, graph_, options_.small_degree_limit,
                                  options_.medium_degree_limit, pool_,
@@ -336,7 +330,7 @@ class Engine {
       }
       info.vertex_count = graph_.vertex_count();
       info.edge_count = graph_.edge_count();
-      info.previous_direction = prev_dir;
+      info.previous_direction = loop.prev_dir;
       if (program.Converged(info)) {
         break;
       }
@@ -344,15 +338,15 @@ class Engine {
                             : options_.force_pull
                                 ? Direction::kPull
                                 : program.ChooseDirection(info);
-      stamp_ = iter + 1;
+      stamp_ = loop.iter + 1;
 
       CostCounters it_cost;
-      it_cost.coalesced_words += refill_words;
-      refill_words = 0;
-      if (charge_init_scan) {
+      it_cost.coalesced_words += loop.refill_words;
+      loop.refill_words = 0;
+      if (loop.charge_init_scan) {
         it_cost.coalesced_words += 2ull * n + frontier.size();
         it_cost.alu_ops += n;
-        charge_init_scan = false;
+        loop.charge_init_scan = false;
       }
       uint64_t edges_processed = 0;
       if (dir == Direction::kPush) {
@@ -367,7 +361,7 @@ class Engine {
           }
           const WorkLists& lists = classifier_.result();
           edges_processed =
-              ProcessPush(program, meta, lists.Views(), frontier_sorted,
+              ProcessPush(program, meta, lists.Views(), loop.frontier_sorted,
                           info.frontier_out_edges, jit, it_cost);
           last_stage_count_ = (lists.small.empty() ? 0u : 1u) +
                               (lists.medium.empty() ? 0u : 1u) +
@@ -379,7 +373,7 @@ class Engine {
           const std::array<WorkListView, 1> whole = {
               ViewOf(frontier, KernelClass::kThread)};
           edges_processed =
-              ProcessPush(program, meta, whole, frontier_sorted,
+              ProcessPush(program, meta, whole, loop.frontier_sorted,
                           info.frontier_out_edges, jit, it_cost);
           last_stage_count_ = frontier.empty() ? 0u : 1u;
         }
@@ -400,32 +394,32 @@ class Engine {
         break;
       }
 
-      const char filter_char = pending_filter;
+      const char filter_char = loop.pending_filter;
       if (static_frontier) {
         // Frontier provably unchanged (e.g. belief propagation: every vertex
         // stays active); reuse it without running any filter.
         meta.SyncPrev(pool_, host_threads_);
-        pending_filter = '=';
+        loop.pending_filter = '=';
       } else {
         const auto active = [&](VertexId v) {
           return program.Active(meta.curr(v), meta.prev(v));
         };
         jit.BuildNextFrontierInto(n, active, it_cost, next_frontier_);
-        pending_filter = jit.pattern().back();
+        loop.pending_filter = jit.pattern().back();
         if (jit.failed()) {
           result.stats.failed = true;
         }
         // Frontier committed: "changed" restarts from this snapshot. The
         // real kernels get this for free from the metadata ping-pong swap.
         meta.SyncPrev(pool_, host_threads_);
-        frontier_sorted = pending_filter == 'B';
+        loop.frontier_sorted = loop.pending_filter == 'B';
         // Swap instead of move: the displaced buffer becomes next
         // iteration's output scratch, so the steady state allocates nothing.
         frontier.swap(next_frontier_);
       }
 
       const FusionAccountant::IterationCharge charge =
-          fusion.ChargeIteration(device_, dir, iter, last_stage_count_);
+          fusion.ChargeIteration(device_, dir, loop.iter, last_stage_count_);
       it_cost.kernel_launches += charge.launches;
       it_cost.barrier_crossings += charge.barrier_crossings;
       for (uint64_t b = 0; b < charge.barrier_crossings; ++b) {
@@ -447,17 +441,17 @@ class Engine {
       result.stats.filter_pattern += filter_char;
       if (options_.keep_iteration_log) {
         result.stats.iteration_logs.push_back(IterationLog{
-            iter, info.frontier_size, edges_processed, filter_char,
+            loop.iter, info.frontier_size, edges_processed, filter_char,
             dir == Direction::kPush ? 'p' : 'P', t.ms});
       }
-      prev_dir = dir;
+      loop.prev_dir = dir;
       if (result.stats.failed) {
         break;
       }
     }
 
-    result.stats.iterations = iter;
-    result.stats.converged = iter < options_.max_iterations &&
+    result.stats.iterations = loop.iter;
+    result.stats.converged = loop.iter < options_.max_iterations &&
                              !result.stats.failed && !control_break_;
     result.stats.push_record_candidates = run_record_candidates_;
     result.stats.push_records_buffered = run_records_buffered_;
@@ -480,14 +474,13 @@ class Engine {
     const auto n = static_cast<VertexId>(graph_.vertex_count());
     // First-touch: the metadata arrays are written through ParallelFor (same
     // values as the serial loop) so their pages fault in on pool threads.
-    ThreadPool* const init_pool = options_.first_touch_init ? pool_ : nullptr;
     // Programs whose pull contributors must be visible on the very first
     // iteration seed prev differently from curr via InitPrev.
     if constexpr (requires(const Program& p, VertexId v) { p.InitPrev(v); }) {
       VertexMeta<Value> meta(
-          n, [&](VertexId v) { return program.InitPrev(v); }, init_pool,
+          n, [&](VertexId v) { return program.InitPrev(v); }, pool_,
           host_threads_);
-      ParallelRange(n, init_pool, host_threads_, 8192,
+      ParallelRange(n, pool_, host_threads_, 8192,
                     [&](size_t begin, size_t end) {
                       for (size_t v = begin; v < end; ++v) {
                         meta.curr(static_cast<VertexId>(v)) = program.InitValue(
@@ -497,7 +490,7 @@ class Engine {
       return meta;
     } else {
       return VertexMeta<Value>(
-          n, [&](VertexId v) { return program.InitValue(v); }, init_pool,
+          n, [&](VertexId v) { return program.InitValue(v); }, pool_,
           host_threads_);
     }
   }
@@ -590,84 +583,7 @@ class Engine {
     }
   }
 
-  // --- push: deterministic collect-then-replay over per-chunk update
-  // buffers (push_buffer.h) ---
-  //
-  // The sequential push loop both READS source values and WRITES destination
-  // values of the same curr array, so it cannot split across host threads in
-  // place. Instead the phase runs in two passes:
-  //
-  //   COLLECT (parallel): each chunk of each Thread/Warp/CTA list walks its
-  //   contiguous slice, runs Compute against the phase-start metadata —
-  //   nothing writes curr during collection, so curr(v) IS the snapshot —
-  //   charges the traversal costs to its chunk-private counters, and buffers
-  //   one (dst, worker, candidate) record per out-edge (bucketed under the
-  //   destination's replay range when the partitioned drain is armed).
-  //
-  //   REPLAY: the records drain in ascending chunk order — which is exactly
-  //   list order, independent of grain and thread count. Two equivalent
-  //   drains exist:
-  //
-  //     * SERIAL (host_threads == 1, small iterations, or the option off):
-  //       one pass performs Apply, the curr writes, the atomic-contention
-  //       stamps, the online-filter records and ConsumeActivity in the
-  //       statement order a sequential walk of the records would.
-  //
-  //     * PARTITIONED (owner-computes): the destination-vertex space is
-  //       split into replay_ranges_ disjoint ranges, balanced by in-degree
-  //       mass (BalancedRangeBoundaries over the in-CSR offsets, so ranges
-  //       balance by incoming records). Each range worker drains only the
-  //       records whose dst it owns, in ascending (chunk, record) order,
-  //       and runs ConsumeActivity for the sources it owns at their serial
-  //       span positions. Everything a record touches — curr(dst), the
-  //       touch/record stamps, the activation decision, the park decision —
-  //       is keyed by a single vertex that exactly one worker owns, so the
-  //       per-destination statement order IS the serial order and every
-  //       value and stamp is bit-identical to the serial drain. The order-
-  //       sensitive side channels leave the workers through per-range
-  //       scratch: CostCounters merge in range order (pure integer sums —
-  //       order-insensitive), while online-filter records and deferred
-  //       Apply effects (ApplyEffect; SSSP's bucket parks) carry their
-  //       (chunk, record) position and are k-way merged back into the
-  //       global serial order before touching the shared bins / program
-  //       state.
-  //
-  //   Either way, every simulated stat, touch stamp and output value is
-  //   bit-identical for any host_threads.
-  //
-  //   PRE-COMBINED VARIANTS (StatsContract::kPerDestination): when the
-  //   program declares CombineCapability::kAssociativeOnly and
-  //   EngineOptions::pre_combine_replay is set, both drains above are
-  //   replaced by fold-then-apply counterparts that issue exactly one Apply
-  //   per touched destination (see the comment block above
-  //   DrainSerialPreCombined). Stats remain bit-identical for any
-  //   host_threads — under the per-destination contract, which maps to the
-  //   per-record one as documented in bench/README.md.
-  //
-  //   COLLECT-SIDE PRE-COMBINING (EngineOptions::pre_combine_collect, on
-  //   top of the pre-combined drains): iterations whose cost-model reuse
-  //   estimate clears pre_combine_collect_min_fold fold same-chunk
-  //   same-destination candidates AT COLLECT TIME through per-thread
-  //   epoch-stamped dst→slot tables, buffering one record per (chunk,
-  //   destination) with a fold count instead of one per out-edge — the
-  //   record stream (and the bytes collect→bucket→replay moves) shrinks at
-  //   the source. Simulated stats are untouched (all collect charges are
-  //   per edge); the drain-side fold consumes the shorter stream and
-  //   produces the identical fold_records/fold_applies split, touch sets,
-  //   apply counts and activation order, because a chunk's folded record is
-  //   the chunk-contiguous prefix-fold of exactly the candidates the
-  //   fold-free stream would have drained there. Folding iterations pin the
-  //   thread-count-stable chunk plan (PlanChunksStable) since FP Combines
-  //   see the chunk grouping bit-for-bit.
-  //
-  // Semantics: push iterations are BSP (Jacobi-style), like pull and like
-  // the real double-buffered kernels — a candidate computed this phase never
-  // observes a value written this phase; same-phase arrivals land in curr
-  // and re-activate their destination for the NEXT iteration. Residual-
-  // carrying programs consume exactly the snapshot amount they distributed
-  // (see PageRankProgram::ConsumeActivity), so no activity is lost.
-
-  // Program capabilities the replay specializes on.
+  // Program capabilities the push drain specializes on.
   static constexpr bool kHasConsume =
       requires(const Program& p, const Value& val) {
         { p.ConsumeActivity(val, val, Direction::kPush) } -> std::same_as<Value>;
@@ -691,6 +607,37 @@ class Engine {
                 "Value and ReplayApplyEffect(const ApplyEffect&) must be "
                 "callable on a const Program)");
 
+  // Optional saturation hook for pull gathers (see PullRange): a program
+  // whose Combine is monotone-idempotent can certify mid-gather that the
+  // accumulated value already determines Apply's output, letting the scan
+  // stop early — the aggregation-kind sibling of the kVote early exit.
+  static constexpr bool kHasPullSaturated =
+      requires(const Program& p, typename Program::Value v) {
+        { p.PullSaturated(v, v) } -> std::same_as<bool>;
+      };
+
+  // Programs with scheduler state beyond the frontier (delta-stepping SSSP's
+  // pending buckets) opt into checkpointing it via this hook pair.
+  static constexpr bool kHasProgramState =
+      requires(const Program& p, std::vector<uint8_t>& out, const uint8_t* d,
+               size_t n) {
+        p.SaveSchedulerState(out);
+        { p.RestoreSchedulerState(d, n) } -> std::same_as<bool>;
+      };
+
+  // The iteration loop's carried state besides metadata, frontier, stats
+  // and the jit/fusion history — exactly what a checkpoint must restore.
+  struct LoopState {
+    uint32_t iter = 0;
+    Direction prev_dir = Direction::kPush;
+    bool frontier_sorted = true;  // the initial frontier comes in id order
+    // Producer of the CURRENT iteration's frontier (Figure 8 logs the
+    // filter per executed iteration).
+    char pending_filter = 'O';
+    bool charge_init_scan = false;
+    uint64_t refill_words = 0;
+  };
+
   // One destination first touched by the pre-combined fold pass: where its
   // first record sits in the global serial order (the position its single
   // Apply — and any activation it produces — is sequenced at), and the
@@ -702,12 +649,11 @@ class Engine {
     uint32_t worker;
   };
 
-  // Per-range scratch for the partitioned push replay, reused across
-  // iterations. Holds the range worker's counters plus its position-tagged
-  // deferred streams; `effect_pos[i]` is the position of `effects[i]` (kept
-  // parallel rather than wrapped so the no-effect programs pay nothing).
-  // `touched` is the pre-combined drain's first-touch list (empty for the
-  // per-record drains).
+  // Per-range scratch for the push drain, reused across iterations. Holds
+  // the range worker's counters plus its position-tagged deferred streams;
+  // `effect_pos[i]` is the position of `effects[i]` (kept parallel rather
+  // than wrapped so the no-effect programs pay nothing). `touched` is the
+  // pre-combined fold's first-touch list (empty for per-record runs).
   struct ReplayScratch {
     CostCounters cost;
     std::vector<DeferredActivation> activations;
@@ -739,1262 +685,12 @@ class Engine {
     }
   };
 
-  static double NowMs() {
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-  }
-
-  // --- control plane: cancellation, deadlines, fault hooks, checkpointing,
-  // graceful degradation (control.h / checkpoint.h / fault.h) ---
-
-  // Optional saturation hook for pull gathers (see PullRange): a program
-  // whose Combine is monotone-idempotent can certify mid-gather that the
-  // accumulated value already determines Apply's output, letting the scan
-  // stop early — the aggregation-kind sibling of the kVote early exit.
-  static constexpr bool kHasPullSaturated =
-      requires(const Program& p, typename Program::Value v) {
-        { p.PullSaturated(v, v) } -> std::same_as<bool>;
-      };
-
-  // Programs with scheduler state beyond the frontier (delta-stepping SSSP's
-  // pending buckets) opt into checkpointing it via this hook pair.
-  static constexpr bool kHasProgramState =
-      requires(const Program& p, std::vector<uint8_t>& out, const uint8_t* d,
-               size_t n) {
-        p.SaveSchedulerState(out);
-        { p.RestoreSchedulerState(d, n) } -> std::same_as<bool>;
-      };
-
-  void DisarmControl() {
-    control_ = nullptr;
-    cancel_ = nullptr;
-    faults_ = nullptr;
-    watch_cancel_ = false;
-  }
-
-  // Latches the first cancellation/deadline observation into control_break_.
-  // Only called from the Run thread (iteration boundaries and the
-  // single-threaded drains) — never from pool workers, so no races.
-  bool CancelOrDeadline() {
-    if (control_break_) {
-      return true;
-    }
-    if (cancel_ != nullptr && cancel_->cancelled()) {
-      control_break_ = true;
-      break_outcome_ = RunOutcome::kCancelled;
-      return true;
-    }
-    if (deadline_ms_ > 0.0 && NowMs() > deadline_ms_) {
-      control_break_ = true;
-      break_outcome_ = RunOutcome::kDeadlineExceeded;
-      return true;
-    }
-    return false;
-  }
-
-  // Stage-boundary hook compiled into collect/replay/apply/frontier: breaks
-  // on a pending control_break_, an armed stage fault, or cancellation.
-  // Fully disarmed this is two predictable branches — the hooks-overhead
-  // gate bench/fault_sweep measures.
-  bool StageBreak(FaultPoint point) {
-    if (control_break_) {
-      return true;
-    }
-    if (faults_ != nullptr && faults_->ShouldFail(point, stamp_ - 1)) {
-      control_break_ = true;
-      break_outcome_ = RunOutcome::kFaulted;
-      return true;
-    }
-    return watch_cancel_ && CancelOrDeadline();
-  }
-
-  // Graceful-degradation ladder under host memory pressure: shed the
-  // collect-fold tables first (the largest optional allocation), then fall
-  // back to the serial drain (drops the bucket lanes and per-range scratch
-  // growth). Each rung is latched and recorded as a DowngradeEvent instead
-  // of aborting, and every rung is stats-invariant — simulated statistics
-  // are identical on any rung, so the fingerprint oracle holds under
-  // pressure (pinned by tests/core/control_test).
-  void Degrade(uint32_t iteration, const char* trigger) {
-    if (!degrade_shed_fold_) {
-      degrade_shed_fold_ = true;
-      collect_fold_armed_ = false;
-      fold_tables_.clear();
-      fold_tables_.shrink_to_fit();
-      run_downgrades_.push_back(DowngradeEvent{
-          iteration, std::string("shed-collect-fold:") + trigger});
-      return;
-    }
-    if (!degrade_serial_drain_) {
-      degrade_serial_drain_ = true;
-      push_buffers_.clear();
-      push_buffers_.shrink_to_fit();
-      run_downgrades_.push_back(
-          DowngradeEvent{iteration, std::string("serial-drain:") + trigger});
-    }
-  }
-
-  // Runs at the top of every iteration, before any stage: cancellation,
-  // alloc-pressure faults, checkpoint cadence, iteration-start faults.
-  // Returns true when the loop must break (break_outcome_ says why).
-  bool IterationControl(uint32_t iter, const Program& program,
-                        const VertexMeta<Value>& meta,
-                        const std::vector<VertexId>& frontier,
-                        const JitController& jit,
-                        const FusionAccountant& fusion, RunStats& stats,
-                        Direction prev_dir, bool frontier_sorted,
-                        char pending_filter, bool charge_init_scan,
-                        uint64_t refill_words) {
-    if (!watch_cancel_ && faults_ == nullptr &&
-        control_->checkpoint_every == 0) {
-      return false;  // fully disarmed: the zero-cost path
-    }
-    if (CancelOrDeadline()) {
-      return true;
-    }
-    if (faults_ != nullptr &&
-        faults_->ShouldFail(FaultPoint::kAllocPressure, iter)) {
-      // Simulated allocation failure: step the ladder, keep running.
-      Degrade(iter, "fault");
-    }
-    if (control_->checkpoint_every != 0 && control_->on_checkpoint &&
-        iter % control_->checkpoint_every == 0) {
-      if (!WriteCheckpoint(iter, program, meta, frontier, jit, fusion, stats,
-                           prev_dir, frontier_sorted, pending_filter,
-                           charge_init_scan, refill_words)) {
-        // WriteCheckpoint set break_outcome_: kFaulted for an injected write
-        // fault, kCheckpointSinkFailed when the caller's sink refused the
-        // bytes.
-        control_break_ = true;
-        return true;
-      }
-    }
-    if (faults_ != nullptr &&
-        faults_->ShouldFail(FaultPoint::kIterationStart, iter)) {
-      control_break_ = true;
-      break_outcome_ = RunOutcome::kFaulted;
-      return true;
-    }
-    return false;
-  }
-
-  // Builds, seals and hands out a checkpoint of the iteration-boundary
-  // state. Returns false — with break_outcome_ set — when an armed
-  // checkpoint-write fault fails the write (→ kFaulted) or the caller-owned
-  // sink reports a persistence failure (→ kCheckpointSinkFailed); a
-  // corruption-armed fault instead poisons the bytes silently — the
-  // simulated torn write Validate() later catches.
-  bool WriteCheckpoint(uint32_t iter, const Program& program,
-                       const VertexMeta<Value>& meta,
-                       const std::vector<VertexId>& frontier,
-                       const JitController& jit,
-                       const FusionAccountant& fusion, RunStats& stats,
-                       Direction prev_dir, bool frontier_sorted,
-                       char pending_filter, bool charge_init_scan,
-                       uint64_t refill_words) {
-    static_assert(std::is_trivially_copyable_v<Value>,
-                  "checkpointing snapshots raw value bytes");
-    Checkpoint cp;
-    cp.header.options_digest = SemanticOptionsDigest(options_);
-    cp.header.graph_vertices = graph_.vertex_count();
-    cp.header.graph_edges = graph_.edge_count();
-    cp.header.value_size = sizeof(Value);
-    cp.header.iteration = iter;
-    cp.header.contract = static_cast<uint8_t>(stats.contract);
-    {
-      ByteWriter w(&cp.AddSection(CheckpointSectionId::kEngineLoop));
-      w.Pod(static_cast<uint8_t>(prev_dir));
-      w.Pod(static_cast<uint8_t>(frontier_sorted));
-      w.Pod(pending_filter);
-      w.Pod(static_cast<uint8_t>(charge_init_scan));
-      w.Pod(refill_words);
-      w.Pod(run_record_candidates_);
-      w.Pod(run_records_buffered_);
-      w.Pod(run_collect_fold_iterations_);
-      w.Pod(static_cast<uint8_t>(degrade_shed_fold_));
-      w.Pod(static_cast<uint8_t>(degrade_serial_drain_));
-      w.Pod(static_cast<uint64_t>(run_downgrades_.size()));
-      for (const DowngradeEvent& d : run_downgrades_) {
-        w.Pod(d.iteration);
-        w.Str(d.action);
-      }
-      w.Pod(static_cast<uint8_t>(jit.failed()));
-      w.Pod(jit.ballot_iterations());
-      w.Pod(jit.online_iterations());
-      w.Str(jit.pattern());
-      w.Pod(static_cast<uint8_t>(fusion.launched_any()));
-      w.Pod(static_cast<uint8_t>(fusion.last_direction()));
-      w.Pod(fusion.total_launches());
-      w.Pod(fusion.total_barriers());
-    }
-    {
-      ByteWriter w(&cp.AddSection(CheckpointSectionId::kValuesCurr));
-      w.Pod(static_cast<uint64_t>(meta.size()));
-      w.Bytes(meta.values().data(), meta.size() * sizeof(Value));
-    }
-    {
-      ByteWriter w(&cp.AddSection(CheckpointSectionId::kValuesPrev));
-      w.Pod(static_cast<uint64_t>(meta.size()));
-      w.Bytes(meta.prev_values().data(), meta.size() * sizeof(Value));
-    }
-    {
-      ByteWriter w(&cp.AddSection(CheckpointSectionId::kFrontier));
-      w.Pod(static_cast<uint64_t>(frontier.size()));
-      w.Bytes(frontier.data(), frontier.size() * sizeof(VertexId));
-    }
-    {
-      ByteWriter w(&cp.AddSection(CheckpointSectionId::kStats));
-      SerializeRunStats(stats, w);
-    }
-    if constexpr (kHasProgramState) {
-      program.SaveSchedulerState(
-          cp.AddSection(CheckpointSectionId::kProgramState));
-    }
-    cp.Seal();
-    if (faults_ != nullptr) {
-      if (faults_->ShouldFail(FaultPoint::kCheckpointWrite, iter)) {
-        break_outcome_ = RunOutcome::kFaulted;
-        return false;
-      }
-      if (const ArmedFault* corrupt = faults_->TakeCorruption(iter)) {
-        CorruptCheckpointSection(
-            &cp, static_cast<uint32_t>(corrupt->corrupt_section),
-            corrupt->seed);
-      }
-    }
-    if (!control_->on_checkpoint(cp)) {
-      // The sink could not persist the snapshot. The failed write is not
-      // counted: checkpoints_written is the number of snapshots the caller
-      // actually holds.
-      break_outcome_ = RunOutcome::kCheckpointSinkFailed;
-      return false;
-    }
-    stats.checkpoints_written += 1;
-    return true;
-  }
-
-  // Restores a checkpoint into the freshly armed run state. Treats the
-  // snapshot as untrusted: CRC validation, header cross-checks and
-  // bounds-checked parses; any mismatch returns false (→ kFaulted), never
-  // UB — the CI ASan+UBSan job drives malformed bytes through this path.
-  bool RestoreCheckpoint(const Checkpoint& cp, const Program& program,
-                         VertexMeta<Value>& meta,
-                         std::vector<VertexId>& frontier, JitController& jit,
-                         FusionAccountant& fusion, RunStats& stats,
-                         uint32_t* iter, Direction* prev_dir,
-                         bool* frontier_sorted, char* pending_filter,
-                         bool* charge_init_scan, uint64_t* refill_words) {
-    if (!cp.Validate(nullptr)) {
-      return false;
-    }
-    const auto n = static_cast<uint64_t>(graph_.vertex_count());
-    if (cp.header.options_digest != SemanticOptionsDigest(options_) ||
-        cp.header.graph_vertices != n ||
-        cp.header.graph_edges != graph_.edge_count() ||
-        cp.header.value_size != sizeof(Value) ||
-        cp.header.contract != static_cast<uint8_t>(stats.contract)) {
-      return false;
-    }
-    const CheckpointSection* loop = cp.Find(CheckpointSectionId::kEngineLoop);
-    const CheckpointSection* curr = cp.Find(CheckpointSectionId::kValuesCurr);
-    const CheckpointSection* prev = cp.Find(CheckpointSectionId::kValuesPrev);
-    const CheckpointSection* front = cp.Find(CheckpointSectionId::kFrontier);
-    const CheckpointSection* stat = cp.Find(CheckpointSectionId::kStats);
-    if (loop == nullptr || curr == nullptr || prev == nullptr ||
-        front == nullptr || stat == nullptr) {
-      return false;
-    }
-    {
-      ByteReader r(loop->bytes);
-      uint8_t dir8 = 0, sorted8 = 0, init8 = 0, shed8 = 0, serial8 = 0;
-      r.Pod(&dir8);
-      r.Pod(&sorted8);
-      r.Pod(pending_filter);
-      r.Pod(&init8);
-      r.Pod(refill_words);
-      r.Pod(&run_record_candidates_);
-      r.Pod(&run_records_buffered_);
-      r.Pod(&run_collect_fold_iterations_);
-      r.Pod(&shed8);
-      r.Pod(&serial8);
-      uint64_t downgrade_count = 0;
-      if (!r.Pod(&downgrade_count) || downgrade_count > loop->bytes.size()) {
-        return false;
-      }
-      run_downgrades_.clear();
-      for (uint64_t i = 0; i < downgrade_count; ++i) {
-        DowngradeEvent d;
-        if (!r.Pod(&d.iteration) || !r.Str(&d.action)) {
-          return false;
-        }
-        run_downgrades_.push_back(std::move(d));
-      }
-      uint8_t jit_failed = 0;
-      uint32_t ballot = 0, online = 0;
-      std::string pattern;
-      r.Pod(&jit_failed);
-      r.Pod(&ballot);
-      r.Pod(&online);
-      r.Str(&pattern);
-      uint8_t launched8 = 0, last_dir8 = 0;
-      uint64_t launches = 0, barriers = 0;
-      r.Pod(&launched8);
-      r.Pod(&last_dir8);
-      r.Pod(&launches);
-      if (!r.Pod(&barriers) || !r.AtEnd() || dir8 > 1 || last_dir8 > 1) {
-        return false;
-      }
-      *prev_dir = static_cast<Direction>(dir8);
-      *frontier_sorted = sorted8 != 0;
-      *charge_init_scan = init8 != 0;
-      degrade_shed_fold_ = shed8 != 0;
-      degrade_serial_drain_ = serial8 != 0;
-      if (degrade_shed_fold_) {
-        // Re-apply the recorded downgrade so the resumed trajectory matches
-        // the interrupted one from the restore point onward.
-        collect_fold_armed_ = false;
-        fold_tables_.clear();
-        fold_tables_.shrink_to_fit();
-      }
-      jit.RestoreHistory(std::move(pattern), ballot, online, jit_failed != 0);
-      fusion.RestoreHistory(launched8 != 0, static_cast<Direction>(last_dir8),
-                            launches, barriers);
-    }
-    {
-      ByteReader rc(curr->bytes);
-      uint64_t curr_count = 0;
-      if (!rc.Pod(&curr_count) || curr_count != n) {
-        return false;
-      }
-      const uint8_t* curr_bytes =
-          rc.Raw(static_cast<size_t>(curr_count) * sizeof(Value));
-      ByteReader rp(prev->bytes);
-      uint64_t prev_count = 0;
-      if (curr_bytes == nullptr || !rp.Pod(&prev_count) || prev_count != n) {
-        return false;
-      }
-      const uint8_t* prev_bytes =
-          rp.Raw(static_cast<size_t>(prev_count) * sizeof(Value));
-      if (prev_bytes == nullptr) {
-        return false;
-      }
-      meta.RestoreSnapshot(curr_bytes, prev_bytes);
-    }
-    {
-      ByteReader r(front->bytes);
-      if (!r.Vec(&frontier) || !r.AtEnd()) {
-        return false;
-      }
-      for (const VertexId v : frontier) {
-        if (static_cast<uint64_t>(v) >= n) {
-          return false;
-        }
-      }
-    }
-    {
-      ByteReader r(stat->bytes);
-      if (!DeserializeRunStats(r, &stats) || !r.AtEnd()) {
-        return false;
-      }
-    }
-    if constexpr (kHasProgramState) {
-      const CheckpointSection* ps =
-          cp.Find(CheckpointSectionId::kProgramState);
-      if (ps == nullptr ||
-          !program.RestoreSchedulerState(ps->bytes.data(), ps->bytes.size())) {
-        return false;
-      }
-    }
-    *iter = cp.header.iteration;
-    return true;
-  }
-
-  uint64_t ProcessPush(const Program& program, VertexMeta<Value>& meta,
-                       std::span<const WorkListView> views, bool frontier_sorted,
-                       uint64_t frontier_out_edges, JitController& jit,
-                       CostCounters& cost) {
-    if (StageBreak(FaultPoint::kCollect)) {
-      return 0;
-    }
-    // Decide the drain up front: the frontier's out-edge sum (already
-    // computed by classification) is exactly the record count a fold-free
-    // collect will buffer, so iterations below the threshold skip the
-    // bucketing bookkeeping (owner lookups, index appends, span events)
-    // entirely and go straight to the serial drain.
-    collect_bucketed_ =
-        replay_ranges_ > 1 && !degrade_serial_drain_ &&
-        frontier_out_edges >= options_.parallel_replay_min_records;
-    // Collect-side fold, decided per iteration from simulated statistics
-    // only (thread-count independent): skip the fold-table walk when the
-    // cost model predicts destinations barely repeat.
-    collect_fold_ =
-        collect_fold_armed_ &&
-        EstimateRecordsPerDestination(frontier_out_edges, in_destinations_) >=
-            options_.pre_combine_collect_min_fold;
-    // The whole replay scheme addresses records WITHIN one buffer by uint32
-    // (Pos packs buffer<<32|index, span counters and bucket entries are
-    // uint32), and a single-chunk collect puts the entire frontier in one
-    // buffer. 2^32 records is ~50 GB of host buffer — far past the
-    // simulator's design regime — so refuse loudly instead of wrapping
-    // silently into corrupt replays.
-    if (frontier_out_edges >> 32 != 0) {
-      std::fprintf(stderr,
-                   "simdx: push iteration with %llu out-edge records exceeds "
-                   "the 2^32 per-buffer record bound\n",
-                   static_cast<unsigned long long>(frontier_out_edges));
-      std::abort();
-    }
-    const bool profile = options_.profile_push_replay;
-    const double t_collect = profile ? NowMs() : 0.0;
-    uint32_t num_buffers = 0;
-    for (const WorkListView& view : views) {
-      num_buffers += CollectPush(program, meta, view, frontier_sorted, num_buffers);
-    }
-    if (StageBreak(FaultPoint::kReplay)) {
-      return 0;
-    }
-    const double t_replay = profile ? NowMs() : 0.0;
-    const ReplayOutcome outcome =
-        ReplayPush(program, meta, num_buffers, jit, cost);
-    // Host-side memory pressure: the record stream outgrew the budget —
-    // step down the degradation ladder instead of aborting (the next
-    // iterations collect leaner; this one already ran to completion, so
-    // simulated stats are untouched).
-    if (options_.host_memory_budget_bytes != 0 &&
-        outcome.buffer_bytes > options_.host_memory_budget_bytes) {
-      Degrade(stamp_ - 1, "budget");
-    }
-    if (StageBreak(FaultPoint::kApply)) {
-      return outcome.edges;
-    }
-    run_record_candidates_ += outcome.edges;
-    run_records_buffered_ += outcome.buffered;
-    run_collect_fold_iterations_ += collect_fold_ ? 1 : 0;
-    if (profile) {
-      const double t_done = NowMs();
-      profile_.collect_ms += t_replay - t_collect;
-      profile_.replay_ms += t_done - t_replay;
-      (outcome.partitioned ? profile_.partitioned_replays
-                           : profile_.serial_replays) += 1;
-      if (pre_combine_) {
-        profile_.precombined_replays += 1;
-        profile_.fold_records += outcome.edges;
-        profile_.fold_applies += outcome.applies;
-      }
-      profile_.collect_fold_replays += collect_fold_ ? 1 : 0;
-      profile_.peak_buffer_bytes =
-          std::max(profile_.peak_buffer_bytes, outcome.buffer_bytes);
-      profile_.iterations.push_back(PushReplayIterationSplit{
-          stamp_ - 1, outcome.edges, outcome.buffered, outcome.applies,
-          t_replay - t_collect, t_done - t_replay, outcome.partitioned,
-          pre_combine_, collect_fold_});
-    }
-    return outcome.edges;
-  }
-
-  // Collect phase for one list: chunk it, fill push_buffers_[base ..
-  // base+chunks). Grain floors shrink with kernel class — a CTA-class vertex
-  // carries at least medium_degree_limit edges, so far fewer of them make a
-  // worthwhile chunk. Without the collect-side fold, chunk boundaries never
-  // affect results (the replay drains in list order regardless), so the
-  // serial path may legally use a single chunk. WITH it they are observable
-  // (the fold groups records by chunk, and FP Combines see the grouping), so
-  // a folding collect pins the thread-count-stable plan and every thread
-  // count — including the inline serial path — runs the same decomposition.
-  uint32_t CollectPush(const Program& program, const VertexMeta<Value>& meta,
-                       const WorkListView& view, bool frontier_sorted,
-                       uint32_t base) {
-    if (view.empty()) {
-      return 0;
-    }
-    size_t min_grain = 256;
-    if (view.klass == KernelClass::kWarp) {
-      min_grain = 32;
-    } else if (view.klass == KernelClass::kCta) {
-      min_grain = 4;
-    }
-    const ChunkPlan plan =
-        collect_fold_
-            ? PlanChunksStable(view.size, min_grain)
-            : PlanChunks(view.size, host_threads_, min_grain,
-                         /*serial_below=*/512, pool_ != nullptr);
-    if (push_buffers_.size() < base + plan.chunks) {
-      push_buffers_.resize(base + plan.chunks);
-    }
-    // Partitioned-replay runs bucket every record under its destination's
-    // range at collect time (one extra owner lookup per edge) so each replay
-    // worker later walks only its own records. Chunk buffers are filled —
-    // and their bucket pages first-touched — by whichever pool thread runs
-    // the chunk.
-    const bool bucketed = collect_bucketed_;
-    const auto run_chunk = [&](uint32_t chunk, size_t begin, size_t end,
-                               uint32_t thread_index) {
-      PushBuffer<Value>& buf = push_buffers_[base + chunk];
-      buf.BeginCollect(bucketed ? replay_ranges_ : 0,
-                       /*track_spans=*/bucketed && kHasConsume,
-                       /*store_workers=*/workers_observed_,
-                       /*store_fold_counts=*/collect_fold_);
-      CollectPushRange(program, meta, view, frontier_sorted, begin, end, buf,
-                       collect_fold_ ? &fold_tables_[thread_index] : nullptr);
-    };
-    if (plan.chunks == 1) {
-      run_chunk(0, 0, view.size, 0);
-    } else if (pool_ == nullptr || host_threads_ <= 1) {
-      // Stable plans reach here at host_threads == 1: run the identical
-      // decomposition inline, chunk by chunk in order (same boundaries as
-      // ParallelFor would produce — begin + i*grain).
-      for (uint32_t i = 0; i < plan.chunks; ++i) {
-        const size_t begin = static_cast<size_t>(i) * plan.grain;
-        run_chunk(i, begin, std::min(view.size, begin + plan.grain), 0);
-      }
-    } else {
-      pool_->ParallelFor(0, view.size, plan.grain, host_threads_,
-                         [&](const ParallelChunk& c) {
-                           run_chunk(c.chunk_index, c.begin, c.end,
-                                     c.thread_index);
-                         });
-    }
-    return plan.chunks;
-  }
-
-  // One chunk's collect. `fold` (non-null iff the collect-side fold is armed
-  // this iteration) is the running thread's dst→slot table, armed for this
-  // chunk by NextChunk: a repeated destination folds its candidate into its
-  // first record of THIS chunk instead of appending. Every simulated charge
-  // below is per EDGE and unconditional, so folding changes no statistic —
-  // only the record stream shrinks.
-  void CollectPushRange(const Program& program, const VertexMeta<Value>& meta,
-                        const WorkListView& view, bool frontier_sorted,
-                        size_t begin, size_t end, PushBuffer<Value>& buf,
-                        CollectFoldTable* fold) const {
-    const uint32_t workers = options_.sim_worker_threads;
-    const bool bucketed = collect_bucketed_;
-    if (fold != nullptr) {
-      fold->NextChunk();
-    }
-    for (size_t idx = begin; idx < end; ++idx) {
-      const VertexId v = view[idx];
-      const auto nbrs = graph_.out().Neighbors(v);
-      const auto wts = graph_.out().NeighborWeights(v);
-      const uint32_t degree = static_cast<uint32_t>(nbrs.size());
-
-      // Row-offset + own-metadata reads: coalesced when the frontier is
-      // sorted (ballot-filter output), scattered otherwise — the memory
-      // benefit Section 4 attributes to the ballot filter.
-      if (frontier_sorted) {
-        buf.cost.coalesced_words += 3;
-      } else {
-        buf.cost.scattered_words += 3;
-      }
-      // Adjacency ids + weights. The Warp/CTA kernels read them coalesced,
-      // rounded up to full 32-lane transactions; the Thread kernel's lanes
-      // walk unrelated adjacency runs (partial coalescing).
-      if (view.klass == KernelClass::kThread) {
-        buf.cost.coalesced_words += 2ull * degree;
-        buf.cost.scattered_words += degree / 4;
-      } else {
-        const uint32_t rounded = (degree + 31) / 32 * 32;
-        buf.cost.coalesced_words += 2ull * rounded;
-      }
-
-      buf.BeginSource(v, bucketed ? range_of_vertex_[v] : 0);
-      for (uint32_t i = 0; i < degree; ++i) {
-        buf.cost.scattered_words += 1;  // load destination metadata
-        buf.cost.alu_ops += 2;          // Compute + Combine lane work
-        // Batch filter: this edge also transited the expanded active-edge
-        // list (3 words written at expansion, 3 read back at apply).
-        if (options_.filter == FilterPolicy::kBatch) {
-          buf.cost.coalesced_words += 6;
-        }
-        const VertexId dst = nbrs[i];
-        const Value cand =
-            program.Compute(v, dst, wts[i], meta.curr(v), Direction::kPush);
-        if (fold != nullptr && fold->stamp[dst] == fold->epoch) {
-          // Same chunk, same destination: continue its left-fold in place.
-          // The record keeps its first candidate's worker lane — exactly the
-          // worker the drain-side fold's first touch would have kept.
-          buf.FoldInto(fold->slot[dst], cand, program);
-        } else {
-          const uint32_t slot =
-              buf.Append(dst, WorkerFor(idx, i, view.klass, workers), cand,
-                         bucketed ? range_of_vertex_[dst] : 0);
-          if (fold != nullptr) {
-            fold->stamp[dst] = fold->epoch;
-            fold->slot[dst] = slot;
-          }
-        }
-      }
-      buf.edges += degree;
-    }
-    buf.FinishCollect();
-  }
-
   struct ReplayOutcome {
     uint64_t edges = 0;     // out-edge candidates walked at collect
     uint64_t buffered = 0;  // records written (< edges iff collect folded)
     uint64_t applies = 0;   // == edges for per-record drains
     size_t buffer_bytes = 0;  // record-stream footprint of this iteration
-    bool partitioned = false;
   };
-
-  // Replay dispatcher: merges the collect-side counters in chunk order, then
-  // selects among the four drains — {per-record, pre-combined} × {serial,
-  // partitioned}. The per-record pair is observably identical for any
-  // host_threads (StatsContract::kPerRecord); the pre-combined pair is
-  // likewise identical to EACH OTHER for any host_threads but issues one
-  // Apply per touched destination (StatsContract::kPerDestination) — see the
-  // phase comment above ProcessPush.
-  ReplayOutcome ReplayPush(const Program& program, VertexMeta<Value>& meta,
-                           uint32_t num_buffers, JitController& jit,
-                           CostCounters& cost) {
-    ReplayOutcome out;
-    for (uint32_t b = 0; b < num_buffers; ++b) {
-      cost += push_buffers_[b].cost;
-      out.edges += push_buffers_[b].edges;
-      out.buffered += push_buffers_[b].size();
-      out.buffer_bytes += push_buffers_[b].FootprintBytes();
-    }
-    // Collect bucketed iff the pre-collect decision armed it (the frontier
-    // out-edge sum it keyed on IS `edges`: one record per edge).
-    out.partitioned = collect_bucketed_;
-    if (pre_combine_) {
-      if (out.partitioned) {
-        out.applies =
-            DrainPartitionedPreCombined(program, meta, num_buffers, jit, cost);
-      } else {
-        out.applies =
-            DrainSerialPreCombined(program, meta, num_buffers, jit, cost);
-      }
-    } else {
-      out.applies = out.edges;
-      if (out.partitioned) {
-        DrainPartitioned(program, meta, num_buffers, jit, cost);
-      } else {
-        DrainSerial(program, meta, num_buffers, jit, cost);
-      }
-    }
-    return out;
-  }
-
-  // Serial ordered drain (the host_threads == 1 path, also chosen for small
-  // iterations): per record, the statement sequence is exactly the tail of
-  // the old sequential edge loop; per source, the ConsumeActivity lands
-  // after its records, where the sequential loop consumed.
-  void DrainSerial(const Program& program, VertexMeta<Value>& meta,
-                   uint32_t num_buffers, JitController& jit,
-                   CostCounters& cost) {
-    for (uint32_t b = 0; b < num_buffers; ++b) {
-      // Per-N-chunk cancellation poll (single-threaded drain only — the
-      // partitioned drain's pool workers must not touch control_break_).
-      if (watch_cancel_ && (b & 31u) == 0 && CancelOrDeadline()) {
-        return;
-      }
-      const PushBuffer<Value>& buf = push_buffers_[b];
-      uint32_t r = 0;
-      for (const PushSourceSpan& span : buf.sources()) {
-        for (uint32_t i = 0; i < span.num_records; ++i, ++r) {
-          const VertexId u = buf.dst(r);
-          const Value applied =
-              program.Apply(u, buf.cand(r), meta.curr(u), Direction::kPush);
-          if (options_.use_atomic_updates) {
-            // AFC-style: every candidate lands as a device atomic;
-            // concurrent candidates for the same destination serialize
-            // (Figure 5's aggregation overhead).
-            cost.atomic_ops += 1;
-            if (touch_stamp_[u] == stamp_) {
-              cost.atomic_conflicts += 1;
-            }
-            touch_stamp_[u] = stamp_;
-          }
-          if (program.ValueChanged(meta.curr(u), applied)) {
-            meta.curr(u) = applied;
-            if (!options_.use_atomic_updates) {
-              cost.scattered_words += 1;  // single writer, no atomic (ACC)
-            }
-            MaybeRecord(program, meta, u, buf.worker(r), jit, cost);
-          }
-        }
-        Consume(program, meta, span.src, Direction::kPush);
-      }
-    }
-  }
-
-  // Owner-computes partitioned drain: one worker per destination range, then
-  // the deterministic merges of the per-range side channels.
-  void DrainPartitioned(const Program& program, VertexMeta<Value>& meta,
-                        uint32_t num_buffers, JitController& jit,
-                        CostCounters& cost) {
-    const bool profile = options_.profile_push_replay;
-    PartitionedDrain(
-        pool_, host_threads_, replay_ranges_,
-        [&](uint32_t p) {
-          ReplayScratch& s = replay_scratch_[p];
-          ResetScratch(s);
-          const double t0 = profile ? NowMs() : 0.0;
-          DrainRange(program, meta, num_buffers, p, s);
-          if (profile) {
-            s.wall_ms = NowMs() - t0;
-          }
-        },
-        [&](uint32_t p) {
-          cost += replay_scratch_[p].cost;
-          if (profile) {
-            profile_.range_ms[p] += replay_scratch_[p].wall_ms;
-          }
-        });
-    // Deferred side channels back into exact serial record order: filter
-    // records into the shared bins (overflow latching and charge order match
-    // the serial drain), then Apply effects into the program (SSSP's
-    // pending-list order matches).
-    MergeByPosition(
-        [&](uint32_t p) { return replay_scratch_[p].activations.size(); },
-        [&](uint32_t p, size_t h) { return replay_scratch_[p].activations[h].pos; },
-        [&](uint32_t p, size_t h) {
-          jit.ReplayActivation(replay_scratch_[p].activations[h], cost);
-        });
-    if constexpr (kHasDeferredApply) {
-      MergeByPosition(
-          [&](uint32_t p) { return replay_scratch_[p].effect_pos.size(); },
-          [&](uint32_t p, size_t h) { return replay_scratch_[p].effect_pos[h]; },
-          [&](uint32_t p, size_t h) {
-            program.ReplayApplyEffect(replay_scratch_[p].effects[h]);
-          });
-    }
-  }
-
-  // One range worker's drain: walk every buffer in ascending chunk order,
-  // applying only owned records (ascending record order within the bucket),
-  // with owned sources' ConsumeActivity interleaved at their serial span
-  // positions (a span's consume runs after owned records below its end_pos
-  // and before the one at it — see PushSpanEvent).
-  void DrainRange(const Program& program, VertexMeta<Value>& meta,
-                  uint32_t num_buffers, uint32_t p, ReplayScratch& s) {
-    for (uint32_t b = 0; b < num_buffers; ++b) {
-      const PushBuffer<Value>& buf = push_buffers_[b];
-      const std::vector<uint32_t>& owned = buf.RangeRecords(p);
-      if constexpr (kHasConsume) {
-        const std::vector<PushSpanEvent>& spans = buf.RangeSpans(p);
-        size_t si = 0;
-        for (const uint32_t idx : owned) {
-          while (si < spans.size() && spans[si].end_pos <= idx) {
-            Consume(program, meta, spans[si].src, Direction::kPush);
-            ++si;
-          }
-          ReplayRecord(program, meta, buf.record(idx), Pos(b, idx), s);
-        }
-        for (; si < spans.size(); ++si) {
-          Consume(program, meta, spans[si].src, Direction::kPush);
-        }
-      } else {
-        for (const uint32_t idx : owned) {
-          ReplayRecord(program, meta, buf.record(idx), Pos(b, idx), s);
-        }
-      }
-    }
-  }
-
-  // --- pre-combined drains (StatsContract::kPerDestination) ---
-  //
-  // For kAssociativeOnly programs the replay may fold a destination's
-  // records with Combine before Apply sees them. Both pre-combined drains
-  // run the same three per-worker passes, so they are bit-identical to each
-  // other for any host_threads:
-  //
-  //   FOLD: walk the worker's records in ascending (chunk, record) order,
-  //   left-folding each destination's candidates into fold_acc_[dst]
-  //   (fold_stamp_ guards staleness; the fold order for one destination is
-  //   exactly the serial record order restricted to it, identical however
-  //   the destinations are distributed over workers). First touch files a
-  //   FoldTouch carrying the record's global position and worker lane.
-  //
-  //   APPLY: walk the touched list in first-touch order (= ascending first-
-  //   record position) and run the per-record statement sequence ONCE per
-  //   destination with the folded candidate — exactly one Apply, one
-  //   touch-stamp/atomic charge and at most one value write + activation per
-  //   touched destination per push iteration. Activations carry the first-
-  //   record position, so the deferred merge (partitioned) and the in-order
-  //   replay (serial) sequence the shared filter bins identically.
-  //
-  //   CONSUME: run ConsumeActivity for the worker's sources AFTER its
-  //   applies. Per vertex the order is always fold-apply-consume (one owner
-  //   runs all three), and operations on distinct vertices touch disjoint
-  //   state, so cross-worker interleaving is unobservable. (The per-record
-  //   drain instead interleaves consumes at exact span positions — that
-  //   distinction is part of the contract split: per-destination semantics
-  //   hand EVERY same-phase arrival to the consume, which for residual
-  //   programs conserves activity just like the serial interleaving, only
-  //   with different FP rounding.)
-  //
-  // The pull path needs none of this: a pull gather already combines all
-  // contributors before its single Apply, i.e. pull iterations are
-  // pre-combined by construction under either contract.
-
-  // FOLD pass step shared by both pre-combined drains. A collect-side
-  // pre-folded record continues the destination's left-fold seamlessly: its
-  // candidate is the fold of a chunk-contiguous run of the original
-  // candidates, so chaining chunk folds here reproduces the global
-  // left-fold expression of the fold-free stream (bit-exactly for a fixed
-  // chunk plan — which is why a folding collect pins PlanChunksStable).
-  void FoldRecord(const Program& program, VertexId u, uint32_t worker,
-                  const Value& cand, uint64_t pos,
-                  std::vector<FoldTouch>& touched) {
-    if (fold_stamp_[u] != stamp_) {
-      fold_stamp_[u] = stamp_;
-      fold_acc_[u] = cand;
-      touched.push_back(FoldTouch{pos, u, worker});
-    } else {
-      fold_acc_[u] = program.Combine(fold_acc_[u], cand);
-    }
-  }
-
-  // Serial pre-combined drain (host_threads == 1 or small iterations): fold
-  // over every record of every buffer, apply per destination in first-touch
-  // order, then consume sources in span order. Deferred streams land in
-  // scratch already position-sorted and are replayed immediately — the same
-  // sequence the partitioned drain's merge produces. Returns the apply count
-  // (= touched destinations).
-  uint64_t DrainSerialPreCombined(const Program& program,
-                                  VertexMeta<Value>& meta, uint32_t num_buffers,
-                                  JitController& jit, CostCounters& cost) {
-    if (replay_scratch_.empty()) {
-      replay_scratch_.resize(1);
-    }
-    ReplayScratch& s = replay_scratch_[0];
-    ResetScratch(s);
-    const bool profile = options_.profile_push_replay;
-    const double t0 = profile ? NowMs() : 0.0;
-    for (uint32_t b = 0; b < num_buffers; ++b) {
-      // Same per-N-chunk cancellation poll as DrainSerial (this is the
-      // other single-threaded drain).
-      if (watch_cancel_ && (b & 31u) == 0 && CancelOrDeadline()) {
-        return 0;
-      }
-      const PushBuffer<Value>& buf = push_buffers_[b];
-      for (uint32_t idx = 0; idx < buf.size(); ++idx) {
-        FoldRecord(program, buf.dst(idx), buf.worker(idx), buf.cand(idx),
-                   Pos(b, idx), s.touched);
-      }
-    }
-    const double t1 = profile ? NowMs() : 0.0;
-    for (const FoldTouch& t : s.touched) {
-      ReplayRecord(program, meta,
-                   PushRecord<Value>{t.dst, t.worker, fold_acc_[t.dst]}, t.pos,
-                   s);
-    }
-    if constexpr (kHasConsume) {
-      for (uint32_t b = 0; b < num_buffers; ++b) {
-        for (const PushSourceSpan& span : push_buffers_[b].sources()) {
-          Consume(program, meta, span.src, Direction::kPush);
-        }
-      }
-    }
-    cost += s.cost;
-    for (const DeferredActivation& a : s.activations) {
-      jit.ReplayActivation(a, cost);
-    }
-    if constexpr (kHasDeferredApply) {
-      for (const ApplyEffect& e : s.effects) {
-        program.ReplayApplyEffect(e);
-      }
-    }
-    if (profile) {
-      profile_.fold_ms += t1 - t0;
-      profile_.apply_ms += NowMs() - t1;
-    }
-    return s.touched.size();
-  }
-
-  // Partitioned pre-combined drain: the owner-computes machinery of
-  // DrainPartitioned with DrainRangePreCombined as the per-range body.
-  // Returns the apply count summed over ranges (each destination counted by
-  // its single owner).
-  uint64_t DrainPartitionedPreCombined(const Program& program,
-                                       VertexMeta<Value>& meta,
-                                       uint32_t num_buffers, JitController& jit,
-                                       CostCounters& cost) {
-    const bool profile = options_.profile_push_replay;
-    uint64_t applies = 0;
-    PartitionedDrain(
-        pool_, host_threads_, replay_ranges_,
-        [&](uint32_t p) {
-          ReplayScratch& s = replay_scratch_[p];
-          ResetScratch(s);
-          const double t0 = profile ? NowMs() : 0.0;
-          DrainRangePreCombined(program, meta, num_buffers, p, s);
-          if (profile) {
-            s.wall_ms = NowMs() - t0;
-          }
-        },
-        [&](uint32_t p) {
-          cost += replay_scratch_[p].cost;
-          applies += replay_scratch_[p].touched.size();
-          if (profile) {
-            profile_.range_ms[p] += replay_scratch_[p].wall_ms;
-            profile_.fold_ms += replay_scratch_[p].fold_ms;
-            profile_.apply_ms += replay_scratch_[p].apply_ms;
-          }
-        });
-    MergeByPosition(
-        [&](uint32_t p) { return replay_scratch_[p].activations.size(); },
-        [&](uint32_t p, size_t h) { return replay_scratch_[p].activations[h].pos; },
-        [&](uint32_t p, size_t h) {
-          jit.ReplayActivation(replay_scratch_[p].activations[h], cost);
-        });
-    if constexpr (kHasDeferredApply) {
-      MergeByPosition(
-          [&](uint32_t p) { return replay_scratch_[p].effect_pos.size(); },
-          [&](uint32_t p, size_t h) { return replay_scratch_[p].effect_pos[h]; },
-          [&](uint32_t p, size_t h) {
-            program.ReplayApplyEffect(replay_scratch_[p].effects[h]);
-          });
-    }
-    return applies;
-  }
-
-  // One range worker's pre-combined drain: fold owned records, apply per
-  // owned destination, consume owned sources (see the pass comment above).
-  void DrainRangePreCombined(const Program& program, VertexMeta<Value>& meta,
-                             uint32_t num_buffers, uint32_t p,
-                             ReplayScratch& s) {
-    const bool profile = options_.profile_push_replay;
-    const double t0 = profile ? NowMs() : 0.0;
-    for (uint32_t b = 0; b < num_buffers; ++b) {
-      const PushBuffer<Value>& buf = push_buffers_[b];
-      for (const uint32_t idx : buf.RangeRecords(p)) {
-        FoldRecord(program, buf.dst(idx), buf.worker(idx), buf.cand(idx),
-                   Pos(b, idx), s.touched);
-      }
-    }
-    if (profile) {
-      s.fold_ms = NowMs() - t0;
-    }
-    for (const FoldTouch& t : s.touched) {
-      ReplayRecord(program, meta,
-                   PushRecord<Value>{t.dst, t.worker, fold_acc_[t.dst]}, t.pos,
-                   s);
-    }
-    if constexpr (kHasConsume) {
-      for (uint32_t b = 0; b < num_buffers; ++b) {
-        for (const PushSpanEvent& span : push_buffers_[b].RangeSpans(p)) {
-          Consume(program, meta, span.src, Direction::kPush);
-        }
-      }
-    }
-    if (profile) {
-      s.apply_ms = NowMs() - t0 - s.fold_ms;
-    }
-  }
-
-  static void ResetScratch(ReplayScratch& s) {
-    s.cost = CostCounters{};
-    s.activations.clear();
-    s.effects.clear();
-    s.effect_pos.clear();
-    s.touched.clear();
-    s.fold_ms = 0.0;
-    s.apply_ms = 0.0;
-  }
-
-  // Global serial position of record `index` in chunk buffer `buffer` — the
-  // merge key every deferred stream is sequenced by.
-  static uint64_t Pos(uint32_t buffer, uint32_t index) {
-    return (static_cast<uint64_t>(buffer) << 32) | index;
-  }
-
-  // The per-record statement sequence of DrainSerial, with the two shared
-  // side channels deferred: the online-filter record and any Apply side
-  // effect go to the per-range scratch, tagged with the record's global
-  // position `pos` for the serial-order merge. Everything else it touches is
-  // owned by this worker's range. The pre-combined drains reuse it with a
-  // synthesized record carrying the folded candidate and the destination's
-  // first-record position.
-  void ReplayRecord(const Program& program, VertexMeta<Value>& meta,
-                    const PushRecord<Value>& rec, uint64_t pos,
-                    ReplayScratch& s) {
-    const VertexId u = rec.dst;
-    Value applied;
-    if constexpr (kHasDeferredApply) {
-      const size_t before = s.effects.size();
-      applied = program.ApplyCollect(u, rec.cand, meta.curr(u),
-                                     Direction::kPush, s.effects);
-      for (size_t i = before; i < s.effects.size(); ++i) {
-        s.effect_pos.push_back(pos);
-      }
-    } else {
-      applied = program.Apply(u, rec.cand, meta.curr(u), Direction::kPush);
-    }
-    if (options_.use_atomic_updates) {
-      s.cost.atomic_ops += 1;
-      if (touch_stamp_[u] == stamp_) {
-        s.cost.atomic_conflicts += 1;
-      }
-      touch_stamp_[u] = stamp_;
-    }
-    if (program.ValueChanged(meta.curr(u), applied)) {
-      meta.curr(u) = applied;
-      if (!options_.use_atomic_updates) {
-        s.cost.scattered_words += 1;  // single writer, no atomic (ACC)
-      }
-      // MaybeRecord, deferred: the stamp and the Active check only touch
-      // owned per-vertex state; the bin append must wait for the merge.
-      if (recorded_stamp_[u] != stamp_ &&
-          program.Active(meta.curr(u), meta.prev(u))) {
-        recorded_stamp_[u] = stamp_;
-        s.activations.push_back(DeferredActivation{pos, rec.worker, u});
-      }
-    }
-  }
-
-  // K-way merge of per-range position-sorted streams back into the global
-  // serial record order: size(p)/pos(p, h) describe range p's stream,
-  // emit(p, h) consumes the chosen head. Each stream is position-sorted
-  // (range workers walk the buffers in order) and a position belongs to
-  // exactly one range (one record, one owner), so strict-< selection is
-  // unambiguous and within-range order is preserved. The linear head scan
-  // is O(streams) per element; with streams capped at host_threads it beats
-  // a heap's constant factor — revisit if range counts grow past ~32.
-  template <typename SizeFn, typename PosFn, typename EmitFn>
-  void MergeByPosition(const SizeFn& size, const PosFn& pos,
-                       const EmitFn& emit) {
-    merge_heads_.assign(replay_ranges_, 0);
-    while (true) {
-      uint32_t best = replay_ranges_;
-      uint64_t best_pos = ~0ull;
-      for (uint32_t p = 0; p < replay_ranges_; ++p) {
-        const size_t h = merge_heads_[p];
-        if (h < size(p) && pos(p, h) < best_pos) {
-          best_pos = pos(p, h);
-          best = p;
-        }
-      }
-      if (best == replay_ranges_) {
-        break;
-      }
-      emit(best, merge_heads_[best]++);
-    }
-  }
-
-  // Arms the owner-computes replay for this run: picks the range count,
-  // computes in-degree-balanced boundaries (each destination receives at
-  // most in-degree records per phase, so in-CSR offset mass IS expected
-  // replay work; the +i term splits long zero-degree runs), and fills the
-  // vertex→range owner lookup the collect pass buckets with — range by
-  // range, so each slice is first-touched by a pool thread.
-  void SetupReplayPartition() {
-    const auto n = static_cast<size_t>(graph_.vertex_count());
-    replay_ranges_ = 1;
-    if (!options_.parallel_push_replay || pool_ == nullptr ||
-        host_threads_ <= 1 || n == 0) {
-      if (options_.profile_push_replay) {
-        profile_ = PushReplayProfile{};
-        profile_.ranges = 1;
-      }
-      return;
-    }
-    replay_ranges_ = static_cast<uint32_t>(
-        std::min<size_t>(host_threads_, n));
-    const auto& in_offsets = graph_.in().row_offsets();
-    const std::vector<size_t> boundaries = BalancedRangeBoundaries(
-        n, replay_ranges_,
-        [&](size_t i) { return static_cast<uint64_t>(in_offsets[i]) + i; });
-    if (range_of_vertex_.size() < n) {
-      range_of_vertex_.resize(n);
-    }
-    PartitionedDrain(
-        pool_, host_threads_, replay_ranges_,
-        [&](uint32_t p) {
-          for (size_t v = boundaries[p]; v < boundaries[p + 1]; ++v) {
-            range_of_vertex_[v] = p;
-          }
-        },
-        [](uint32_t) {});
-    if (replay_scratch_.size() < replay_ranges_) {
-      replay_scratch_.resize(replay_ranges_);
-    }
-    if (options_.profile_push_replay) {
-      profile_ = PushReplayProfile{};
-      profile_.ranges = replay_ranges_;
-      profile_.range_ms.assign(replay_ranges_, 0.0);
-    }
-  }
-
-  // --- pull: every (non-skipped) vertex gathers from contributing
-  // in-neighbors, reading previous-iteration values (pure BSP) ---
-  //
-  // The gather for vertex v touches only prev (frozen for the whole
-  // iteration) and emits one candidate update for v, so the scan
-  // parallelizes over contiguous vertex ranges with zero sharing. The tail
-  // of the sequential loop — Apply (which may carry program side effects,
-  // e.g. delta-stepping's bucket parking), the curr write, and the online-
-  // filter record — is DEFERRED: chunks collect (v, combined) pairs, and
-  // after the join the engine replays them in ascending chunk (= vertex)
-  // order. The replay performs exactly the statements the sequential loop
-  // would, in the same order, so values, counters, bins and program state
-  // are bit-identical for any host thread count.
-  uint64_t ProcessPull(const Program& program, VertexMeta<Value>& meta,
-                       JitController& jit, CostCounters& cost) {
-    const VertexId n = graph_.in().vertex_count();
-    if (pool_ == nullptr || host_threads_ <= 1 || n < 1024) {
-      uint64_t edges = 0;
-      PullRange(program, meta, 0, n, cost, edges,
-                [&](VertexId v, const Value& combined) {
-                  ApplyPullUpdate(program, meta, v, combined, jit, cost);
-                });
-      return edges;
-    }
-    const size_t grain = SuggestedGrain(n, host_threads_, 256);
-    const uint32_t chunks = ThreadPool::NumChunks(0, n, grain);
-    if (pull_scratch_.size() < chunks) {
-      pull_scratch_.resize(chunks);
-    }
-    pool_->ParallelFor(0, n, grain, host_threads_, [&](const ParallelChunk& c) {
-      PullScratch& s = pull_scratch_[c.chunk_index];
-      s.cost = CostCounters{};
-      s.edges = 0;
-      s.updates.clear();
-      PullRange(program, meta, static_cast<VertexId>(c.begin),
-                static_cast<VertexId>(c.end), s.cost, s.edges,
-                [&s](VertexId v, const Value& combined) {
-                  s.updates.emplace_back(v, combined);
-                });
-    });
-    uint64_t edges = 0;
-    for (uint32_t i = 0; i < chunks; ++i) {
-      cost += pull_scratch_[i].cost;
-      edges += pull_scratch_[i].edges;
-    }
-    for (uint32_t i = 0; i < chunks; ++i) {
-      for (const auto& [v, combined] : pull_scratch_[i].updates) {
-        ApplyPullUpdate(program, meta, v, combined, jit, cost);
-      }
-    }
-    return edges;
-  }
-
-  // The per-vertex gather shared by the sequential and per-chunk paths;
-  // `on_update(v, combined)` fires where the sequential loop would Apply.
-  template <typename OnUpdate>
-  void PullRange(const Program& program, const VertexMeta<Value>& meta,
-                 VertexId vbegin, VertexId vend, CostCounters& cost,
-                 uint64_t& edges, OnUpdate&& on_update) const {
-    const Csr& in = graph_.in();
-    const bool vote = program.combine_kind() == CombineKind::kVote;
-    for (VertexId v = vbegin; v < vend; ++v) {
-      cost.coalesced_words += 1;  // own metadata, sequential over v
-      cost.alu_ops += 1;
-      if (program.PullSkip(meta.prev(v))) {
-        continue;
-      }
-      cost.coalesced_words += 2;  // row offsets
-      const auto nbrs = in.Neighbors(v);
-      const auto wts = in.NeighborWeights(v);
-      Value combined = program.CombineIdentity();
-      bool any = false;
-      uint32_t scanned = 0;
-      for (size_t i = 0; i < nbrs.size(); ++i) {
-        const VertexId u = nbrs[i];
-        ++edges;
-        ++scanned;
-        cost.alu_ops += 1;
-        if (program.PullContributes(meta.prev(u))) {
-          const Value cand =
-              program.Compute(u, v, wts[i], meta.prev(u), Direction::kPull);
-          combined = any ? program.Combine(combined, cand) : cand;
-          any = true;
-          cost.alu_ops += 2;
-          if (vote && options_.enable_vote_early_exit) {
-            // Voting combine: all updates are identical, one suffices —
-            // collaborative early termination (Section 3.3, Figure 5).
-            break;
-          }
-          if constexpr (kHasPullSaturated) {
-            // Aggregation generalization of the vote exit: the program
-            // certifies that no further contribution can change what Apply
-            // will produce (e.g. MS-BFS's lane mask is already full), so
-            // the rest of the gather is provably dead work. Deterministic —
-            // the in-neighbor scan order is fixed — and exact, because
-            // skipped contributions are absorbed by the saturated value.
-            // Shares the ablation flag: baselines that model AFC-style
-            // frameworks (no collaborative termination) lose both exits.
-            if (options_.enable_vote_early_exit &&
-                program.PullSaturated(meta.prev(v), combined)) {
-              break;
-            }
-          }
-        }
-      }
-      // A warp gathers 32 neighbors per step, so memory moves in 32-edge
-      // granules even when the vote exits after the first contributor.
-      const uint32_t degree = static_cast<uint32_t>(nbrs.size());
-      const uint32_t granule = std::min(degree, (scanned + 31) / 32 * 32);
-      cost.coalesced_words += 2ull * granule;  // adjacency ids + weights
-      cost.scattered_words += granule;         // contributor metadata (prev)
-      if (!any) {
-        continue;
-      }
-      on_update(v, combined);
-    }
-  }
-
-  // The deferred tail of a pull-mode vertex update; identical statement
-  // sequence to the tail of the original sequential loop.
-  void ApplyPullUpdate(const Program& program, VertexMeta<Value>& meta, VertexId v,
-                       const Value& combined, JitController& jit,
-                       CostCounters& cost) {
-    const Value applied =
-        program.Apply(v, combined, meta.curr(v), Direction::kPull);
-    if (program.ValueChanged(meta.curr(v), applied)) {
-      meta.curr(v) = applied;
-      cost.coalesced_words += 1;  // own write, sequential over v
-      MaybeRecord(program, meta, v, v % options_.sim_worker_threads, jit, cost);
-    }
-  }
-
-  // Post-pull activity consumption. ConsumeActivity is pure per vertex and
-  // the frontier is duplicate-free, so vertices split across threads.
-  void ConsumeFrontier(const Program& program, VertexMeta<Value>& meta,
-                       const std::vector<VertexId>& frontier) {
-    if (pool_ == nullptr || host_threads_ <= 1 || frontier.size() < 4096) {
-      for (VertexId v : frontier) {
-        Consume(program, meta, v, Direction::kPull);
-      }
-      return;
-    }
-    pool_->ParallelFor(0, frontier.size(),
-                       SuggestedGrain(frontier.size(), host_threads_, 2048),
-                       host_threads_, [&](const ParallelChunk& c) {
-                         for (size_t i = c.begin; i < c.end; ++i) {
-                           Consume(program, meta, frontier[i], Direction::kPull);
-                         }
-                       });
-  }
-
-  // Simulated hardware thread that discovered an activation: a Thread-class
-  // vertex is owned by one lane; Warp/CTA-class vertices spread their edges
-  // over 32 / 256 lanes, which spreads bin pressure — the reason a single
-  // hub rarely overflows a bin but a large frontier volume does.
-  static uint32_t WorkerFor(size_t list_idx, uint32_t edge_idx, KernelClass klass,
-                            uint32_t workers) {
-    uint32_t worker = 0;
-    switch (klass) {
-      case KernelClass::kThread:
-        worker = static_cast<uint32_t>(list_idx);
-        break;
-      case KernelClass::kWarp: {
-        const uint32_t warp_slots = std::max(1u, workers / 32);
-        worker = (static_cast<uint32_t>(list_idx) % warp_slots) * 32 + edge_idx % 32;
-        break;
-      }
-      case KernelClass::kCta: {
-        const uint32_t cta_slots = std::max(1u, workers / 256);
-        worker =
-            (static_cast<uint32_t>(list_idx) % cta_slots) * 256 + edge_idx % 256;
-        break;
-      }
-    }
-    return worker % workers;
-  }
 
   // Per-chunk scratch for the parallel pull phase, reused across iterations.
   struct PullScratch {
@@ -2003,7 +699,91 @@ class Engine {
     std::vector<std::pair<VertexId, Value>> updates;
   };
 
+  static double NowMs() {
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now().time_since_epoch())
+        .count();
+  }
 
+  // Global serial position of record `index` in chunk buffer `buffer` — the
+  // merge key every deferred stream is sequenced by.
+  static uint64_t Pos(uint32_t buffer, uint32_t index) {
+    return (static_cast<uint64_t>(buffer) << 32) | index;
+  }
+
+  // --- control plane (engine_control.h) ---
+  void DisarmControl();
+  bool CancelOrDeadline();
+  bool StageBreak(FaultPoint point);
+  void Degrade(uint32_t iteration, const char* trigger);
+  bool IterationControl(const Program& program, const VertexMeta<Value>& meta,
+                        const std::vector<VertexId>& frontier,
+                        const JitController& jit,
+                        const FusionAccountant& fusion, RunStats& stats,
+                        const LoopState& loop);
+  bool WriteCheckpoint(const Program& program, const VertexMeta<Value>& meta,
+                       const std::vector<VertexId>& frontier,
+                       const JitController& jit,
+                       const FusionAccountant& fusion, RunStats& stats,
+                       const LoopState& loop);
+  bool RestoreCheckpoint(const Checkpoint& cp, const Program& program,
+                         VertexMeta<Value>& meta,
+                         std::vector<VertexId>& frontier, JitController& jit,
+                         FusionAccountant& fusion, RunStats& stats,
+                         LoopState* state);
+
+  // --- push (engine_push.h) ---
+  uint64_t ProcessPush(const Program& program, VertexMeta<Value>& meta,
+                       std::span<const WorkListView> views, bool frontier_sorted,
+                       uint64_t frontier_out_edges, JitController& jit,
+                       CostCounters& cost);
+  uint32_t CollectPush(const Program& program, const VertexMeta<Value>& meta,
+                       const WorkListView& view, bool frontier_sorted,
+                       uint32_t base);
+  void CollectPushRange(const Program& program, const VertexMeta<Value>& meta,
+                        const WorkListView& view, bool frontier_sorted,
+                        size_t begin, size_t end, PushBuffer<Value>& buf,
+                        CollectFoldTable* fold) const;
+  ReplayOutcome ReplayPush(const Program& program, VertexMeta<Value>& meta,
+                           uint32_t num_buffers, JitController& jit,
+                           CostCounters& cost);
+  uint64_t Drain(const Program& program, VertexMeta<Value>& meta,
+                 uint32_t num_buffers, uint32_t ranges, JitController& jit,
+                 CostCounters& cost);
+  template <bool kInline>
+  void DrainRange(const Program& program, VertexMeta<Value>& meta,
+                  uint32_t num_buffers, uint32_t p, ReplayScratch& s,
+                  JitController& jit);
+  void FoldRecord(const Program& program, VertexId u, uint32_t worker,
+                  const Value& cand, uint64_t pos,
+                  std::vector<FoldTouch>& touched);
+  static void ResetScratch(ReplayScratch& s);
+  // Forced inline: left to the compiler, the one-range drain pays a call
+  // per record and runs up to ~1.5x slower (push_replay, 1 thread).
+  template <bool kInline>
+  [[gnu::always_inline]] inline void ReplayRecord(
+      const Program& program, VertexMeta<Value>& meta,
+      const PushRecord<Value>& rec, uint64_t pos, ReplayScratch& s,
+      JitController& jit);
+  template <typename SizeFn, typename PosFn, typename EmitFn>
+  void MergeByPosition(uint32_t ranges, const SizeFn& size, const PosFn& pos,
+                       const EmitFn& emit);
+  void SetupReplayPartition();
+  static uint32_t WorkerFor(size_t list_idx, uint32_t edge_idx,
+                            KernelClass klass, uint32_t workers);
+
+  // --- pull (engine_pull.h) ---
+  uint64_t ProcessPull(const Program& program, VertexMeta<Value>& meta,
+                       JitController& jit, CostCounters& cost);
+  template <typename OnUpdate>
+  void PullRange(const Program& program, const VertexMeta<Value>& meta,
+                 VertexId vbegin, VertexId vend, CostCounters& cost,
+                 uint64_t& edges, OnUpdate&& on_update) const;
+  void ApplyPullUpdate(const Program& program, VertexMeta<Value>& meta,
+                       VertexId v, const Value& combined, JitController& jit,
+                       CostCounters& cost);
+  void ConsumeFrontier(const Program& program, VertexMeta<Value>& meta,
+                       const std::vector<VertexId>& frontier);
   const Graph& graph_;
   DeviceSpec device_;
   EngineOptions options_;
@@ -2028,13 +808,13 @@ class Engine {
   NumaVector<uint32_t> touch_stamp_;
   uint32_t stamp_ = 0;
   uint32_t last_stage_count_ = 0;
-  // Owner-computes replay state (SetupReplayPartition): the range count
-  // (1 = partitioned replay disarmed), the per-vertex owner lookup the
-  // collect pass buckets with, per-range worker scratch, and the merge
+  // Owner-computes drain state (SetupReplayPartition): the range count
+  // (1 = every drain runs as one inline range), the per-vertex owner lookup
+  // the collect pass buckets with, per-range worker scratch, and the merge
   // cursors.
   uint32_t replay_ranges_ = 1;
   // Per-iteration decision made in ProcessPush before the collect: whether
-  // this iteration's records were bucketed (and must drain partitioned).
+  // this iteration's records were bucketed (and drain over replay_ranges_).
   bool collect_bucketed_ = false;
   // Per-run decision (Run): associative pre-combining armed — option on AND
   // the program declared CombineCapability::kAssociativeOnly.
@@ -2088,5 +868,9 @@ class Engine {
 };
 
 }  // namespace simdx
+
+#include "core/engine_control.h"
+#include "core/engine_pull.h"
+#include "core/engine_push.h"
 
 #endif  // SIMDX_CORE_ENGINE_H_

@@ -62,16 +62,11 @@ struct EngineOptions {
 
   // --- Host-runtime knobs (wall-clock only; never change simulated stats).
 
-  // Owner-computes parallel replay of the push phase: destination ranges
-  // partitioned by in-degree mass, one replay worker per range (engine.h).
-  // Off forces the ordered serial drain regardless of host_threads; at
-  // host_threads == 1 the serial drain is selected either way.
-  bool parallel_push_replay = true;
-
-  // Push iterations that buffered fewer records than this take the serial
-  // drain even when the partitioned replay is on (identical results; the
-  // partition bookkeeping isn't worth a few thousand applies). Tests set 0
-  // to force the partitioned path on tiny graphs.
+  // The push drain is owner-computes over one destination range per host
+  // thread (engine_push.h). Iterations that buffer fewer records than this
+  // drain as ONE range inline on the calling thread instead (identical
+  // results; the bucketing isn't worth a few thousand applies). Tests set 0
+  // to split even tiny graphs' drains over several ranges.
   size_t parallel_replay_min_records = 2048;
 
   // Associative pre-combining replay: for programs declaring
@@ -110,11 +105,6 @@ struct EngineOptions {
   // such zero-shrink iterations off the table walk. 0 forces the fold on
   // every push iteration (tests).
   double pre_combine_collect_min_fold = 2.0;
-
-  // Initialize the metadata and per-vertex stamp arrays through ParallelFor
-  // so their pages are first touched by the threads that will scan them
-  // (NUMA placement). Identical values either way.
-  bool first_touch_init = true;
 
   // Record host wall-clock collect/replay splits and per-range replay busy
   // times (Engine::push_profile(), bench/push_replay). Off by default to

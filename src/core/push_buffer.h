@@ -15,49 +15,26 @@
 //      record stream then carries one record per (chunk, destination)
 //      whose candidate is the left-fold of its constituents in record order
 //      and whose fold count says how many candidates it absorbed.
-//   2. REPLAY: the buffers drain in ascending chunk index order — which is
-//      exactly work-list order, independent of grain and thread count. At
-//      host_threads == 1 (or for small iterations) a single serial pass
-//      performs Apply, the `curr` writes, the atomic-contention accounting,
-//      the online-filter recording and ConsumeActivity in the statement
-//      order a sequential walk would. Otherwise the OWNER-COMPUTES parallel
-//      replay runs: the destination-vertex space is split into P disjoint
-//      ranges (degree-weighted so ranges balance by incoming records), and
-//      each replay worker walks all buffers in ascending chunk order
-//      applying only the records whose `dst` falls in its owned range.
-//      Every piece of state a record touches — curr(dst), the touch/record
-//      stamps, the park decision — is keyed by one vertex, and all of a
-//      vertex's records reach its single owner in ascending chunk-then-
-//      record order, so the PER-DESTINATION Apply order is exactly the
-//      serial order and every value, stamp and conflict count is
-//      bit-identical to the serial drain. Order-sensitive side channels
-//      (cost counters, online-filter records, Apply side effects like SSSP
-//      bucket parks) go to per-range scratch and are merged back
-//      deterministically — counters in range order (pure integer sums),
-//      record streams by their (chunk, record) position, i.e. the global
-//      serial order.
+//   2. DRAIN (owner-computes, engine_push.h): each of P range workers walks
+//      all buffers in ascending chunk index order — exactly work-list
+//      order, independent of grain and thread count — applying only the
+//      records whose `dst` its range owns; P = 1 is the serial drain. The
+//      pre-combined drain (StatsContract::kPerDestination) is a different
+//      walk over the same record sequences, so the buffers are oblivious
+//      to it, and a collect-side pre-folded stream drains through it
+//      unchanged.
 //
-// Both replay flavors exist in a PRE-COMBINED form as well (engine.h,
-// StatsContract::kPerDestination): for programs whose Combine is declared
-// kAssociativeOnly, the drain left-folds each destination's records — in the
-// same ascending (chunk, record) order the buffers store them in — and
-// issues one Apply per touched destination instead of one per record. The
-// buffers themselves are oblivious: the fold is a different walk over the
-// same record sequences, and a collect-side pre-folded stream drains through
-// it unchanged (a chunk's folded record IS the chunk-contiguous prefix of
-// the destination's global left-fold, so the drain-side fold continues it
-// without re-associating anything).
-//
-// To give replay workers their records without scanning foreign ones, the
-// collect pass optionally bucketizes: BeginCollect(P, ...) makes every
+// To give range workers their records without scanning foreign ones, a
+// multi-range collect bucketizes: BeginCollect(P > 1, ...) makes every
 // Append file the record's index under its destination's range, and — when
 // the program defines ConsumeActivity — every closed source span file a
 // SpanEvent under the SOURCE's range, tagged with the record index the span
-// ends at. A replay worker then merges its record bucket and its span
-// bucket by position, which reproduces the serial interleaving of Apply and
-// ConsumeActivity for every vertex it owns (a source that also receives
-// same-phase updates sees them land around its consume exactly as the
-// serial drain would).
+// ends at. ForEachInSerialOrder then merges a range's record bucket and
+// span bucket by position, which reproduces the serial interleaving of
+// Apply and ConsumeActivity for every vertex it owns (a source that also
+// receives same-phase updates sees them land around its consume exactly as
+// a sequential walk would). An unbucketed buffer is one range's: the same
+// walks visit every record and span directly, building no index.
 //
 // Record layout (the record-stream memory diet): storage is struct-of-arrays
 // so every drain walk touches only the lanes it reads —
@@ -128,10 +105,9 @@ template <typename Value>
 class PushBuffer {
  public:
   // Collect-side charges for this chunk (header + adjacency + per-edge
-  // words); merged into the iteration counters in chunk order. Replay-side
-  // charges (atomics, value-changed writes, filter records) are accumulated
-  // by the drain — directly into the iteration counters (serial drain) or
-  // into per-range scratch merged in range order (partitioned drain).
+  // words); merged into the iteration counters in chunk order. Drain-side
+  // charges (atomics, value-changed writes, filter records) accumulate in
+  // per-range scratch merged in range order.
   CostCounters cost;
   uint64_t edges = 0;
 
@@ -176,13 +152,6 @@ class PushBuffer {
         }
       }
     }
-  }
-
-  // Convenience for the plain per-record collect: no bucketing, worker lane
-  // on, fold-count lane off.
-  void Clear() {
-    BeginCollect(0, /*track_spans=*/false, /*store_workers=*/true,
-                 /*store_fold_counts=*/false);
   }
 
   // `src_range` is the replay range owning `src` (pass 0 when bucketing is
@@ -278,14 +247,69 @@ class PushBuffer {
 
   size_t capacity() const { return dsts_.capacity(); }
 
-  // Indices into the record lanes owned by range `r`, ascending (= serial
-  // order restricted to that range's destinations). Valid only after a
-  // BeginCollect with ranges > 1.
-  const std::vector<uint32_t>& RangeRecords(uint32_t r) const {
-    return range_records_[r];
+  // The drain's walks over range `r`'s share of this buffer. Unbucketed
+  // (BeginCollect with ranges <= 1), range 0 owns everything and the walks
+  // visit every record and span directly; bucketed, they visit range r's
+  // buckets. Source walks need the span events, so a bucketed buffer must
+  // have been collected with track_spans.
+
+  // fn(index) for each owned record, ascending (= serial order restricted
+  // to the range's destinations).
+  template <typename Fn>
+  void ForEachRecord(uint32_t r, Fn&& fn) const {
+    if (ranges_ == 0) {
+      for (uint32_t i = 0; i < size(); ++i) {
+        fn(i);
+      }
+      return;
+    }
+    for (const uint32_t i : range_records_[r]) {
+      fn(i);
+    }
   }
-  const std::vector<PushSpanEvent>& RangeSpans(uint32_t r) const {
-    return range_spans_[r];
+
+  // fn(src) for each source whose consume the range owns, in span order.
+  template <typename Fn>
+  void ForEachSource(uint32_t r, Fn&& fn) const {
+    if (ranges_ == 0) {
+      for (const PushSourceSpan& span : sources_) {
+        fn(span.src);
+      }
+      return;
+    }
+    assert(track_spans_ && "source walks of a bucketed buffer need spans");
+    for (const PushSpanEvent& span : range_spans_[r]) {
+      fn(span.src);
+    }
+  }
+
+  // Both walks merged in serial order: on_source(src) runs after the owned
+  // records below its span's end and before the one at it.
+  template <typename OnRecord, typename OnSource>
+  void ForEachInSerialOrder(uint32_t r, OnRecord&& on_record,
+                            OnSource&& on_source) const {
+    if (ranges_ == 0) {
+      uint32_t i = 0;
+      for (const PushSourceSpan& span : sources_) {
+        for (const uint32_t end = i + span.num_records; i < end; ++i) {
+          on_record(i);
+        }
+        on_source(span.src);
+      }
+      return;
+    }
+    assert(track_spans_ && "source walks of a bucketed buffer need spans");
+    const std::vector<PushSpanEvent>& spans = range_spans_[r];
+    size_t si = 0;
+    for (const uint32_t i : range_records_[r]) {
+      for (; si < spans.size() && spans[si].end_pos <= i; ++si) {
+        on_source(spans[si].src);
+      }
+      on_record(i);
+    }
+    for (; si < spans.size(); ++si) {
+      on_source(spans[si].src);
+    }
   }
 
  private:

@@ -217,9 +217,7 @@ TEST(SemanticOptionsDigestTest, HostRuntimeKnobsDoNot) {
   const EngineOptions base;
   EngineOptions o = base;
   o.host_threads = 8;
-  o.parallel_push_replay = false;
   o.parallel_replay_min_records = 0;
-  o.first_touch_init = false;
   o.profile_push_replay = true;
   o.keep_iteration_log = false;
   o.fault_spec = "replay@3";

@@ -430,27 +430,17 @@ TEST(PartitionedReplayTest, MoreRangesThanTouchedDestinations) {
       [&](const EngineOptions& o) { return RunSssp(g, 0, MakeK40(), o); });
 }
 
-TEST(PartitionedReplayTest, DisablingFallsBackToSerialDrainIdentically) {
-  const Graph g = Graph::FromEdges(GenerateRmat(11, 8, 37), /*directed=*/false);
-  const auto run = [&](EngineOptions o) { return RunWcc(g, MakeK40(), o); };
-  const auto serial = run(PartitionedPushOptions(1));
-  EngineOptions off = PartitionedPushOptions(8);
-  off.parallel_push_replay = false;
-  ExpectIdenticalRuns(serial, run(off));
-  EngineOptions lazy = PartitionedPushOptions(8);
-  lazy.parallel_replay_min_records = 1u << 30;  // always below: serial drain
-  ExpectIdenticalRuns(serial, run(lazy));
+// Drains every iteration as one inline range even on a multi-thread engine.
+EngineOptions OneRange(EngineOptions o) {
+  o.parallel_replay_min_records = SIZE_MAX;
+  return o;
 }
 
-TEST(PartitionedReplayTest, FirstTouchToggleChangesNothing) {
-  const Graph g = Graph::FromEdges(GenerateRmat(11, 8, 41), /*directed=*/true);
-  EngineOptions on = OptionsWithThreads(8);
-  on.first_touch_init = true;
-  EngineOptions off = OptionsWithThreads(8);
-  off.first_touch_init = false;
-  ExpectIdenticalRuns(RunPageRank(g, MakeK40(), on),
-                      RunPageRank(g, MakeK40(), off));
-  ExpectIdenticalRuns(RunBfs(g, 0, MakeK40(), on), RunBfs(g, 0, MakeK40(), off));
+TEST(PartitionedReplayTest, OneRangeDrainOnManyThreadsMatchesSerial) {
+  const Graph g = Graph::FromEdges(GenerateRmat(11, 8, 37), /*directed=*/false);
+  const auto run = [&](EngineOptions o) { return RunWcc(g, MakeK40(), o); };
+  ExpectIdenticalRuns(run(PartitionedPushOptions(1)),
+                      run(OneRange(PartitionedPushOptions(8))));
 }
 
 TEST(PartitionedReplayTest, ProfileShowsPartitionedDrainOnRangeWorkers) {
@@ -479,8 +469,9 @@ TEST(PartitionedReplayTest, ProfileShowsPartitionedDrainOnRangeWorkers) {
 // For kAssociativeOnly programs with pre_combine_replay set, the drain folds
 // each destination's records with Combine and issues one Apply per touched
 // destination. The contract: values, stats and touch sets bit-identical
-// across host_threads (including 1, where the SERIAL pre-combined drain
-// runs) — not to the per-record drain, which stays byte-for-byte untouched.
+// across host_threads (including 1, where one inline range drains
+// everything) — not to the per-record drain, which stays byte-for-byte
+// untouched.
 
 EngineOptions PreCombineOptions(uint32_t host_threads) {
   EngineOptions o = PartitionedPushOptions(host_threads);
@@ -587,7 +578,7 @@ TEST(PreCombinedReplayTest, SingleRecordDestinationsOnChain) {
 TEST(PreCombinedReplayTest, MoreRangesThanTouchedDestinations) {
   // 5-vertex chain at 8 threads: P = min(8, 5) ranges, at most one touched
   // destination per iteration — single-entry touched lists next to empty
-  // ones, and empty RangeRecords buckets in every drain.
+  // ones, and empty range buckets in every drain.
   EdgeList e;
   for (VertexId v = 0; v < 4; ++v) {
     e.Add(v, v + 1, 1);
@@ -701,10 +692,11 @@ void SweepCollectFoldThreads(const RunFn& run) {
   ASSERT_TRUE(reference.stats.ok());
   for (uint32_t threads : {1u, 2u, 3u, 8u}) {
     for (bool partitioned : {true, false}) {
-      EngineOptions fold_on = CollectFoldOptions(threads);
-      fold_on.parallel_push_replay = partitioned;
-      EngineOptions fold_off = PreCombineOptions(threads);
-      fold_off.parallel_push_replay = partitioned;
+      const auto ranges = [&](EngineOptions o) {
+        return partitioned ? o : OneRange(o);
+      };
+      const EngineOptions fold_on = ranges(CollectFoldOptions(threads));
+      const EngineOptions fold_off = ranges(PreCombineOptions(threads));
       const auto folded = run(fold_on);
       SCOPED_TRACE(::testing::Message() << "threads=" << threads
                                         << " partitioned=" << partitioned);
@@ -770,9 +762,8 @@ TEST(CollectFoldTest, PageRankFloatingPointFoldIsThreadCountStable) {
   ASSERT_TRUE(reference.stats.ok());
   for (uint32_t threads : {2u, 3u, 8u}) {
     for (bool partitioned : {true, false}) {
-      EngineOptions o = CollectFoldOptions(threads);
-      o.parallel_push_replay = partitioned;
-      ExpectIdenticalRuns(reference, run(o));
+      const EngineOptions o = CollectFoldOptions(threads);
+      ExpectIdenticalRuns(reference, run(partitioned ? o : OneRange(o)));
     }
   }
   const auto drain_only = run(PreCombineOptions(1));
@@ -883,7 +874,7 @@ TEST(CollectFoldTest, BallotOnlyPolicyDropsTheWorkerLane) {
 TEST(PushBufferTest, RegrowsAndReusesCapacity) {
   PushBuffer<uint32_t> buf;
   // First fill: everything regrows from empty.
-  buf.Clear();
+  buf.BeginCollect(0, false, /*store_workers=*/true, false);
   buf.BeginSource(7, /*src_range=*/0);
   for (uint32_t i = 0; i < 1000; ++i) {
     buf.Append(/*dst=*/i, /*worker=*/i % 48, /*cand=*/i * 3, /*dst_range=*/0);
@@ -894,8 +885,8 @@ TEST(PushBufferTest, RegrowsAndReusesCapacity) {
   EXPECT_EQ(buf.sources()[0].num_records, 1000u);
   const size_t warm_capacity = buf.capacity();
 
-  // Clear keeps capacity: a same-sized refill must not reallocate.
-  buf.Clear();
+  // BeginCollect keeps capacity: a same-sized refill must not reallocate.
+  buf.BeginCollect(0, false, /*store_workers=*/true, false);
   EXPECT_TRUE(buf.empty());
   EXPECT_EQ(buf.capacity(), warm_capacity);
   EXPECT_EQ(buf.cost.alu_ops, 0u);
@@ -909,7 +900,7 @@ TEST(PushBufferTest, RegrowsAndReusesCapacity) {
   EXPECT_EQ(buf.cand(0), 42u);
 
   // Overflowing the warm capacity regrows without corrupting contents.
-  buf.Clear();
+  buf.BeginCollect(0, false, /*store_workers=*/true, false);
   const uint32_t overflow = static_cast<uint32_t>(warm_capacity) + 123;
   for (uint32_t v = 0; v < 4; ++v) {
     buf.BeginSource(v, /*src_range=*/0);
@@ -986,8 +977,53 @@ TEST(PushBufferTest, FootprintCountsArmedLanesAndBuckets) {
   buf.Append(2, 0, 22, /*dst_range=*/3);
   EXPECT_EQ(buf.FootprintBytes(),
             2 * (5 * sizeof(uint32_t)) + sizeof(PushSourceSpan));
-  ASSERT_EQ(buf.RangeRecords(2).size(), 1u);
-  EXPECT_EQ(buf.RangeRecords(2)[0], 0u);
+  std::vector<uint32_t> owned;
+  buf.ForEachRecord(2, [&](uint32_t i) { owned.push_back(i); });
+  EXPECT_EQ(owned, std::vector<uint32_t>{0u});
+}
+
+// The one-range walk of an unbucketed buffer and the per-range walks of the
+// same stream bucketed: each interleaves the consumes of its sources at the
+// serial span positions, and together the ranges visit every record and
+// source exactly once.
+TEST(PushBufferTest, RangeWalksInterleaveConsumesAtSpanEnds) {
+  // src -> dsts: 10 -> {1, 2}, 11 -> {}, 12 -> {2, 3}. Vertex v is owned by
+  // range v % 2.
+  const std::vector<std::pair<VertexId, std::vector<VertexId>>> stream = {
+      {10, {1, 2}}, {11, {}}, {12, {2, 3}}};
+  const auto collect = [&](PushBuffer<uint32_t>& buf, uint32_t ranges) {
+    buf.BeginCollect(ranges, /*track_spans=*/true, /*store_workers=*/true,
+                     /*store_fold_counts=*/false);
+    for (const auto& [src, dsts] : stream) {
+      buf.BeginSource(src, ranges > 1 ? src % 2 : 0);
+      for (const VertexId d : dsts) {
+        buf.Append(d, 0, d, ranges > 1 ? d % 2 : 0);
+      }
+    }
+    buf.FinishCollect();
+  };
+  // Walk log: records as their index, consumes as 100 + src.
+  const auto walk = [](const PushBuffer<uint32_t>& buf, uint32_t r) {
+    std::vector<uint32_t> log;
+    buf.ForEachInSerialOrder(
+        r, [&](uint32_t i) { log.push_back(i); },
+        [&](VertexId src) { log.push_back(100 + src); });
+    return log;
+  };
+  PushBuffer<uint32_t> one;
+  collect(one, 0);
+  EXPECT_EQ(walk(one, 0),
+            (std::vector<uint32_t>{0, 1, 110, 111, 2, 3, 112}));
+  std::vector<uint32_t> sources;
+  one.ForEachSource(0, [&](VertexId src) { sources.push_back(src); });
+  EXPECT_EQ(sources, (std::vector<uint32_t>{10, 11, 12}));
+
+  PushBuffer<uint32_t> two;
+  collect(two, 2);
+  // Range 0 owns dsts 2 (records 1, 2) and sources 10, 12; range 1 owns
+  // dsts 1, 3 (records 0, 3) and source 11.
+  EXPECT_EQ(walk(two, 0), (std::vector<uint32_t>{1, 110, 2, 112}));
+  EXPECT_EQ(walk(two, 1), (std::vector<uint32_t>{0, 111, 3}));
 }
 
 TEST(PlanChunksTest, CollapsesToOneChunkWhenSerial) {
