@@ -1,6 +1,7 @@
 #include "common.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -242,6 +243,39 @@ uint64_t ParseU64Flag(const std::string& s, const char* flag) {
   }
   std::cerr << "error: " << flag << " expects a number, got '" << s << "'\n";
   std::exit(2);
+}
+
+double ParseDoubleFlag(const std::string& s, const char* flag) {
+  // from_chars takes no leading whitespace or '+' and reports how far it
+  // read, so a trailing "x" cannot be dropped the way stod drops it.
+  double v = 0.0;
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc() || ptr != end || !std::isfinite(v)) {
+    std::cerr << "error: " << flag << " expects a finite number, got '" << s
+              << "'\n";
+    std::exit(2);
+  }
+  return v;
+}
+
+double ParsePositiveFlag(const std::string& s, const char* flag) {
+  const double v = ParseDoubleFlag(s, flag);
+  if (v <= 0.0) {
+    std::cerr << "error: " << flag << " must be > 0, got '" << s << "'\n";
+    std::exit(2);
+  }
+  return v;
+}
+
+double ParseFractionFlag(const std::string& s, const char* flag) {
+  const double v = ParseDoubleFlag(s, flag);
+  if (v < 0.0 || v > 1.0) {
+    std::cerr << "error: " << flag << " must be in [0, 1], got '" << s
+              << "'\n";
+    std::exit(2);
+  }
+  return v;
 }
 
 std::vector<uint32_t> ParseThreadList(const std::string& s, const char* flag) {

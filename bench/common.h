@@ -101,6 +101,16 @@ uint32_t ParseU32Flag(const std::string& s, const char* flag);
 // Strict uint64 parse (full-range generator seeds); exits(2) on failure.
 uint64_t ParseU64Flag(const std::string& s, const char* flag);
 
+// Strict double parse: the whole token must be one finite number ("5x",
+// "nan", "inf" and " 5" all fail); exits(2) with a message naming `flag`.
+double ParseDoubleFlag(const std::string& s, const char* flag);
+
+// ParseDoubleFlag for a rate that must be > 0 (exits(2) otherwise).
+double ParsePositiveFlag(const std::string& s, const char* flag);
+
+// ParseDoubleFlag for a fraction that must lie in [0, 1] (exits(2) otherwise).
+double ParseFractionFlag(const std::string& s, const char* flag);
+
 // Comma-separated thread list, e.g. "1,2,4,8".
 std::vector<uint32_t> ParseThreadList(const std::string& s, const char* flag);
 

@@ -3,7 +3,8 @@
 // pins — a KNOWN flag missing its trailing value exits 2 with a message
 // naming the flag ("flag X requires a value"), instead of falling through
 // to the unknown-flag branch as every parser did when the `i + 1 < argc`
-// guard lived in the match condition.
+// guard lived in the match condition. The double parsers take only whole
+// finite tokens, and the rate/fraction forms exit 2 outside their range.
 #include "bench/common.h"
 
 #include <gtest/gtest.h>
@@ -58,6 +59,55 @@ TEST(ParseU64FlagDeathTest, NegativeNeverWraps) {
 TEST(ParseU32FlagDeathTest, OutOfRangeExits2) {
   EXPECT_EXIT(ParseU32Flag("4294967296", "--scale"),
               ::testing::ExitedWithCode(2), "--scale out of uint32 range");
+}
+
+TEST(ParseDoubleFlagTest, AcceptsWholeFiniteTokens) {
+  EXPECT_DOUBLE_EQ(ParseDoubleFlag("2.5", "--deadline-ms"), 2.5);
+  EXPECT_DOUBLE_EQ(ParseDoubleFlag("-1e3", "--deadline-ms"), -1000.0);
+  EXPECT_DOUBLE_EQ(ParsePositiveFlag("500", "--qps"), 500.0);
+  EXPECT_DOUBLE_EQ(ParseFractionFlag("0", "--fault-rate"), 0.0);
+  EXPECT_DOUBLE_EQ(ParseFractionFlag("1", "--fault-rate"), 1.0);
+}
+
+TEST(ParseDoubleFlagDeathTest, TrailingJunkIsNotDropped) {
+  // The suffix is an error, never silently dropped.
+  EXPECT_EXIT(ParseDoubleFlag("5x", "--qps"), ::testing::ExitedWithCode(2),
+              "--qps expects a finite number, got '5x'");
+}
+
+TEST(ParseDoubleFlagDeathTest, NanAndInfAreNotFinite) {
+  EXPECT_EXIT(ParseDoubleFlag("nan", "--qps"), ::testing::ExitedWithCode(2),
+              "--qps expects a finite number");
+  EXPECT_EXIT(ParseDoubleFlag("inf", "--qps"), ::testing::ExitedWithCode(2),
+              "--qps expects a finite number");
+  EXPECT_EXIT(ParseDoubleFlag("1e999", "--qps"), ::testing::ExitedWithCode(2),
+              "--qps expects a finite number");
+}
+
+TEST(ParseDoubleFlagDeathTest, EmptyAndPaddedTokensFail) {
+  EXPECT_EXIT(ParseDoubleFlag("", "--deadline-ms"),
+              ::testing::ExitedWithCode(2), "--deadline-ms expects");
+  EXPECT_EXIT(ParseDoubleFlag(" 5", "--deadline-ms"),
+              ::testing::ExitedWithCode(2), "--deadline-ms expects");
+}
+
+TEST(ParsePositiveFlagDeathTest, ZeroAndNegativeRatesExit2) {
+  // A rate <= 0 violates std::exponential_distribution's precondition.
+  EXPECT_EXIT(ParsePositiveFlag("0", "--qps"), ::testing::ExitedWithCode(2),
+              "--qps must be > 0, got '0'");
+  EXPECT_EXIT(ParsePositiveFlag("-1", "--qps"), ::testing::ExitedWithCode(2),
+              "--qps must be > 0, got '-1'");
+  EXPECT_EXIT(ParsePositiveFlag("nan", "--qps"), ::testing::ExitedWithCode(2),
+              "--qps expects a finite number");
+}
+
+TEST(ParseFractionFlagDeathTest, OutsideUnitIntervalExits2) {
+  EXPECT_EXIT(ParseFractionFlag("1.5", "--fault-rate"),
+              ::testing::ExitedWithCode(2),
+              "--fault-rate must be in \\[0, 1\\], got '1.5'");
+  EXPECT_EXIT(ParseFractionFlag("-0.1", "--hot-fraction"),
+              ::testing::ExitedWithCode(2),
+              "--hot-fraction must be in \\[0, 1\\], got '-0.1'");
 }
 
 TEST(ParseArgsDeathTest, UnknownFlagExits2WithUsage) {

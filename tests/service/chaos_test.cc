@@ -14,9 +14,7 @@
 // SIMDX_SWEEP_CHAOS_DENSITY multiplies every fault probability.
 #include "service/chaos.h"
 
-#include <dirent.h>
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -26,13 +24,11 @@
 #include <thread>
 #include <vector>
 
-#include "algos/algos.h"
 #include "core/fingerprint.h"
-#include "graph/generators.h"
-#include "graph/graph.h"
 #include "service/retry.h"
 #include "service/server.h"
 #include "service/service.h"
+#include "tests/service/wire_test_support.h"
 
 namespace simdx::service {
 namespace {
@@ -45,26 +41,6 @@ uint64_t EnvU64(const char* name, uint64_t def) {
 double EnvDouble(const char* name, double def) {
   const char* v = std::getenv(name);
   return (v != nullptr && *v != '\0') ? std::strtod(v, nullptr) : def;
-}
-
-int CountOpenFds() {
-  DIR* d = ::opendir("/proc/self/fd");
-  if (d == nullptr) {
-    return -1;
-  }
-  int n = 0;
-  while (::readdir(d) != nullptr) {
-    ++n;
-  }
-  ::closedir(d);
-  return n;
-}
-
-std::string UniquePath(const char* tag) {
-  static std::atomic<int> counter{0};
-  return std::string("/tmp/simdx_") + tag + "_" +
-         std::to_string(::getpid()) + "_" +
-         std::to_string(counter.fetch_add(1) + 1) + ".sock";
 }
 
 // ---------------------------------------------------------------------------
@@ -150,49 +126,11 @@ TEST(RetryPolicyTest, MaxCallWallBoundIsFiniteOnlyWhenBudgetsAre) {
 // ---------------------------------------------------------------------------
 // Proxy + retrying client against the real server.
 
-struct Harness {
-  std::unique_ptr<Graph> graph;
-  std::unique_ptr<GraphService> service;
-  std::unique_ptr<SocketServer> server;
-  std::string uds;
-  std::string error;
-  bool ok = false;
-
-  explicit Harness(ServerOptions opts = {}, ServiceOptions so = {}) {
-    graph = std::make_unique<Graph>(
-        Graph::FromEdges(GenerateRmat(7, 8, 3), false));
-    service = std::make_unique<GraphService>(*graph, so);
-    uds = UniquePath("chaos_backend");
-    opts.uds_path = uds;
-    server = std::make_unique<SocketServer>(*service, opts);
-    ok = server->Start(&error);
-  }
-  ~Harness() {
-    server->Stop();
-    service->Shutdown();
-  }
-
-  uint64_t OracleVfp(VertexId source) const {
-    ServiceOptions so;
-    const auto r = RunBfs(*graph, source, so.device, so.engine);
-    return ValueBytesFingerprint(r.values.data(),
-                                 r.values.size() * sizeof(uint32_t));
-  }
-};
-
-wire::RequestFrame BfsRequest(VertexId source) {
-  Query q;
-  q.kind = QueryKind::kBfs;
-  q.source = source;
-  q.want_values = true;
-  return ToRequestFrame(q);
-}
-
 TEST(ChaosProxyTest, UnarmedProxyIsTransparent) {
   Harness h;
   ASSERT_TRUE(h.ok) << h.error;
   ChaosSpec spec;  // nothing armed: pure byte forwarding
-  ChaosProxy proxy(spec, UniquePath("chaos_front"), h.uds);
+  ChaosProxy proxy(spec, UniqueSocketPath("chaos_front"), h.uds);
   std::string err;
   ASSERT_TRUE(proxy.Start(&err)) << err;
 
@@ -216,7 +154,7 @@ TEST(ChaosProxyTest, UnarmedProxyIsTransparent) {
 TEST(ChaosProxyTest, RetryingClientSurvivesEndpointRestart) {
   Harness h;
   ASSERT_TRUE(h.ok) << h.error;
-  const std::string front = UniquePath("chaos_front");
+  const std::string front = UniqueSocketPath("chaos_front");
   ChaosSpec spec;  // unarmed: the "fault" is the endpoint dying entirely
   auto proxy1 = std::make_unique<ChaosProxy>(spec, front, h.uds);
   std::string err;
@@ -280,7 +218,7 @@ TEST(ChaosSweepTest, FaultedTransportNeverCorruptsOrHangs) {
   for (uint64_t round = 0; round < rounds; ++round) {
     ChaosSpec spec = ChaosSpec::Default().Scaled(density);
     spec.seed = round + 1;
-    ChaosProxy proxy(spec, UniquePath("chaos_sweep"), h.uds);
+    ChaosProxy proxy(spec, UniqueSocketPath("chaos_sweep"), h.uds);
     std::string perr;
     ASSERT_TRUE(proxy.Start(&perr)) << perr;
 
@@ -311,7 +249,12 @@ TEST(ChaosSweepTest, FaultedTransportNeverCorruptsOrHangs) {
           if (st == ClientStatus::kOk) {
             if (reply.type == wire::MsgType::kResponse) {
               completed.fetch_add(1);
-              if (reply.response.value_fingerprint != oracle[src]) {
+              // Both the server-computed fingerprint and the bytes that
+              // actually crossed the proxy must match the oracle.
+              const auto& r = reply.response;
+              if (r.value_fingerprint != oracle[src] ||
+                  ValueBytesFingerprint(r.value_bytes.data(),
+                                        r.value_bytes.size()) != oracle[src]) {
                 mismatches.fetch_add(1);
               }
             } else {

@@ -13,26 +13,13 @@
 #include <string>
 #include <vector>
 
-#include "core/checkpoint.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "service/service.h"
+#include "tests/service/wire_test_support.h"
 
 namespace simdx::service::wire {
 namespace {
-
-RequestFrame SampleRequest() {
-  RequestFrame f;
-  f.request_id = 0xDEADBEEFCAFEull;
-  f.kind = static_cast<uint8_t>(QueryKind::kSssp);
-  f.source = 1234;
-  f.k = 7;
-  f.deadline_rel_ms = 250.5;
-  f.max_attempts = 3;
-  f.want_values = 1;
-  f.fault_spec = "iteration-start@1";
-  return f;
-}
 
 ResponseFrame SampleResponse() {
   ResponseFrame f;
@@ -136,117 +123,8 @@ TEST(CodecRoundTripTest, OutOfRangeKindByteTravelsIntact) {
   EXPECT_EQ(f.request.kind, 200);
 }
 
-// ---- malformed frames: one status per lie, table-driven ----
-
-std::vector<uint8_t> ValidRequestBytes() {
-  std::vector<uint8_t> bytes;
-  EncodeRequest(SampleRequest(), &bytes);
-  return bytes;
-}
-
-struct MalformedCase {
-  const char* name;
-  std::vector<uint8_t> bytes;
-  DecodeStatus expect;
-};
-
-std::vector<MalformedCase> MalformedCases() {
-  std::vector<MalformedCase> cases;
-  {
-    auto b = ValidRequestBytes();
-    b[0] ^= 0xFF;
-    cases.push_back({"bad-magic", b, DecodeStatus::kBadMagic});
-  }
-  {
-    auto b = ValidRequestBytes();
-    b[4] ^= 0xFF;
-    cases.push_back({"bad-version", b, DecodeStatus::kBadVersion});
-  }
-  {
-    // Unknown msg type over a structurally perfect body: recoverable.
-    auto b = ValidRequestBytes();
-    const uint16_t bogus = 99;
-    std::memcpy(&b[6], &bogus, sizeof(bogus));
-    cases.push_back({"bad-msg-type", b, DecodeStatus::kBadMsgType});
-  }
-  {
-    // A hostile 4 GiB length must be refused from the header alone —
-    // before allocation, before waiting for body bytes.
-    auto b = ValidRequestBytes();
-    b.resize(kFrameHeaderBytes);
-    const uint32_t huge = 0xFFFFFFFFu;
-    std::memcpy(&b[8], &huge, sizeof(huge));
-    cases.push_back({"oversized-body", b, DecodeStatus::kOversizedBody});
-  }
-  {
-    auto b = ValidRequestBytes();
-    b.back() ^= 0xFF;
-    cases.push_back({"bad-crc", b, DecodeStatus::kBadCrc});
-  }
-  {
-    // CRC-valid garbage that fails to parse as a request body.
-    const std::vector<uint8_t> body = {1, 2, 3};
-    std::vector<uint8_t> b;
-    ByteWriter w(&b);
-    w.Pod(kFrameMagic);
-    w.Pod(kWireVersion);
-    w.Pod(static_cast<uint16_t>(MsgType::kRequest));
-    w.Pod(static_cast<uint32_t>(body.size()));
-    w.Pod(Crc32(body.data(), body.size()));
-    w.Bytes(body.data(), body.size());
-    cases.push_back({"truncated-fields", b, DecodeStatus::kMalformedBody});
-  }
-  {
-    // Trailing garbage after a complete body: rejected by design (there is
-    // no silent ignore-the-tail lane — new fields bump the version).
-    RequestFrame rq = SampleRequest();
-    std::vector<uint8_t> body;
-    ByteWriter bw(&body);
-    bw.Pod(rq.request_id);
-    bw.Pod(rq.kind);
-    bw.Pod(rq.source);
-    bw.Pod(rq.k);
-    bw.Pod(rq.deadline_rel_ms);
-    bw.Pod(rq.max_attempts);
-    bw.Pod(rq.want_values);
-    bw.Str(rq.fault_spec);
-    bw.Pod(uint32_t{0xAAAAAAAAu});  // the tail a v2 sender might append
-    std::vector<uint8_t> b;
-    ByteWriter w(&b);
-    w.Pod(kFrameMagic);
-    w.Pod(kWireVersion);
-    w.Pod(static_cast<uint16_t>(MsgType::kRequest));
-    w.Pod(static_cast<uint32_t>(body.size()));
-    w.Pod(Crc32(body.data(), body.size()));
-    w.Bytes(body.data(), body.size());
-    cases.push_back({"trailing-garbage", b, DecodeStatus::kMalformedBody});
-  }
-  {
-    // A fault_spec length that overruns the remaining payload: ByteReader
-    // validates string lengths before any copy.
-    RequestFrame rq = SampleRequest();
-    std::vector<uint8_t> body;
-    ByteWriter bw(&body);
-    bw.Pod(rq.request_id);
-    bw.Pod(rq.kind);
-    bw.Pod(rq.source);
-    bw.Pod(rq.k);
-    bw.Pod(rq.deadline_rel_ms);
-    bw.Pod(rq.max_attempts);
-    bw.Pod(rq.want_values);
-    bw.Pod(uint64_t{1u << 20});  // claims a 1 MiB string, provides 0 bytes
-    std::vector<uint8_t> b;
-    ByteWriter w(&b);
-    w.Pod(kFrameMagic);
-    w.Pod(kWireVersion);
-    w.Pod(static_cast<uint16_t>(MsgType::kRequest));
-    w.Pod(static_cast<uint32_t>(body.size()));
-    w.Pod(Crc32(body.data(), body.size()));
-    w.Bytes(body.data(), body.size());
-    cases.push_back({"string-length-overrun", b, DecodeStatus::kMalformedBody});
-  }
-  return cases;
-}
+// ---- malformed frames: one status per lie, table-driven (the table lives
+// in wire_test_support.h; server_test sends the same rows over a socket) ----
 
 TEST(CodecMalformedTest, EveryLieGetsItsTypedStatus) {
   for (const MalformedCase& mc : MalformedCases()) {

@@ -1,26 +1,23 @@
 // Socket dispatch loop contract: answers over UDS/TCP are bit-equal to
-// direct Submit, hostile bytes elicit typed rejects (fatal ones close the
-// stream, recoverable ones don't), torn writes reassemble, the admission
-// verdict taxonomy crosses the wire intact, and the deadline that crosses is
-// RELATIVE — the TSan CI job runs this test over the dispatch loop's
-// thread + the service workers + concurrent client threads.
+// direct Submit, hostile bytes (every row of the codec's malformed-frame
+// table) elicit typed rejects (fatal ones close the stream, recoverable ones
+// don't), torn writes reassemble, the admission verdict taxonomy crosses the
+// wire intact, and the deadline that crosses is RELATIVE — the TSan CI job
+// runs this test over the dispatch loop's thread + the service workers +
+// concurrent client threads.
 #include "service/server.h"
 
-#include <dirent.h>
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "algos/algos.h"
 #include "core/fingerprint.h"
-#include "graph/generators.h"
-#include "graph/graph.h"
 #include "service/client.h"
+#include "tests/service/wire_test_support.h"
 
 namespace simdx::service {
 namespace {
@@ -28,57 +25,25 @@ namespace {
 class ServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    graph_ = std::make_unique<Graph>(
-        Graph::FromEdges(GenerateRmat(7, 8, 3), false));
+    ServerOptions opts;
+    opts.tcp = true;  // ephemeral loopback port
     ServiceOptions so;
     so.workers = 2;
-    service_ = std::make_unique<GraphService>(*graph_, so);
-    ServerOptions opts;
-    opts.uds_path = "/tmp/simdx_server_test_" + std::to_string(::getpid()) +
-                    "_" + std::to_string(++instance_) + ".sock";
-    opts.tcp = true;  // ephemeral loopback port
-    server_ = std::make_unique<SocketServer>(*service_, opts);
-    std::string err;
-    ASSERT_TRUE(server_->Start(&err)) << err;
+    h_ = std::make_unique<Harness>(opts, so);
+    ASSERT_TRUE(h_->ok) << h_->error;
   }
 
-  void TearDown() override {
-    server_->Stop();
-    service_->Shutdown();
-  }
-
-  uint64_t OracleVfp(VertexId source) {
-    ServiceOptions so;
-    const auto r = RunBfs(*graph_, source, so.device, so.engine);
-    return ValueBytesFingerprint(r.values.data(),
-                                 r.values.size() * sizeof(uint32_t));
-  }
-
-  static wire::RequestFrame BfsRequest(VertexId source) {
-    Query q;
-    q.kind = QueryKind::kBfs;
-    q.source = source;
-    q.want_values = true;
-    return ToRequestFrame(q);
-  }
-
-  static int instance_;
-  std::unique_ptr<Graph> graph_;
-  std::unique_ptr<GraphService> service_;
-  std::unique_ptr<SocketServer> server_;
+  std::unique_ptr<Harness> h_;
 };
-
-int ServerTest::instance_ = 0;
 
 TEST_F(ServerTest, UdsAnswerIsBitEqualToDirectSubmit) {
   BlockingClient cli;
   std::string err;
-  ASSERT_EQ(cli.ConnectUds(server_->uds_path(), &err), ClientStatus::kOk)
-      << err;
+  ASSERT_EQ(cli.ConnectUds(h_->uds, &err), ClientStatus::kOk) << err;
   wire::Frame reply;
   ASSERT_EQ(cli.Call(BfsRequest(0), &reply, &err), ClientStatus::kOk) << err;
   ASSERT_EQ(reply.type, wire::MsgType::kResponse);
-  const uint64_t oracle = OracleVfp(0);
+  const uint64_t oracle = h_->OracleVfp(0);
   EXPECT_EQ(reply.response.value_fingerprint, oracle);
   EXPECT_EQ(ValueBytesFingerprint(reply.response.value_bytes.data(),
                                   reply.response.value_bytes.size()),
@@ -88,13 +53,13 @@ TEST_F(ServerTest, UdsAnswerIsBitEqualToDirectSubmit) {
 TEST_F(ServerTest, TcpAnswerMatchesToo) {
   BlockingClient cli;
   std::string err;
-  ASSERT_EQ(cli.ConnectTcp("127.0.0.1", server_->tcp_port(), &err),
+  ASSERT_EQ(cli.ConnectTcp("127.0.0.1", h_->server->tcp_port(), &err),
             ClientStatus::kOk)
       << err;
   wire::Frame reply;
   ASSERT_EQ(cli.Call(BfsRequest(1), &reply, &err), ClientStatus::kOk) << err;
   ASSERT_EQ(reply.type, wire::MsgType::kResponse);
-  EXPECT_EQ(reply.response.value_fingerprint, OracleVfp(1));
+  EXPECT_EQ(reply.response.value_fingerprint, h_->OracleVfp(1));
 }
 
 TEST_F(ServerTest, ConcurrentClientsAllGetTheirOwnAnswers) {
@@ -102,7 +67,7 @@ TEST_F(ServerTest, ConcurrentClientsAllGetTheirOwnAnswers) {
   constexpr int kPerClient = 8;
   std::vector<uint64_t> oracle;
   for (int s = 0; s < kClients * kPerClient; ++s) {
-    oracle.push_back(OracleVfp(static_cast<VertexId>(s)));
+    oracle.push_back(h_->OracleVfp(static_cast<VertexId>(s)));
   }
   std::vector<std::thread> threads;
   std::vector<int> failures(kClients, 0);
@@ -110,7 +75,7 @@ TEST_F(ServerTest, ConcurrentClientsAllGetTheirOwnAnswers) {
     threads.emplace_back([&, c] {
       BlockingClient cli;
       std::string err;
-      if (cli.ConnectUds(server_->uds_path(), &err) != ClientStatus::kOk) {
+      if (cli.ConnectUds(h_->uds, &err) != ClientStatus::kOk) {
         failures[c] = kPerClient;
         return;
       }
@@ -137,7 +102,7 @@ TEST_F(ServerTest, ConcurrentClientsAllGetTheirOwnAnswers) {
 TEST_F(ServerTest, RawGarbageGetsBadFrameRejectThenClose) {
   BlockingClient cli;
   std::string err;
-  ASSERT_EQ(cli.ConnectUds(server_->uds_path(), &err), ClientStatus::kOk);
+  ASSERT_EQ(cli.ConnectUds(h_->uds, &err), ClientStatus::kOk);
   const char garbage[] = "GET / HTTP/1.1\r\n\r\n";  // wrong protocol entirely
   ASSERT_EQ(cli.SendRaw(garbage, sizeof(garbage) - 1, &err), ClientStatus::kOk);
   wire::Frame reply;
@@ -149,13 +114,55 @@ TEST_F(ServerTest, RawGarbageGetsBadFrameRejectThenClose) {
   EXPECT_EQ(cli.ReadFrame(&reply, &err), ClientStatus::kRecvFailed);
 }
 
+// The codec's malformed-frame table over a live socket, one connection per
+// row: a fatal lie gets kBadFrame and then the close; a recoverable one gets
+// kMalformedBody, and the same connection then answers a real query.
+TEST_F(ServerTest, EveryMalformedFrameGetsItsTypedRejectOverTheSocket) {
+  const uint64_t oracle = h_->OracleVfp(0);
+  const std::vector<MalformedCase> cases = MalformedCases();
+  uint64_t fatal_rows = 0;
+  for (const MalformedCase& mc : cases) {
+    SCOPED_TRACE(mc.name);
+    // Bounded reads: a server that keeps a desynced stream open must fail
+    // the row, not hang it.
+    BlockingClient cli(ClientTimeouts{5000.0, 5000.0, 5000.0});
+    std::string err;
+    ASSERT_EQ(cli.ConnectUds(h_->uds, &err), ClientStatus::kOk) << err;
+    ASSERT_EQ(cli.SendRaw(mc.bytes.data(), mc.bytes.size(), &err),
+              ClientStatus::kOk)
+        << err;
+    wire::Frame reply;
+    ASSERT_EQ(cli.ReadFrame(&reply, &err), ClientStatus::kOk) << err;
+    ASSERT_EQ(reply.type, wire::MsgType::kReject);
+    if (wire::IsFatal(mc.expect)) {
+      ++fatal_rows;
+      EXPECT_EQ(reply.reject.code,
+                static_cast<uint8_t>(wire::RejectCode::kBadFrame));
+      EXPECT_EQ(cli.ReadFrame(&reply, &err), ClientStatus::kRecvFailed);
+    } else {
+      EXPECT_EQ(reply.reject.code,
+                static_cast<uint8_t>(wire::RejectCode::kMalformedBody));
+      ASSERT_EQ(cli.Call(BfsRequest(0), &reply, &err), ClientStatus::kOk)
+          << err;
+      ASSERT_EQ(reply.type, wire::MsgType::kResponse);
+      EXPECT_EQ(reply.response.value_fingerprint, oracle);
+      EXPECT_EQ(ValueBytesFingerprint(reply.response.value_bytes.data(),
+                                      reply.response.value_bytes.size()),
+                oracle);
+    }
+  }
+  const ServerStats s = h_->server->stats();
+  EXPECT_EQ(s.decode_errors, cases.size());
+  EXPECT_EQ(s.fatal_decode_errors, fatal_rows);
+}
+
 TEST_F(ServerTest, OutOfRangeKindByteIsInvalidQueryNotACrash) {
   // The codec carries the hostile byte intact; ADMISSION refuses it before
   // any per-kind array is indexed (the kind-byte bound-guard fix). The
   // connection survives — the frame itself was well-formed.
   BlockingClient cli;
   std::string err;
-  ASSERT_EQ(cli.ConnectUds(server_->uds_path(), &err), ClientStatus::kOk);
+  ASSERT_EQ(cli.ConnectUds(h_->uds, &err), ClientStatus::kOk);
   wire::RequestFrame rf = BfsRequest(0);
   rf.kind = 200;
   wire::Frame reply;
@@ -170,7 +177,7 @@ TEST_F(ServerTest, OutOfRangeKindByteIsInvalidQueryNotACrash) {
 TEST_F(ServerTest, InvalidSourceMapsToInvalidQueryReject) {
   BlockingClient cli;
   std::string err;
-  ASSERT_EQ(cli.ConnectUds(server_->uds_path(), &err), ClientStatus::kOk);
+  ASSERT_EQ(cli.ConnectUds(h_->uds, &err), ClientStatus::kOk);
   wire::RequestFrame rf = BfsRequest(0);
   rf.source = 0xFFFFFFFFu;  // far beyond the loaded graph
   wire::Frame reply;
@@ -183,7 +190,7 @@ TEST_F(ServerTest, InvalidSourceMapsToInvalidQueryReject) {
 TEST_F(ServerTest, TornWriteReassemblesIntoANormalAnswer) {
   BlockingClient cli;
   std::string err;
-  ASSERT_EQ(cli.ConnectUds(server_->uds_path(), &err), ClientStatus::kOk);
+  ASSERT_EQ(cli.ConnectUds(h_->uds, &err), ClientStatus::kOk);
   wire::RequestFrame rf = BfsRequest(2);
   rf.request_id = 77;
   std::vector<uint8_t> bytes;
@@ -196,7 +203,7 @@ TEST_F(ServerTest, TornWriteReassemblesIntoANormalAnswer) {
   ASSERT_EQ(cli.ReadFrame(&reply, &err), ClientStatus::kOk) << err;
   ASSERT_EQ(reply.type, wire::MsgType::kResponse);
   EXPECT_EQ(reply.response.request_id, 77u);
-  EXPECT_EQ(reply.response.value_fingerprint, OracleVfp(2));
+  EXPECT_EQ(reply.response.value_fingerprint, h_->OracleVfp(2));
 }
 
 TEST_F(ServerTest, GenerousRelativeDeadlineCompletesDespiteTransitDelay) {
@@ -205,7 +212,7 @@ TEST_F(ServerTest, GenerousRelativeDeadlineCompletesDespiteTransitDelay) {
   // would make this flaky; relative semantics make it a non-event).
   BlockingClient cli;
   std::string err;
-  ASSERT_EQ(cli.ConnectUds(server_->uds_path(), &err), ClientStatus::kOk);
+  ASSERT_EQ(cli.ConnectUds(h_->uds, &err), ClientStatus::kOk);
   wire::RequestFrame rf = BfsRequest(0);
   rf.deadline_rel_ms = 60000.0;
   std::vector<uint8_t> bytes;
@@ -215,13 +222,13 @@ TEST_F(ServerTest, GenerousRelativeDeadlineCompletesDespiteTransitDelay) {
   wire::Frame reply;
   ASSERT_EQ(cli.ReadFrame(&reply, &err), ClientStatus::kOk) << err;
   ASSERT_EQ(reply.type, wire::MsgType::kResponse);
-  EXPECT_EQ(reply.response.value_fingerprint, OracleVfp(0));
+  EXPECT_EQ(reply.response.value_fingerprint, h_->OracleVfp(0));
 }
 
 TEST_F(ServerTest, ServerStatsLedgerAddsUp) {
   BlockingClient cli;
   std::string err;
-  ASSERT_EQ(cli.ConnectUds(server_->uds_path(), &err), ClientStatus::kOk);
+  ASSERT_EQ(cli.ConnectUds(h_->uds, &err), ClientStatus::kOk);
   wire::Frame reply;
   for (int i = 0; i < 3; ++i) {
     ASSERT_EQ(cli.Call(BfsRequest(static_cast<VertexId>(i)), &reply, &err),
@@ -230,7 +237,7 @@ TEST_F(ServerTest, ServerStatsLedgerAddsUp) {
   wire::RequestFrame bad = BfsRequest(0);
   bad.kind = 200;
   ASSERT_EQ(cli.Call(bad, &reply, &err), ClientStatus::kOk);
-  const ServerStats s = server_->stats();
+  const ServerStats s = h_->server->stats();
   EXPECT_GE(s.accepted, 1u);
   EXPECT_EQ(s.requests, 4u);
   EXPECT_EQ(s.responses, 3u);
@@ -243,58 +250,6 @@ TEST_F(ServerTest, ServerStatsLedgerAddsUp) {
 // ---------------------------------------------------------------------------
 // Transport resilience (PR 10): lifecycle timeouts, pipeline caps, drain.
 
-// Open-fd count via /proc/self/fd — the leak gate for connection churn.
-// Includes ".", ".." and the dirfd itself, consistently across calls.
-int CountOpenFds() {
-  DIR* d = ::opendir("/proc/self/fd");
-  if (d == nullptr) {
-    return -1;
-  }
-  int n = 0;
-  while (::readdir(d) != nullptr) {
-    ++n;
-  }
-  ::closedir(d);
-  return n;
-}
-
-// Standalone graph + service + server with caller-chosen options, for the
-// tests that need non-default lifecycle knobs.
-struct Harness {
-  std::unique_ptr<Graph> graph;
-  std::unique_ptr<GraphService> service;
-  std::unique_ptr<SocketServer> server;
-  std::string uds;
-  std::string error;
-  bool ok = false;
-
-  explicit Harness(ServerOptions opts, ServiceOptions so = {}) {
-    static int counter = 0;
-    graph = std::make_unique<Graph>(
-        Graph::FromEdges(GenerateRmat(7, 8, 3), false));
-    service = std::make_unique<GraphService>(*graph, so);
-    uds = "/tmp/simdx_harness_" + std::to_string(::getpid()) + "_" +
-          std::to_string(++counter) + ".sock";
-    opts.uds_path = uds;
-    server = std::make_unique<SocketServer>(*service, opts);
-    ok = server->Start(&error);
-  }
-  ~Harness() {
-    server->Stop();
-    service->Shutdown();
-  }
-};
-
-wire::RequestFrame HarnessBfsRequest(VertexId source, uint64_t id) {
-  Query q;
-  q.kind = QueryKind::kBfs;
-  q.source = source;
-  q.want_values = true;
-  wire::RequestFrame f = ToRequestFrame(q);
-  f.request_id = id;
-  return f;
-}
-
 TEST_F(ServerTest, CloseMidWriteDoesNotKillServer) {
   // The SIGPIPE regression: clients that slam the connection shut while the
   // server owes them bytes. A reply written into the dead socket must be an
@@ -303,7 +258,7 @@ TEST_F(ServerTest, CloseMidWriteDoesNotKillServer) {
   std::string err;
   for (int i = 0; i < 30; ++i) {
     BlockingClient cli;
-    ASSERT_EQ(cli.ConnectUds(server_->uds_path(), &err), ClientStatus::kOk);
+    ASSERT_EQ(cli.ConnectUds(h_->uds, &err), ClientStatus::kOk);
     std::vector<uint8_t> bytes;
     wire::EncodeRequest(BfsRequest(static_cast<VertexId>(i % 64)), &bytes);
     ASSERT_EQ(cli.SendRaw(bytes.data(), bytes.size(), &err), ClientStatus::kOk);
@@ -312,7 +267,7 @@ TEST_F(ServerTest, CloseMidWriteDoesNotKillServer) {
   for (int i = 0; i < 10; ++i) {
     // The between-header-and-body variant: leave the decoder mid-frame.
     BlockingClient cli;
-    ASSERT_EQ(cli.ConnectUds(server_->uds_path(), &err), ClientStatus::kOk);
+    ASSERT_EQ(cli.ConnectUds(h_->uds, &err), ClientStatus::kOk);
     std::vector<uint8_t> bytes;
     wire::EncodeRequest(BfsRequest(0), &bytes);
     ASSERT_EQ(cli.SendRaw(bytes.data(), 10, &err), ClientStatus::kOk);
@@ -320,11 +275,11 @@ TEST_F(ServerTest, CloseMidWriteDoesNotKillServer) {
   }
   // The process survived; the server still answers.
   BlockingClient cli;
-  ASSERT_EQ(cli.ConnectUds(server_->uds_path(), &err), ClientStatus::kOk);
+  ASSERT_EQ(cli.ConnectUds(h_->uds, &err), ClientStatus::kOk);
   wire::Frame reply;
   ASSERT_EQ(cli.Call(BfsRequest(1), &reply, &err), ClientStatus::kOk) << err;
   ASSERT_EQ(reply.type, wire::MsgType::kResponse);
-  EXPECT_EQ(reply.response.value_fingerprint, OracleVfp(1));
+  EXPECT_EQ(reply.response.value_fingerprint, h_->OracleVfp(1));
 }
 
 TEST_F(ServerTest, RecvTimeoutOnSilentServerIsTyped) {
@@ -335,7 +290,7 @@ TEST_F(ServerTest, RecvTimeoutOnSilentServerIsTyped) {
   t.recv_ms = 150.0;
   BlockingClient cli(t);
   std::string err;
-  ASSERT_EQ(cli.ConnectUds(server_->uds_path(), &err), ClientStatus::kOk);
+  ASSERT_EQ(cli.ConnectUds(h_->uds, &err), ClientStatus::kOk);
   std::vector<uint8_t> bytes;
   wire::EncodeRequest(BfsRequest(0), &bytes);
   ASSERT_EQ(cli.SendRaw(bytes.data(), 10, &err), ClientStatus::kOk);
@@ -355,7 +310,7 @@ TEST_F(ServerTest, FdChurnSoakReturnsToBaseline) {
     // Warm-up: first query initializes lazy process state (thread pool,
     // arenas) whose fds must not count against the churn.
     BlockingClient cli;
-    ASSERT_EQ(cli.ConnectUds(server_->uds_path(), &err), ClientStatus::kOk);
+    ASSERT_EQ(cli.ConnectUds(h_->uds, &err), ClientStatus::kOk);
     wire::Frame reply;
     ASSERT_EQ(cli.Call(BfsRequest(0), &reply, &err), ClientStatus::kOk);
   }
@@ -365,7 +320,7 @@ TEST_F(ServerTest, FdChurnSoakReturnsToBaseline) {
   ASSERT_GT(baseline, 0);
   for (int i = 0; i < 300; ++i) {
     BlockingClient cli;
-    ASSERT_EQ(cli.ConnectUds(server_->uds_path(), &err), ClientStatus::kOk);
+    ASSERT_EQ(cli.ConnectUds(h_->uds, &err), ClientStatus::kOk);
     wire::Frame reply;
     ASSERT_EQ(cli.Call(BfsRequest(static_cast<VertexId>(i % 128)), &reply,
                        &err),
@@ -395,8 +350,8 @@ TEST(ServerLifecycleTest, ConnectionSlotsRecycleAfterOverflow) {
   ASSERT_EQ(b.ConnectUds(h.uds, &err), ClientStatus::kOk);
   wire::Frame reply;
   // Calls force both connections through accept before the overflow probe.
-  ASSERT_EQ(a.Call(HarnessBfsRequest(0, 1), &reply, &err), ClientStatus::kOk);
-  ASSERT_EQ(b.Call(HarnessBfsRequest(1, 2), &reply, &err), ClientStatus::kOk);
+  ASSERT_EQ(a.Call(BfsRequest(0, 1), &reply, &err), ClientStatus::kOk);
+  ASSERT_EQ(b.Call(BfsRequest(1, 2), &reply, &err), ClientStatus::kOk);
 
   // Third connection: connect() lands in the backlog, then the dispatch
   // loop closes it at the cap — the client's next read sees the EOF.
@@ -405,7 +360,7 @@ TEST(ServerLifecycleTest, ConnectionSlotsRecycleAfterOverflow) {
   t.recv_ms = 3000.0;
   c.set_timeouts(t);
   ASSERT_EQ(c.ConnectUds(h.uds, &err), ClientStatus::kOk);
-  const ClientStatus over = c.Call(HarnessBfsRequest(2, 3), &reply, &err);
+  const ClientStatus over = c.Call(BfsRequest(2, 3), &reply, &err);
   // EPIPE on the send or EOF on the read, depending on who raced whom —
   // either way a typed transport failure, never a hang.
   EXPECT_TRUE(over == ClientStatus::kRecvFailed ||
@@ -422,7 +377,7 @@ TEST(ServerLifecycleTest, ConnectionSlotsRecycleAfterOverflow) {
     BlockingClient d;
     d.set_timeouts(t);
     if (d.ConnectUds(h.uds, &err) == ClientStatus::kOk &&
-        d.Call(HarnessBfsRequest(3, 4), &reply, &err) == ClientStatus::kOk &&
+        d.Call(BfsRequest(3, 4), &reply, &err) == ClientStatus::kOk &&
         reply.type == wire::MsgType::kResponse) {
       recycled = true;
     }
@@ -451,7 +406,7 @@ TEST(ServerLifecycleTest, PipelineCapRejectsTyped) {
   ASSERT_EQ(cli.ConnectUds(h.uds, &err), ClientStatus::kOk);
   for (uint64_t id = 1; id <= 3; ++id) {
     std::vector<uint8_t> bytes;
-    wire::EncodeRequest(HarnessBfsRequest(static_cast<VertexId>(id), id),
+    wire::EncodeRequest(BfsRequest(static_cast<VertexId>(id), id),
                         &bytes);
     ASSERT_EQ(cli.SendRaw(bytes.data(), bytes.size(), &err),
               ClientStatus::kOk);
@@ -486,7 +441,7 @@ TEST(ServerLifecycleTest, SlowLorisPartialFrameGetsTimedOutReject) {
   BlockingClient cli(t);
   ASSERT_EQ(cli.ConnectUds(h.uds, &err), ClientStatus::kOk);
   std::vector<uint8_t> bytes;
-  wire::EncodeRequest(HarnessBfsRequest(0, 1), &bytes);
+  wire::EncodeRequest(BfsRequest(0, 1), &bytes);
   ASSERT_EQ(cli.SendRaw(bytes.data(), 6, &err), ClientStatus::kOk);
   // The server must answer the stall itself: a typed kTimedOut reject, then
   // the close — not an open-ended wait for bytes that never come.
@@ -533,7 +488,7 @@ TEST(ServerLifecycleTest, SlowReaderOverOutbufCapIsClosed) {
   for (uint64_t id = 1; id <= 64; ++id) {
     std::vector<uint8_t> bytes;
     wire::EncodeRequest(
-        HarnessBfsRequest(static_cast<VertexId>(id % 128), id), &bytes);
+        BfsRequest(static_cast<VertexId>(id % 128), id), &bytes);
     ASSERT_EQ(cli.SendRaw(bytes.data(), bytes.size(), &err),
               ClientStatus::kOk);
   }
@@ -558,7 +513,7 @@ TEST(ServerDrainTest, DrainAnswersPendingThenCloses) {
   ASSERT_EQ(cli.ConnectUds(h.uds, &err), ClientStatus::kOk);
   for (uint64_t id = 1; id <= 2; ++id) {
     std::vector<uint8_t> bytes;
-    wire::EncodeRequest(HarnessBfsRequest(static_cast<VertexId>(id), id),
+    wire::EncodeRequest(BfsRequest(static_cast<VertexId>(id), id),
                         &bytes);
     ASSERT_EQ(cli.SendRaw(bytes.data(), bytes.size(), &err),
               ClientStatus::kOk);
@@ -581,7 +536,7 @@ TEST(ServerDrainTest, DrainAnswersPendingThenCloses) {
   // reject — the connection is still being read precisely for this.
   {
     std::vector<uint8_t> bytes;
-    wire::EncodeRequest(HarnessBfsRequest(3, 9), &bytes);
+    wire::EncodeRequest(BfsRequest(3, 9), &bytes);
     ASSERT_EQ(cli.SendRaw(bytes.data(), bytes.size(), &err),
               ClientStatus::kOk);
   }
@@ -594,6 +549,9 @@ TEST(ServerDrainTest, DrainAnswersPendingThenCloses) {
     ASSERT_EQ(cli.ReadFrame(&reply, &err), ClientStatus::kOk) << err;
     if (reply.type == wire::MsgType::kResponse) {
       ++responses;
+      // Request ids 1 and 2 asked from sources 1 and 2.
+      EXPECT_EQ(reply.response.value_fingerprint,
+                h.OracleVfp(static_cast<VertexId>(reply.response.request_id)));
     } else if (reply.type == wire::MsgType::kReject &&
                reply.reject.code ==
                    static_cast<uint8_t>(wire::RejectCode::kServerStopping)) {
@@ -622,7 +580,7 @@ TEST(ServerDrainTest, DrainDeadlineDropsStuckReplies) {
   BlockingClient cli;
   ASSERT_EQ(cli.ConnectUds(h.uds, &err), ClientStatus::kOk);
   std::vector<uint8_t> bytes;
-  wire::EncodeRequest(HarnessBfsRequest(1, 1), &bytes);
+  wire::EncodeRequest(BfsRequest(1, 1), &bytes);
   ASSERT_EQ(cli.SendRaw(bytes.data(), bytes.size(), &err), ClientStatus::kOk);
   const auto dl = std::chrono::steady_clock::now() + std::chrono::seconds(5);
   while (h.server->stats().requests < 1 &&

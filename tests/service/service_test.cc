@@ -13,7 +13,6 @@
 #include "algos/algos.h"
 #include "bench/common.h"
 #include "graph/generators.h"
-#include "simt/device.h"
 
 namespace simdx::service {
 namespace {
@@ -30,26 +29,44 @@ ServiceOptions SmallService(uint32_t workers, uint32_t capacity) {
 
 TEST(ServiceTest, AdmittedQueryMatchesOneShotEngineRun) {
   const Graph g = TestGraph();
-  GraphService svc(g, SmallService(2, 16));
+  const ServiceOptions so = SmallService(2, 16);
+  GraphService svc(g, so);
 
-  Query q;
-  q.kind = QueryKind::kBfs;
-  q.source = 3;
-  auto ticket = svc.Submit(q);
-  ASSERT_EQ(ticket.verdict, AdmissionVerdict::kAdmitted);
-  const QueryResult r = ticket.result.get();
-  EXPECT_TRUE(r.ok());
-  EXPECT_EQ(r.outcome, RunOutcome::kCompleted);
-  EXPECT_EQ(r.attempts, 1u);
+  for (QueryKind kind : {QueryKind::kBfs, QueryKind::kSssp, QueryKind::kPpr,
+                         QueryKind::kKCore}) {
+    SCOPED_TRACE(ToString(kind));
+    Query q;
+    q.kind = kind;
+    q.source = 3;
+    q.k = 3;
+    auto ticket = svc.Submit(q);
+    ASSERT_EQ(ticket.verdict, AdmissionVerdict::kAdmitted);
+    const QueryResult r = ticket.result.get();
+    EXPECT_TRUE(r.ok());
+    EXPECT_EQ(r.outcome, RunOutcome::kCompleted);
+    EXPECT_EQ(r.attempts, 1u);
 
-  // The oracle: a one-shot Engine::Run of the same program.
-  EngineOptions o;
-  o.sim_worker_threads = 64;
-  BfsProgram program;
-  program.source = 3;
-  Engine<BfsProgram> engine(g, MakeK40(), o);
-  const auto oracle = engine.Run(program);
-  EXPECT_EQ(r.fingerprint, bench::StatsFingerprint(oracle));
+    // The oracle: a one-shot Engine::Run of the same program. Any drift
+    // means the resident arenas leak state between queries.
+    std::string oracle;
+    switch (kind) {
+      case QueryKind::kBfs:
+        oracle = bench::StatsFingerprint(RunBfs(g, 3, so.device, so.engine));
+        break;
+      case QueryKind::kSssp:
+        oracle = bench::StatsFingerprint(RunSssp(g, 3, so.device, so.engine));
+        break;
+      case QueryKind::kPpr:
+        oracle = bench::StatsFingerprint(RunPpr(g, 3, so.device, so.engine));
+        break;
+      case QueryKind::kKCore:
+        oracle = bench::StatsFingerprint(RunKCore(g, 3, so.device, so.engine));
+        break;
+      case QueryKind::kCount:
+        break;  // sentinel, never submitted
+    }
+    EXPECT_EQ(r.fingerprint, oracle);
+  }
 }
 
 TEST(ServiceTest, EveryKindRunsAndValuesRoundTrip) {
