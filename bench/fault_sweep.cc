@@ -149,7 +149,6 @@ EngineOptions BenchOptions(const Args& args, bool pre_combine) {
   o.force_push = true;  // keep every iteration on the profiled push path
   o.profile_push_replay = true;
   o.pre_combine_replay = pre_combine;
-  o.pre_combine_collect = pre_combine;
   return o;
 }
 

@@ -13,7 +13,7 @@
 //
 //   push_replay [--scale N] [--edge-factor N] [--threads 1,2,4,8]
 //               [--repeats N] [--seed N] [--json out.json] [--smoke]
-//               [--pre-combine] [--pre-combine-collect]
+//               [--pre-combine]
 //
 // --seed: RMAT generator seed (default 42), so recorded JSON runs are
 // reproducible byte-for-byte and distinct seeds can be archived side by
@@ -27,30 +27,15 @@
 // (spokes -> hubs) whose middle iteration folds thousands of records into a
 // handful of destinations — the pre-combining showcase.
 //
-// --pre-combine-collect (implies --pre-combine): additionally set
-// EngineOptions::pre_combine_collect, so capable programs fold same-chunk
-// same-destination records AT COLLECT time and the record stream itself
-// shrinks. The JSON grows the record-stream columns — records_buffered vs
-// record_candidates (the frontier out-edge sum a fold-free collect would
-// buffer), their quotient collect_fold_ratio, peak_buffer_bytes and
-// collect_fold_replays — and a k-Core sample joins the suite so BOTH
-// order-sensitive programs are covered. Every sample is additionally run
-// once with the collect fold off and its StatsFingerprint must match
-// byte-for-byte (all programs here carry integer values): the fold may only
-// shrink host memory, never move a simulated stat.
-//
 // --smoke: CI gate — scale 12, 1 repeat, threads {1,2}; exits non-zero on
 // any cross-thread-count divergence, or if the 2-thread run failed to drain
 // any iteration through the partitioned replay (per-range timings missing).
 // With --pre-combine it additionally fails if any capable program never
 // engaged the fold path, if SSSP left the per-record contract, or if the
-// funnel's fold ratio is not > 1. With --pre-combine-collect it fails if
-// the funnel did not buffer strictly fewer records than its out-edge sum,
-// if an order-sensitive program's record stream moved at all, or if any
-// sample's stats diverged from its collect-fold-off sibling. When >= 4
-// cores are available (and the build is sanitizer-free), smoke also extends
-// the thread list to include 4 and enforces a minimum replay-stage speedup
-// — on smaller hosts the gate prints the skip reason and is waived.
+// funnel's fold ratio is not > 1. When >= 4 cores are available (and the
+// build is sanitizer-free), smoke also extends the thread list to include 4
+// and enforces a minimum replay-stage speedup — on smaller hosts the gate
+// prints the skip reason and is waived.
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
@@ -85,7 +70,6 @@ struct Args {
   std::string json_path;
   bool smoke = false;
   bool pre_combine = false;
-  bool pre_combine_collect = false;
 };
 
 Args Parse(int argc, char** argv) {
@@ -111,9 +95,6 @@ Args Parse(int argc, char** argv) {
           bench::RequireFlagValue(argc, argv, i, "--threads"), "--threads");
     } else if (a == "--pre-combine") {
       args.pre_combine = true;
-    } else if (a == "--pre-combine-collect") {
-      args.pre_combine = true;
-      args.pre_combine_collect = true;
     } else if (a == "--smoke") {
       args.smoke = true;
       args.scale = 12;
@@ -124,10 +105,10 @@ Args Parse(int argc, char** argv) {
           << "usage: " << argv[0]
           << " [--scale N] [--edge-factor N] [--threads 1,2,4,8]"
              " [--repeats N] [--seed N] [--json out.json] [--smoke]"
-             " [--pre-combine] [--pre-combine-collect]\n\n"
+             " [--pre-combine]\n\n"
              "Collect-then-replay push-drain profile on an RMAT graph:\n"
              "per-range and per-iteration replay splits, optionally with\n"
-             "the pre-combining drains. JSON (stdout, and --json <path>):\n"
+             "the pre-combined drain. JSON (stdout, and --json <path>):\n"
              "{graph: {...}, runs: [{algo, host_threads, mode, wall_ms,\n"
              "  ranges, record counters, range_ms: [...],\n"
              "  iterations: [{iteration, records, ...}]}]}\n";
@@ -136,7 +117,7 @@ Args Parse(int argc, char** argv) {
       std::cerr << "usage: " << argv[0]
                 << " [--scale N] [--edge-factor N] [--threads 1,2,4,8]"
                    " [--repeats N] [--seed N] [--json out.json] [--smoke]"
-                   " [--pre-combine] [--pre-combine-collect] [--help]\n";
+                   " [--pre-combine] [--help]\n";
       std::exit(2);
     }
   }
@@ -155,24 +136,16 @@ struct Sample {
   std::string fingerprint;
   StatsContract contract = StatsContract::kPerRecord;
   bool capable = false;  // program declared kAssociativeOnly
-  // --pre-combine-collect: record-stream telemetry + the collect-fold-off
-  // sibling's fingerprint (must equal `fingerprint` — integer programs only
-  // in this bench, so even value bytes must not move).
-  uint64_t records_buffered = 0;
-  uint64_t record_candidates = 0;
-  bool matches_off = true;
 };
 
 // force_push keeps every iteration on the collect/replay path under
 // measurement; profile_push_replay turns the engine's clocks on.
-EngineOptions BenchOptions(uint32_t threads, const Args& args,
-                           bool collect_fold) {
+EngineOptions BenchOptions(uint32_t threads, const Args& args) {
   EngineOptions o;
   o.host_threads = threads;
   o.force_push = true;
   o.profile_push_replay = true;
   o.pre_combine_replay = args.pre_combine;
-  o.pre_combine_collect = collect_fold;
   return o;
 }
 
@@ -188,8 +161,7 @@ void Measure(const std::string& algo, const Graph& g, const Program& program,
     s.capable =
         program.combine_capability() == CombineCapability::kAssociativeOnly;
     for (uint32_t rep = 0; rep < args.repeats; ++rep) {
-      Engine<Program> engine(g, MakeK40(),
-                             BenchOptions(t, args, args.pre_combine_collect));
+      Engine<Program> engine(g, MakeK40(), BenchOptions(t, args));
       const double t0 = bench::HostNowMs();
       const auto result = engine.Run(program);
       const double elapsed = bench::HostNowMs() - t0;
@@ -197,8 +169,6 @@ void Measure(const std::string& algo, const Graph& g, const Program& program,
       if (s.fingerprint.empty()) {
         s.fingerprint = key;
         s.contract = result.stats.contract;
-        s.records_buffered = result.stats.push_records_buffered;
-        s.record_candidates = result.stats.push_record_candidates;
       } else if (s.fingerprint != key) {
         std::cerr << "NON-DETERMINISM within " << algo << " t=" << t << "\n";
         std::exit(1);
@@ -207,15 +177,6 @@ void Measure(const std::string& algo, const Graph& g, const Program& program,
         s.best_ms = elapsed;
         s.profile = engine.push_profile();
       }
-    }
-    if (args.pre_combine_collect) {
-      // Collect-fold-off sibling: the fold is a host memory optimization, so
-      // every simulated stat and value byte must be identical (all programs
-      // in this bench carry integer values — no FP reassociation caveat).
-      Engine<Program> engine(g, MakeK40(),
-                             BenchOptions(t, args, /*collect_fold=*/false));
-      s.matches_off =
-          bench::StatsFingerprint(engine.Run(program)) == s.fingerprint;
     }
     std::cerr << algo << " threads=" << t << " wall=" << s.best_ms
               << "ms collect=" << s.profile.collect_ms
@@ -226,10 +187,6 @@ void Measure(const std::string& algo, const Graph& g, const Program& program,
       std::cerr << " contract=" << ToString(s.contract)
                 << " fold=" << s.profile.fold_records << "/"
                 << s.profile.fold_applies;
-    }
-    if (args.pre_combine_collect) {
-      std::cerr << " buffered=" << s.records_buffered << "/"
-                << s.record_candidates;
     }
     std::cerr << "\n";
     out.push_back(std::move(s));
@@ -287,20 +244,10 @@ int main(int argc, char** argv) {
     program.graph = &g;
     Measure("wcc", g, program, args, samples);
   }
-  if (args.pre_combine_collect) {
-    // Second order-sensitive program: k-Core's mid-stream freeze must keep
-    // its record stream untouched just like SSSP's bucket parking.
-    KCoreProgram program;
-    program.graph = &g;
-    program.k = 16;
-    Measure("kcore", g, program, args, samples);
-  }
   if (args.pre_combine) {
     // Funnel workload (graph/generators.h): spokes -> hubs, so the middle
     // iteration folds sources*hubs records into `hubs` applies. The fold
-    // ratio must be visibly > 1 here or the pre-combining never engaged —
-    // and with the collect fold on, the buffered record stream itself must
-    // shrink below the out-edge sum.
+    // ratio must be visibly > 1 here or the pre-combining never engaged.
     const Graph funnel = Graph::FromEdges(
         GenerateFunnel(/*sources=*/4000, /*hubs=*/4), /*directed=*/true);
     BfsProgram program;
@@ -370,35 +317,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Collect-fold acceptance: the funnel's record stream must shrink below
-  // its out-edge sum; order-sensitive record streams must not move; every
-  // sample must be byte-identical to its collect-fold-off sibling.
-  bool collect_ok = true;
-  if (args.pre_combine_collect) {
-    for (const Sample& s : samples) {
-      if (!s.matches_off) {
-        collect_ok = false;
-        std::cerr << "COLLECT-FOLD FAIL: " << s.algo << " t=" << s.threads
-                  << " diverged from the collect-fold-off path\n";
-      }
-      if (s.algo == "bfs_funnel" &&
-          s.records_buffered >= s.record_candidates) {
-        collect_ok = false;
-        std::cerr << "COLLECT-FOLD FAIL: funnel buffered " << s.records_buffered
-                  << " records for " << s.record_candidates
-                  << " out-edges (no shrink)\n";
-      }
-      if (!s.capable && (s.records_buffered != s.record_candidates ||
-                         s.profile.collect_fold_replays != 0)) {
-        collect_ok = false;
-        std::cerr << "COLLECT-FOLD FAIL: order-sensitive " << s.algo
-                  << " t=" << s.threads << " record stream moved ("
-                  << s.records_buffered << " buffered / " << s.record_candidates
-                  << " candidates)\n";
-      }
-    }
-  }
-
   // Replay-stage speedup gate (see above): summed replay wall time of the
   // RMAT suite at t=1 vs the largest measured thread count.
   bool speedup_ok = true;
@@ -433,8 +351,6 @@ int main(int argc, char** argv) {
        << ", \"seed\": " << args.seed
        << "},\n  \"hardware_concurrency\": " << hw
        << ",\n  \"pre_combine\": " << (args.pre_combine ? "true" : "false")
-       << ",\n  \"pre_combine_collect\": "
-       << (args.pre_combine_collect ? "true" : "false")
        << ",\n  \"deterministic\": " << (deterministic ? "true" : "false")
        << ",\n  \"runs\": [\n";
   for (size_t i = 0; i < samples.size(); ++i) {
@@ -462,21 +378,6 @@ int main(int argc, char** argv) {
            << ", \"fold_ratio\": " << ratio << ", \"fold_ms\": " << p.fold_ms
            << ", \"apply_ms\": " << p.apply_ms;
     }
-    if (args.pre_combine_collect) {
-      // Record-stream memory diet: buffered vs candidate records run-wide,
-      // their quotient, and the largest single-iteration buffer footprint.
-      const double collect_ratio =
-          s.records_buffered == 0
-              ? 1.0
-              : static_cast<double>(s.record_candidates) /
-                    static_cast<double>(s.records_buffered);
-      json << ", \"record_candidates\": " << s.record_candidates
-           << ", \"records_buffered\": " << s.records_buffered
-           << ", \"collect_fold_ratio\": " << collect_ratio
-           << ", \"collect_fold_replays\": " << p.collect_fold_replays
-           << ", \"peak_buffer_bytes\": " << p.peak_buffer_bytes
-           << ", \"matches_fold_off\": " << (s.matches_off ? "true" : "false");
-    }
     json << ",\n     \"range_ms\": [";
     for (size_t r = 0; r < p.range_ms.size(); ++r) {
       json << (r ? ", " : "") << p.range_ms[r];
@@ -486,14 +387,11 @@ int main(int argc, char** argv) {
       const PushReplayIterationSplit& split = p.iterations[it];
       json << (it ? "," : "") << "\n       {\"iteration\": " << split.iteration
            << ", \"records\": " << split.records
-           << ", \"buffered\": " << split.buffered
            << ", \"applies\": " << split.applies
            << ", \"collect_ms\": " << split.collect_ms
            << ", \"replay_ms\": " << split.replay_ms << ", \"partitioned\": "
            << (split.partitioned ? "true" : "false") << ", \"pre_combined\": "
-           << (split.pre_combined ? "true" : "false")
-           << ", \"collect_folded\": "
-           << (split.collect_folded ? "true" : "false") << "}";
+           << (split.pre_combined ? "true" : "false") << "}";
     }
     json << (p.iterations.empty() ? "]" : "\n     ]") << "}"
          << (i + 1 < samples.size() ? "," : "") << "\n";
@@ -506,7 +404,5 @@ int main(int argc, char** argv) {
     std::cerr << "wrote " << args.json_path << "\n";
   }
   std::cout << json.str();
-  return deterministic && partitioned_seen && fold_ok && collect_ok && speedup_ok
-             ? 0
-             : 1;
+  return deterministic && partitioned_seen && fold_ok && speedup_ok ? 0 : 1;
 }

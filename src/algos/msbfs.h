@@ -13,7 +13,7 @@
 //     already-delivered bits is idempotent under OR);
 //   * Combine is bitwise OR — associative, commutative, idempotent, identity
 //     0 — so the program declares CombineCapability::kAssociativeOnly and
-//     rides the pre-combined drains and collect-side fold tables unchanged;
+//     rides the pre-combined drain unchanged;
 //   * combine_kind is kAggregation, NOT kVote: distinct sources contribute
 //     DIFFERENT masks, so a pull gather must visit every contributor (vote
 //     early-exit after the first one would drop lanes);
@@ -22,7 +22,7 @@
 //     current BFS depth into a per-(vertex, lane) level table held in
 //     MsBfsState. The write is keyed by destination vertex, so it is legal
 //     in every drain: the partitioned replay gives each vertex one owner,
-//     the pre-combined drains issue one Apply per touched destination, and
+//     the pre-combined drain issues one Apply per touched destination, and
 //     the serial drain writes each first-arrival once (later records of the
 //     same iteration see the bit already in `old`). All contracts therefore
 //     extract BIT-IDENTICAL level tables — the differential test's oracle.
@@ -140,7 +140,7 @@ struct MsBfsProgram {
   // OR is associative/commutative with identity 0, and Apply is a pure
   // OR-fold per destination (the settle-time level stamp depends only on
   // (v, combined, old) and the iteration — not on record boundaries), so
-  // both the pre-combined drain and the collect-side fold are exact.
+  // the pre-combined drain is exact.
   CombineCapability combine_capability() const {
     return CombineCapability::kAssociativeOnly;
   }
@@ -258,7 +258,8 @@ struct MsBfsProgram {
 
   // Checkpoint hooks (engine.h kHasProgramState): the level table is
   // loop-carried state a resumed run must restore bit-identically; `depth`
-  // is re-derived by Converged before the first post-resume Apply.
+  // is re-derived by Converged before the first post-resume Apply. Restore
+  // refuses a state sized for a different graph than the engine's.
   void SaveSchedulerState(std::vector<uint8_t>& out) const {
     ByteWriter w(&out);
     w.Pod(static_cast<uint32_t>(state->lanes()));
@@ -267,11 +268,13 @@ struct MsBfsProgram {
       w.Pod(level);
     }
   }
-  bool RestoreSchedulerState(const uint8_t* data, size_t size) const {
+  bool RestoreSchedulerState(const uint8_t* data, size_t size,
+                             uint64_t vertex_count) const {
     ByteReader r(data, size);
     uint32_t lanes = 0;
     uint64_t count = 0;
     if (!r.Pod(&lanes) || !r.Pod(&count) || lanes != state->lanes() ||
+        vertex_count != state->vertex_count ||
         count != state->vertex_count * lanes ||
         count > r.remaining() / sizeof(uint32_t)) {
       return false;

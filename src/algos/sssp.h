@@ -144,7 +144,10 @@ struct SsspProgram {
   // scheduler carries cross-iteration state beyond the frontier — the bucket
   // limit and the ORDERED pending list (its order feeds RefillFrontier,
   // hence the released-frontier order, hence every downstream stat).
-  // pending_marked_ is a membership mirror rebuilt from the list.
+  // pending_marked_ is a membership mirror rebuilt from the list. The bytes
+  // are untrusted: a pending id outside the graph or listed twice fails the
+  // restore (the engine reports kFaulted) before it can index or size
+  // anything — Park never writes either.
   void SaveSchedulerState(std::vector<uint8_t>& out) const {
     ByteWriter w(&out);
     w.Pod(bucket_limit_);
@@ -154,7 +157,8 @@ struct SsspProgram {
       w.Pod(dist);
     }
   }
-  bool RestoreSchedulerState(const uint8_t* data, size_t size) const {
+  bool RestoreSchedulerState(const uint8_t* data, size_t size,
+                             uint64_t vertex_count) const {
     ByteReader r(data, size);
     uint64_t count = 0;
     if (!r.Pod(&bucket_limit_) || !r.Pod(&count) ||
@@ -162,19 +166,16 @@ struct SsspProgram {
       return false;
     }
     pending_.clear();
-    pending_marked_.clear();
+    pending_marked_.assign(static_cast<size_t>(vertex_count), 0);
     pending_.reserve(static_cast<size_t>(count));
     for (uint64_t i = 0; i < count; ++i) {
       VertexId v = 0;
       Value dist = 0;
       r.Pod(&v);
-      if (!r.Pod(&dist)) {
+      if (!r.Pod(&dist) || v >= vertex_count || pending_marked_[v] != 0) {
         return false;
       }
       pending_.emplace_back(v, dist);
-      if (v >= pending_marked_.size()) {
-        pending_marked_.resize(static_cast<size_t>(v) + 1024, 0);
-      }
       pending_marked_[v] = 1;
     }
     return r.AtEnd();

@@ -54,17 +54,9 @@ enum class CombineKind : uint8_t { kVote, kAggregation };
 // record order) and issue exactly ONE Apply per touched destination — the
 // paper's combine-before-apply scheme, selected by
 // EngineOptions::pre_combine_replay and accounted under the
-// StatsContract::kPerDestination contract (simt/cost_model.h). The same
-// promise licenses folding EARLIER, at collect time
-// (EngineOptions::pre_combine_collect): chunk workers merge same-chunk
-// same-destination candidates before buffering, so the record stream itself
-// shrinks. Because same-chunk records are contiguous in the global
-// (chunk, record) order, a chunk-local left-fold is a PREFIX of the
-// destination's global left-fold and the drain-side fold continues it
-// without re-associating — values and stats stay identical to the
-// drain-only fold, except that floating-point Combines see the chunk
-// grouping (which is why a folding collect pins a thread-count-stable chunk
-// plan; see core/parallel.h PlanChunksStable).
+// StatsContract::kPerDestination contract (simt/cost_model.h). The fold
+// happens in exactly one place, the drain (engine_push.h FoldRecord); the
+// collect always buffers one record per out-edge.
 //
 // kAssociativeOnly is a PROMISE the program makes, enforced by randomized
 // law checks in tests/algos/acc_laws_test.cc:

@@ -87,8 +87,6 @@ uint64_t SemanticOptionsDigest(const EngineOptions& o) {
   h = FnvField(o.sim_worker_threads, h);
   h = FnvField(o.max_iterations, h);
   h = FnvField(static_cast<uint8_t>(o.pre_combine_replay), h);
-  h = FnvField(static_cast<uint8_t>(o.pre_combine_collect), h);
-  h = FnvField(o.pre_combine_collect_min_fold, h);  // raw double bits
   h = FnvField(static_cast<uint64_t>(o.memory_budget_bytes), h);
   h = FnvField(static_cast<uint64_t>(o.host_memory_budget_bytes), h);
   h = FnvField(o.fixed_sm_budget, h);

@@ -3,7 +3,7 @@
 // direction sits on.
 //
 // Why iteration boundaries: every piece of engine scratch (push buffers,
-// fold tables, classifier bins, online-filter bins) is dead between
+// fold accumulators, classifier bins, online-filter bins) is dead between
 // iterations by construction — the stamp-guarded arrays compare against the
 // current iteration's stamp and the jit bins reset at every frontier build —
 // so a snapshot needs only the loop-carried state: both metadata buffers,
@@ -41,16 +41,17 @@ uint32_t Crc32(const void* data, size_t size, uint32_t seed = 0);
 
 // Digest over the EngineOptions fields that change SIMULATED semantics
 // (counters, values, patterns, contract). Host-runtime knobs — host_threads,
-// parallel_replay_min_records, profile_push_replay, keep_iteration_log,
-// fault_spec — are deliberately EXCLUDED: a checkpoint written by an
-// 8-thread run must restore into a 1-thread engine (and vice versa) and
-// still reproduce the uninterrupted fingerprint, which is exactly what the
-// resume sweep asserts.
+// parallel_replay_min_records, profile_push_replay, keep_iteration_log —
+// are deliberately EXCLUDED: a checkpoint written by an 8-thread run must
+// restore into a 1-thread engine (and vice versa) and still reproduce the
+// uninterrupted fingerprint, which is exactly what the resume sweep asserts.
 // host_memory_budget_bytes IS included: it steers the degradation ladder,
 // whose downgrade points are part of the run's trajectory.
 uint64_t SemanticOptionsDigest(const EngineOptions& options);
 
-inline constexpr uint32_t kCheckpointVersion = 1;
+// Bumped whenever a section's byte layout changes, so a snapshot written by
+// an older layout is refused as kBadVersion instead of misparsed.
+inline constexpr uint32_t kCheckpointVersion = 2;
 
 enum class CheckpointSectionId : uint32_t {
   kEngineLoop = 1,    // loop-carried flags + jit/fusion history + telemetry

@@ -71,18 +71,13 @@ inline double EffectiveOccupancy(double occupancy) {
 struct PushReplayIterationSplit {
   uint32_t iteration = 0;
   uint64_t records = 0;
-  // Records actually written to the push buffers: == records unless the
-  // collect-side fold engaged, < records when it merged same-chunk
-  // same-destination candidates.
-  uint64_t buffered = 0;
   // Applies the drain issued: == records under the per-record drain, == the
   // touched-destination count under the pre-combined drain.
   uint64_t applies = 0;
   double collect_ms = 0.0;
   double replay_ms = 0.0;
-  bool partitioned = false;    // drained over several ranges (vs one inline)
-  bool pre_combined = false;   // associative fold drain (one Apply per dst)
-  bool collect_folded = false;  // collect-side fold armed for this iteration
+  bool partitioned = false;   // drained over several ranges (vs one inline)
+  bool pre_combined = false;  // associative fold drain (one Apply per dst)
 };
 
 struct PushReplayProfile {
@@ -96,14 +91,6 @@ struct PushReplayProfile {
   uint64_t precombined_replays = 0;
   uint64_t fold_records = 0;
   uint64_t fold_applies = 0;
-  // Collect-side fold telemetry (the record-stream memory diet): iterations
-  // the fold engaged on, and the largest record-stream footprint any single
-  // iteration reached (PushBuffer::FootprintBytes summed over that
-  // iteration's chunk buffers — host bytes, including bucket lanes, so
-  // thread-count dependent). The buffered/candidate record split lives on
-  // RunStats, not here: it is always accounted, profiling or not.
-  uint64_t collect_fold_replays = 0;
-  size_t peak_buffer_bytes = 0;
   double collect_ms = 0.0;  // summed over push iterations
   double replay_ms = 0.0;
   // Pre-combined drain split: worker busy time folding candidates vs
@@ -161,27 +148,11 @@ class Engine {
     deadline_ms_ = control.time_budget_ms > 0.0
                        ? NowMs() + control.time_budget_ms
                        : 0.0;
-    faults_ = control.faults;
-    if (faults_ == nullptr && !options_.fault_spec.empty()) {
-      options_faults_ = FaultRegistry();
-      std::string fault_error;
-      if (!FaultRegistry::Parse(options_.fault_spec, &options_faults_,
-                                &fault_error)) {
-        // A silently dropped fault would turn a crash test into a false pass.
-        std::fprintf(stderr,
-                     "simdx: unparseable EngineOptions::fault_spec \"%s\": %s\n",
-                     options_.fault_spec.c_str(), fault_error.c_str());
-        std::abort();
-      }
-      faults_ = &options_faults_;
-    }
-    if (faults_ == nullptr) {
-      faults_ = FaultRegistry::FromEnv();
-    }
+    faults_ = control.faults != nullptr ? control.faults
+                                        : FaultRegistry::FromEnv();
     watch_cancel_ = cancel_ != nullptr || deadline_ms_ > 0.0;
     control_break_ = false;
     break_outcome_ = RunOutcome::kCompleted;
-    degrade_shed_fold_ = false;
     degrade_serial_drain_ = false;
     run_downgrades_.clear();
 
@@ -224,40 +195,7 @@ class Engine {
         fold_acc_.resize(n);
       }
     }
-    // Collect-side pre-combining (see the phase comment above ProcessPush):
-    // legal only on top of the pre-combined drain — folding records while
-    // the per-record drain is selected would change the kPerRecord stats.
-    collect_fold_armed_ = pre_combine_ && options_.pre_combine_collect;
-    if (collect_fold_armed_) {
-      // One fold table per host thread (a thread runs one chunk at a time,
-      // and the epoch stamp isolates chunks, so per-thread reuse is safe and
-      // deterministic). Stamps must start below any epoch; slots are only
-      // read behind a matching stamp and stay uninitialized.
-      if (fold_tables_.size() < host_threads_) {
-        fold_tables_.resize(host_threads_);
-      }
-      for (uint32_t t = 0; t < host_threads_; ++t) {
-        if (fold_tables_[t].stamp.size() < n) {
-          fold_tables_[t].stamp.assign(n, 0u);
-          fold_tables_[t].slot.resize(n);
-          fold_tables_[t].epoch = 0;
-        }
-      }
-      // Destination universe for the per-iteration reuse estimate: vertices
-      // that can receive a record at all. A pure graph fact, computed once.
-      const auto& in_offsets = graph_.in().row_offsets();
-      in_destinations_ = 0;
-      for (size_t v = 0; v < n; ++v) {
-        in_destinations_ += in_offsets[v + 1] > in_offsets[v] ? 1 : 0;
-      }
-    }
-    // The worker lane feeds the online-filter bins; a pure-ballot policy
-    // never consults it (JitController::RecordActivation returns early), so
-    // the collect drops the lane and replay reads a constant 0.
-    workers_observed_ = options_.filter != FilterPolicy::kBallotOnly;
-    run_record_candidates_ = 0;
     run_records_buffered_ = 0;
-    run_collect_fold_iterations_ = 0;
     SetupReplayPartition();
 
     const bool static_frontier = StaticFrontierAfterFirst(program);
@@ -453,9 +391,7 @@ class Engine {
     result.stats.iterations = loop.iter;
     result.stats.converged = loop.iter < options_.max_iterations &&
                              !result.stats.failed && !control_break_;
-    result.stats.push_record_candidates = run_record_candidates_;
     result.stats.push_records_buffered = run_records_buffered_;
-    result.stats.collect_fold_iterations = run_collect_fold_iterations_;
     result.stats.outcome = control_break_ ? break_outcome_
                            : control.resume != nullptr ? RunOutcome::kResumed
                                                        : RunOutcome::kCompleted;
@@ -617,12 +553,14 @@ class Engine {
       };
 
   // Programs with scheduler state beyond the frontier (delta-stepping SSSP's
-  // pending buckets) opt into checkpointing it via this hook pair.
+  // pending buckets) opt into checkpointing it via this hook pair. Restore
+  // gets the graph's vertex count so it can reject out-of-range vertex ids
+  // in an untrusted snapshot before they index anything.
   static constexpr bool kHasProgramState =
       requires(const Program& p, std::vector<uint8_t>& out, const uint8_t* d,
-               size_t n) {
+               size_t n, uint64_t vertex_count) {
         p.SaveSchedulerState(out);
-        { p.RestoreSchedulerState(d, n) } -> std::same_as<bool>;
+        { p.RestoreSchedulerState(d, n, vertex_count) } -> std::same_as<bool>;
       };
 
   // The iteration loop's carried state besides metadata, frontier, stats
@@ -665,30 +603,9 @@ class Engine {
     double apply_ms = 0.0;
   };
 
-  // Per-host-thread scratch for the collect-side fold: dst → slot of the
-  // destination's first record in the CURRENT chunk's buffer. Epoch-stamped
-  // so arming a new chunk is O(1) — a thread runs one chunk at a time, so
-  // entries from its previous chunks are simply stale by stamp mismatch.
-  // Sized to the vertex count once per run and reused across chunks and
-  // iterations: zero steady-state allocation. The table's content never
-  // leaves the chunk it was filled for, so per-THREAD reuse is invisible to
-  // the (per-chunk-deterministic) record stream.
-  struct CollectFoldTable {
-    NumaVector<uint32_t> stamp;
-    NumaVector<uint32_t> slot;
-    uint32_t epoch = 0;
-    void NextChunk() {
-      if (++epoch == 0) {  // wrapped: old stamps could alias the new epoch
-        std::fill(stamp.begin(), stamp.end(), 0u);
-        epoch = 1;
-      }
-    }
-  };
-
   struct ReplayOutcome {
-    uint64_t edges = 0;     // out-edge candidates walked at collect
-    uint64_t buffered = 0;  // records written (< edges iff collect folded)
-    uint64_t applies = 0;   // == edges for per-record drains
+    uint64_t edges = 0;       // records buffered: one per frontier out-edge
+    uint64_t applies = 0;     // == edges for per-record drains
     size_t buffer_bytes = 0;  // record-stream footprint of this iteration
   };
 
@@ -742,8 +659,8 @@ class Engine {
                        uint32_t base);
   void CollectPushRange(const Program& program, const VertexMeta<Value>& meta,
                         const WorkListView& view, bool frontier_sorted,
-                        size_t begin, size_t end, PushBuffer<Value>& buf,
-                        CollectFoldTable* fold) const;
+                        size_t begin, size_t end,
+                        PushBuffer<Value>& buf) const;
   ReplayOutcome ReplayPush(const Program& program, VertexMeta<Value>& meta,
                            uint32_t num_buffers, JitController& jit,
                            CostCounters& cost);
@@ -819,25 +736,9 @@ class Engine {
   // Per-run decision (Run): associative pre-combining armed — option on AND
   // the program declared CombineCapability::kAssociativeOnly.
   bool pre_combine_ = false;
-  // Per-run: collect-side fold available (pre_combine_ AND the option); and
-  // the per-iteration decision made in ProcessPush from the cost-model
-  // reuse estimate. When collect_fold_ is set for an iteration, the collect
-  // runs the thread-count-stable chunk plan and folds through fold_tables_.
-  bool collect_fold_armed_ = false;
-  bool collect_fold_ = false;
-  // Per-run: whether any drain can observe the per-record worker lane (the
-  // filter policy consults the online bins); off lets the collect drop the
-  // lane entirely (push_buffer.h memory diet).
-  bool workers_observed_ = true;
-  // Vertices with incoming edges — the destination universe of the reuse
-  // estimate. Computed once per run when the collect-side fold is armed.
-  uint64_t in_destinations_ = 0;
-  // Record-stream telemetry accumulated across the run's push iterations
-  // (copied into RunStats at the end of Run).
-  uint64_t run_record_candidates_ = 0;
+  // Push records buffered across the run's push iterations (copied into
+  // RunStats at the end of Run).
   uint64_t run_records_buffered_ = 0;
-  uint32_t run_collect_fold_iterations_ = 0;
-  std::vector<CollectFoldTable> fold_tables_;
   // Pre-combined drain state: per-vertex fold accumulators guarded by an
   // iteration stamp (a vertex's fold is owned by exactly one worker, so no
   // sharing). Allocated only when pre_combine_ is armed.
@@ -852,17 +753,13 @@ class Engine {
   CancelToken* cancel_ = nullptr;
   double deadline_ms_ = 0.0;  // absolute NowMs()-based; 0 = none
   FaultRegistry* faults_ = nullptr;
-  // Backing registry when faults come from EngineOptions::fault_spec
-  // (re-parsed each Run so every run gets fresh one-shot faults).
-  FaultRegistry options_faults_;
   bool watch_cancel_ = false;
   // Set by the first cancellation/deadline/fault observation; the loop
   // breaks at the next stage boundary with break_outcome_ as the verdict.
   bool control_break_ = false;
   RunOutcome break_outcome_ = RunOutcome::kCompleted;
-  // Degradation-ladder latches (per run, checkpointed so a resumed run
-  // stays on the rung the interrupted one reached).
-  bool degrade_shed_fold_ = false;
+  // Degradation-ladder latch (per run, checkpointed so a resumed run stays
+  // on the rung the interrupted one reached).
   bool degrade_serial_drain_ = false;
   std::vector<DowngradeEvent> run_downgrades_;
 };

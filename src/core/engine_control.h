@@ -54,24 +54,14 @@ bool Engine<Program>::StageBreak(FaultPoint point) {
   return watch_cancel_ && CancelOrDeadline();
 }
 
-// Graceful-degradation ladder under host memory pressure: shed the
-// collect-fold tables first (the largest optional allocation), then drain
+// Graceful-degradation ladder under host memory pressure, one rung: drain
 // every iteration as one inline range (drops the bucket lanes and per-range
-// scratch growth). Each rung is latched and recorded as a DowngradeEvent
-// instead of aborting, and every rung is stats-invariant — simulated
-// statistics are identical on any rung, so the fingerprint oracle holds
-// under pressure (pinned by tests/core/control_test).
+// scratch growth). The rung is latched and recorded as a DowngradeEvent
+// instead of aborting, and it is stats-invariant — simulated statistics are
+// identical on it, so the fingerprint oracle holds under pressure (pinned
+// by tests/core/control_test).
 template <AccProgram Program>
 void Engine<Program>::Degrade(uint32_t iteration, const char* trigger) {
-  if (!degrade_shed_fold_) {
-    degrade_shed_fold_ = true;
-    collect_fold_armed_ = false;
-    fold_tables_.clear();
-    fold_tables_.shrink_to_fit();
-    run_downgrades_.push_back(DowngradeEvent{
-        iteration, std::string("shed-collect-fold:") + trigger});
-    return;
-  }
   if (!degrade_serial_drain_) {
     degrade_serial_drain_ = true;
     push_buffers_.clear();
@@ -153,10 +143,7 @@ bool Engine<Program>::WriteCheckpoint(const Program& program,
     w.Pod(loop.pending_filter);
     w.Pod(static_cast<uint8_t>(loop.charge_init_scan));
     w.Pod(loop.refill_words);
-    w.Pod(run_record_candidates_);
     w.Pod(run_records_buffered_);
-    w.Pod(run_collect_fold_iterations_);
-    w.Pod(static_cast<uint8_t>(degrade_shed_fold_));
     w.Pod(static_cast<uint8_t>(degrade_serial_drain_));
     w.Pod(static_cast<uint64_t>(run_downgrades_.size()));
     for (const DowngradeEvent& d : run_downgrades_) {
@@ -252,16 +239,13 @@ bool Engine<Program>::RestoreCheckpoint(const Checkpoint& cp,
   }
   {
     ByteReader r(loop->bytes);
-    uint8_t dir8 = 0, sorted8 = 0, init8 = 0, shed8 = 0, serial8 = 0;
+    uint8_t dir8 = 0, sorted8 = 0, init8 = 0, serial8 = 0;
     r.Pod(&dir8);
     r.Pod(&sorted8);
     r.Pod(&state->pending_filter);
     r.Pod(&init8);
     r.Pod(&state->refill_words);
-    r.Pod(&run_record_candidates_);
     r.Pod(&run_records_buffered_);
-    r.Pod(&run_collect_fold_iterations_);
-    r.Pod(&shed8);
     r.Pod(&serial8);
     uint64_t downgrade_count = 0;
     if (!r.Pod(&downgrade_count) || downgrade_count > loop->bytes.size()) {
@@ -293,15 +277,7 @@ bool Engine<Program>::RestoreCheckpoint(const Checkpoint& cp,
     state->prev_dir = static_cast<Direction>(dir8);
     state->frontier_sorted = sorted8 != 0;
     state->charge_init_scan = init8 != 0;
-    degrade_shed_fold_ = shed8 != 0;
     degrade_serial_drain_ = serial8 != 0;
-    if (degrade_shed_fold_) {
-      // Re-apply the recorded downgrade so the resumed trajectory matches
-      // the interrupted one from the restore point onward.
-      collect_fold_armed_ = false;
-      fold_tables_.clear();
-      fold_tables_.shrink_to_fit();
-    }
     jit.RestoreHistory(std::move(pattern), ballot, online, jit_failed != 0);
     fusion.RestoreHistory(launched8 != 0, static_cast<Direction>(last_dir8),
                           launches, barriers);
@@ -345,8 +321,8 @@ bool Engine<Program>::RestoreCheckpoint(const Checkpoint& cp,
   }
   if constexpr (kHasProgramState) {
     const CheckpointSection* ps = cp.Find(CheckpointSectionId::kProgramState);
-    if (ps == nullptr ||
-        !program.RestoreSchedulerState(ps->bytes.data(), ps->bytes.size())) {
+    if (ps == nullptr || !program.RestoreSchedulerState(
+                             ps->bytes.data(), ps->bytes.size(), n)) {
       return false;
     }
   }

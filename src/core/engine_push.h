@@ -43,22 +43,9 @@
 //   applies and issues exactly one Apply per touched destination (see the
 //   comment above FoldRecord). Stats remain bit-identical for any
 //   host_threads — under the per-destination contract, which maps to the
-//   per-record one as documented in bench/README.md.
-//
-//   COLLECT-SIDE PRE-COMBINING (EngineOptions::pre_combine_collect, on top
-//   of the pre-combined drain): iterations whose cost-model reuse estimate
-//   clears pre_combine_collect_min_fold fold same-chunk same-destination
-//   candidates AT COLLECT TIME through per-thread epoch-stamped dst→slot
-//   tables, buffering one record per (chunk, destination) with a fold count
-//   instead of one per out-edge — the record stream (and the bytes
-//   collect→bucket→drain moves) shrinks at the source. Simulated stats are
-//   untouched (all collect charges are per edge); the drain-side fold
-//   consumes the shorter stream and produces the identical
-//   fold_records/fold_applies split, touch sets, apply counts and activation
-//   order, because a chunk's folded record is the chunk-contiguous
-//   prefix-fold of exactly the candidates the fold-free stream would have
-//   drained there. Folding iterations pin the thread-count-stable chunk plan
-//   (PlanChunksStable) since FP Combines see the chunk grouping bit-for-bit.
+//   per-record one as documented in bench/README.md. This drain is the ONE
+//   place a push iteration folds: the collect always buffers one record per
+//   out-edge.
 //
 // Semantics: push iterations are BSP (Jacobi-style), like pull and like
 // the real double-buffered kernels — a candidate computed this phase never
@@ -84,20 +71,13 @@ uint64_t Engine<Program>::ProcessPush(const Program& program,
     return 0;
   }
   // Decide the range count up front: the frontier's out-edge sum (already
-  // computed by classification) is exactly the record count a fold-free
-  // collect will buffer, so iterations below the threshold skip the
-  // bucketing bookkeeping (owner lookups, index appends, span events)
-  // entirely and drain as one inline range.
+  // computed by classification) is exactly the record count the collect
+  // will buffer, so iterations below the threshold skip the bucketing
+  // bookkeeping (owner lookups, index appends, span events) entirely and
+  // drain as one inline range.
   collect_bucketed_ =
       replay_ranges_ > 1 && !degrade_serial_drain_ &&
       frontier_out_edges >= options_.parallel_replay_min_records;
-  // Collect-side fold, decided per iteration from simulated statistics
-  // only (thread-count independent): skip the fold-table walk when the
-  // cost model predicts destinations barely repeat.
-  collect_fold_ =
-      collect_fold_armed_ &&
-      EstimateRecordsPerDestination(frontier_out_edges, in_destinations_) >=
-          options_.pre_combine_collect_min_fold;
   // The whole replay scheme addresses records WITHIN one buffer by uint32
   // (Pos packs buffer<<32|index, span counters and bucket entries are
   // uint32), and a single-chunk collect puts the entire frontier in one
@@ -135,9 +115,7 @@ uint64_t Engine<Program>::ProcessPush(const Program& program,
   if (StageBreak(FaultPoint::kApply)) {
     return outcome.edges;
   }
-  run_record_candidates_ += outcome.edges;
-  run_records_buffered_ += outcome.buffered;
-  run_collect_fold_iterations_ += collect_fold_ ? 1 : 0;
+  run_records_buffered_ += outcome.edges;
   if (profile) {
     const double t_done = NowMs();
     profile_.collect_ms += t_replay - t_collect;
@@ -149,13 +127,9 @@ uint64_t Engine<Program>::ProcessPush(const Program& program,
       profile_.fold_records += outcome.edges;
       profile_.fold_applies += outcome.applies;
     }
-    profile_.collect_fold_replays += collect_fold_ ? 1 : 0;
-    profile_.peak_buffer_bytes =
-        std::max(profile_.peak_buffer_bytes, outcome.buffer_bytes);
     profile_.iterations.push_back(PushReplayIterationSplit{
-        stamp_ - 1, outcome.edges, outcome.buffered, outcome.applies,
-        t_replay - t_collect, t_done - t_replay, collect_bucketed_,
-        pre_combine_, collect_fold_});
+        stamp_ - 1, outcome.edges, outcome.applies, t_replay - t_collect,
+        t_done - t_replay, collect_bucketed_, pre_combine_});
   }
   return outcome.edges;
 }
@@ -163,12 +137,9 @@ uint64_t Engine<Program>::ProcessPush(const Program& program,
 // Collect phase for one list: chunk it, fill push_buffers_[base ..
 // base+chunks). Grain floors shrink with kernel class — a CTA-class vertex
 // carries at least medium_degree_limit edges, so far fewer of them make a
-// worthwhile chunk. Without the collect-side fold, chunk boundaries never
-// affect results (the drain walks buffers in list order regardless), so the
-// serial path may legally use a single chunk. WITH it they are observable
-// (the fold groups records by chunk, and FP Combines see the grouping), so
-// a folding collect pins the thread-count-stable plan and every thread
-// count — including the inline serial path — runs the same decomposition.
+// worthwhile chunk. Chunk boundaries never affect results (the drain walks
+// buffers in list order regardless), so the serial path uses a single
+// chunk.
 template <AccProgram Program>
 uint32_t Engine<Program>::CollectPush(const Program& program,
                                       const VertexMeta<Value>& meta,
@@ -183,10 +154,8 @@ uint32_t Engine<Program>::CollectPush(const Program& program,
   } else if (view.klass == KernelClass::kCta) {
     min_grain = 4;
   }
-  const ChunkPlan plan =
-      collect_fold_ ? PlanChunksStable(view.size, min_grain)
-                    : PlanChunks(view.size, host_threads_, min_grain,
-                                 /*serial_below=*/512, pool_ != nullptr);
+  const ChunkPlan plan = PlanChunks(view.size, host_threads_, min_grain,
+                                    /*serial_below=*/512, pool_ != nullptr);
   if (push_buffers_.size() < base + plan.chunks) {
     push_buffers_.resize(base + plan.chunks);
   }
@@ -195,54 +164,34 @@ uint32_t Engine<Program>::CollectPush(const Program& program,
   // later walks only its own records. Chunk buffers are filled — and their
   // bucket pages first-touched — by whichever pool thread runs the chunk.
   const bool bucketed = collect_bucketed_;
-  const auto run_chunk = [&](uint32_t chunk, size_t begin, size_t end,
-                             uint32_t thread_index) {
+  const auto run_chunk = [&](uint32_t chunk, size_t begin, size_t end) {
     PushBuffer<Value>& buf = push_buffers_[base + chunk];
     buf.BeginCollect(bucketed ? replay_ranges_ : 0,
-                     /*track_spans=*/bucketed && kHasConsume,
-                     /*store_workers=*/workers_observed_,
-                     /*store_fold_counts=*/collect_fold_);
-    CollectPushRange(program, meta, view, frontier_sorted, begin, end, buf,
-                     collect_fold_ ? &fold_tables_[thread_index] : nullptr);
+                     /*track_spans=*/bucketed && kHasConsume);
+    CollectPushRange(program, meta, view, frontier_sorted, begin, end, buf);
   };
   if (plan.chunks == 1) {
-    run_chunk(0, 0, view.size, 0);
-  } else if (pool_ == nullptr || host_threads_ <= 1) {
-    // Stable plans reach here at host_threads == 1: run the identical
-    // decomposition inline, chunk by chunk in order (same boundaries as
-    // ParallelFor would produce — begin + i*grain).
-    for (uint32_t i = 0; i < plan.chunks; ++i) {
-      const size_t begin = static_cast<size_t>(i) * plan.grain;
-      run_chunk(i, begin, std::min(view.size, begin + plan.grain), 0);
-    }
+    run_chunk(0, 0, view.size);
   } else {
     pool_->ParallelFor(0, view.size, plan.grain, host_threads_,
                        [&](const ParallelChunk& c) {
-                         run_chunk(c.chunk_index, c.begin, c.end,
-                                   c.thread_index);
+                         run_chunk(c.chunk_index, c.begin, c.end);
                        });
   }
   return plan.chunks;
 }
 
-// One chunk's collect. `fold` (non-null iff the collect-side fold is armed
-// this iteration) is the running thread's dst→slot table, armed for this
-// chunk by NextChunk: a repeated destination folds its candidate into its
-// first record of THIS chunk instead of appending. Every simulated charge
-// below is per EDGE and unconditional, so folding changes no statistic —
-// only the record stream shrinks.
+// One chunk's collect: one record per out-edge of every vertex in
+// [begin, end) of the list.
 template <AccProgram Program>
 void Engine<Program>::CollectPushRange(const Program& program,
                                        const VertexMeta<Value>& meta,
                                        const WorkListView& view,
                                        bool frontier_sorted, size_t begin,
-                                       size_t end, PushBuffer<Value>& buf,
-                                       CollectFoldTable* fold) const {
+                                       size_t end,
+                                       PushBuffer<Value>& buf) const {
   const uint32_t workers = options_.sim_worker_threads;
   const bool bucketed = collect_bucketed_;
-  if (fold != nullptr) {
-    fold->NextChunk();
-  }
   for (size_t idx = begin; idx < end; ++idx) {
     const VertexId v = view[idx];
     const auto nbrs = graph_.out().Neighbors(v);
@@ -280,20 +229,8 @@ void Engine<Program>::CollectPushRange(const Program& program,
       const VertexId dst = nbrs[i];
       const Value cand =
           program.Compute(v, dst, wts[i], meta.curr(v), Direction::kPush);
-      if (fold != nullptr && fold->stamp[dst] == fold->epoch) {
-        // Same chunk, same destination: continue its left-fold in place.
-        // The record keeps its first candidate's worker lane — exactly the
-        // worker the drain-side fold's first touch would have kept.
-        buf.FoldInto(fold->slot[dst], cand, program);
-      } else {
-        const uint32_t slot =
-            buf.Append(dst, WorkerFor(idx, i, view.klass, workers), cand,
-                       bucketed ? range_of_vertex_[dst] : 0);
-        if (fold != nullptr) {
-          fold->stamp[dst] = fold->epoch;
-          fold->slot[dst] = slot;
-        }
-      }
+      buf.Append(dst, WorkerFor(idx, i, view.klass, workers), cand,
+                 bucketed ? range_of_vertex_[dst] : 0);
     }
     buf.edges += degree;
   }
@@ -314,7 +251,6 @@ auto Engine<Program>::ReplayPush(const Program& program,
   for (uint32_t b = 0; b < num_buffers; ++b) {
     cost += push_buffers_[b].cost;
     out.edges += push_buffers_[b].edges;
-    out.buffered += push_buffers_[b].size();
     out.buffer_bytes += push_buffers_[b].FootprintBytes();
   }
   const uint64_t touched =
@@ -478,12 +414,6 @@ void Engine<Program>::DrainRange(const Program& program,
 // The pull path needs none of this: a pull gather already combines all
 // contributors before its single Apply, i.e. pull iterations are
 // pre-combined by construction under either contract.
-//
-// A collect-side pre-folded record continues the destination's left-fold
-// seamlessly: its candidate is the fold of a chunk-contiguous run of the
-// original candidates, so chaining chunk folds here reproduces the global
-// left-fold expression of the fold-free stream (bit-exactly for a fixed
-// chunk plan — which is why a folding collect pins PlanChunksStable).
 template <AccProgram Program>
 void Engine<Program>::FoldRecord(const Program& program, VertexId u,
                                  uint32_t worker, const Value& cand,

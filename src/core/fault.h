@@ -1,10 +1,10 @@
 // Deterministic fault injection for the engine's survivability tests.
 //
 // Named fault points are compiled into the engine's collect/replay/apply/
-// frontier/checkpoint stages. Arming is explicit (RunControl::faults, the
-// EngineOptions::fault_spec string, or the SIMDX_FAULTS env var); the
-// disarmed hot path is a single branch on a null registry pointer, which
-// bench/fault_sweep gates at < 1% overhead on push_replay stage timings.
+// frontier/checkpoint stages. Arming is explicit (RunControl::faults or the
+// SIMDX_FAULTS env var); the disarmed hot path is a single branch on a null
+// registry pointer, which bench/fault_sweep gates at < 1% overhead on
+// push_replay stage timings.
 //
 // Every fault is one-shot: it fires at most once per registry lifetime,
 // modelling "the crash happened once". RobustRun shares one registry across

@@ -11,16 +11,11 @@
 // bench, precisely because the service compares per-query fingerprints
 // against one-shot Engine::Run; bench/common.h re-exports it.)
 //
-// DELIBERATELY EXCLUDED: the host-side record-stream telemetry
-// (RunStats::push_records_buffered/_candidates/collect_fold_iterations).
-// The collect-side fold's whole job is to shrink the buffered record count
-// while leaving every simulated stat and value byte untouched, so a
-// fold-on run must stay fingerprint-identical to its fold-off sibling —
-// push_replay gates exactly that. The telemetry's own thread-count
-// determinism is pinned separately (parallel_test's ExpectIdenticalRuns and
-// the differential harness). Control-plane accounting (outcome, attempts,
-// resumes, checkpoints) is excluded for the same reason: a resumed or
-// retried run must fingerprint-match an uninterrupted one.
+// DELIBERATELY EXCLUDED: host-side telemetry — the buffered push record
+// count (RunStats::push_records_buffered, whose thread-count determinism
+// parallel_test's ExpectIdenticalRuns pins separately) and the control-plane
+// accounting (outcome, attempts, resumes, checkpoints): a resumed or retried
+// run must fingerprint-match an uninterrupted one.
 #ifndef SIMDX_CORE_FINGERPRINT_H_
 #define SIMDX_CORE_FINGERPRINT_H_
 

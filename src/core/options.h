@@ -5,7 +5,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 #include "simt/device.h"
 
@@ -81,31 +80,6 @@ struct EngineOptions {
   // (SSSP, k-Core) ignore the flag and keep the per-record drain.
   bool pre_combine_replay = false;
 
-  // Collect-side pre-combining (requires pre_combine_replay AND a
-  // kAssociativeOnly program; ignored otherwise): chunk workers fold
-  // same-chunk same-destination candidates with Combine AT COLLECT TIME, so
-  // hub-heavy frontiers buffer one record per (chunk, destination) instead
-  // of one per out-edge — the record stream itself shrinks, not just the
-  // applies. A pure host-side memory/bandwidth knob UNDER the
-  // per-destination contract: every simulated stat, value byte, touch set
-  // and per-destination apply count is identical to the drain-side-fold-only
-  // run for any host_threads (the collect then uses a thread-count-stable
-  // chunk plan — PlanChunksStable — because the fold's chunk grouping is
-  // bit-visible to floating-point Combines; for those, values match the
-  // drain-only fold up to reassociation, see bench/README.md).
-  bool pre_combine_collect = false;
-
-  // Minimum cost-model estimate of records-per-destination
-  // (simt/cost_model.h EstimateRecordsPerDestination) for an iteration to
-  // arm the collect-side fold: low-reuse iterations skip the fold-table walk
-  // entirely and collect exactly as before. 2.0 because the balls-in-bins
-  // estimate sits around 1.6 even for a frontier whose destinations are
-  // all-distinct by construction (records ≈ destination universe, e.g. a
-  // tree BFS level): demanding two expected records per destination keeps
-  // such zero-shrink iterations off the table walk. 0 forces the fold on
-  // every push iteration (tests).
-  double pre_combine_collect_min_fold = 2.0;
-
   // Record host wall-clock collect/replay splits and per-range replay busy
   // times (Engine::push_profile(), bench/push_replay). Off by default to
   // keep clock reads out of the hot loop.
@@ -117,20 +91,12 @@ struct EngineOptions {
 
   // HOST-side memory ceiling for the push record stream (bytes of push
   // buffers per iteration). 0 = unlimited. Exceeding it triggers the
-  // graceful-degradation ladder (engine.h Degrade): shed the collect-fold
-  // tables first, then fall back to the serial drain — each step recorded as
-  // a DowngradeEvent instead of aborting. Simulated stats are invariant to
-  // every rung, so the fingerprint oracle still holds under pressure.
-  // INCLUDED in SemanticOptionsDigest (it steers the run's trajectory).
+  // graceful-degradation ladder (engine_control.h Degrade): fall back to the
+  // serial drain, recorded as a DowngradeEvent instead of aborting.
+  // Simulated stats are invariant to the rung, so the fingerprint oracle
+  // still holds under pressure. INCLUDED in SemanticOptionsDigest (it steers
+  // the run's trajectory).
   size_t host_memory_budget_bytes = 0;
-
-  // Fault-injection spec parsed by FaultRegistry::Parse and armed for every
-  // Run of this engine ("replay@3,checkpoint-write@5:corrupt=2:seed=7").
-  // Empty = no faults; an unparseable spec aborts loudly at Run entry
-  // (a silently dropped fault would turn a crash test into a false pass).
-  // Excluded from the options digest: arming faults must not invalidate the
-  // checkpoints the faulted run wrote.
-  std::string fault_spec;
 
   // Record a per-iteration log in the result (frontier size, filter chosen,
   // direction, time). Cheap; on by default.

@@ -241,15 +241,4 @@ ChunkPlan PlanChunks(size_t n, uint32_t threads, size_t min_grain,
   return plan;
 }
 
-ChunkPlan PlanChunksStable(size_t n, size_t min_grain) {
-  ChunkPlan plan;
-  if (n == 0) {
-    return plan;
-  }
-  plan.grain = std::max(std::max<size_t>(min_grain, 1),
-                        (n + kStableMaxChunks - 1) / kStableMaxChunks);
-  plan.chunks = ThreadPool::NumChunks(0, n, plan.grain);
-  return plan;
-}
-
 }  // namespace simdx

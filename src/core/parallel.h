@@ -176,20 +176,6 @@ struct ChunkPlan {
 ChunkPlan PlanChunks(size_t n, uint32_t threads, size_t min_grain,
                      size_t serial_below, bool have_pool);
 
-// Thread-count-INDEPENDENT chunk plan, for collect passes whose per-chunk
-// grouping is OBSERVABLE: the engine's collect-side fold merges same-chunk
-// same-destination candidates, and for floating-point Combine the grouping
-// is bit-visible in the folded values. PlanChunks keys its grain on the
-// thread count (and collapses small ranges to one chunk), so two thread
-// counts would group — and round — differently. This plan depends only on
-// (n, min_grain): the grain is floored at min_grain and sized so at most
-// kStableMaxChunks chunks exist, giving the pool enough chunks to balance
-// while every thread count (including the inline serial path, which must
-// run the SAME decomposition chunk by chunk) folds the identical groups.
-inline constexpr size_t kStableMaxChunks = 64;
-
-ChunkPlan PlanChunksStable(size_t n, size_t min_grain);
-
 // Deterministic collect-then-drain over per-chunk buffers: `fill` runs once
 // per chunk (in parallel when a pool is available and the range is worth
 // it), writing into `buffers[chunk_index]`; `drain` then runs once per
@@ -336,23 +322,6 @@ void ParallelFill(Vec& out, size_t n, ThreadPool* pool, uint32_t threads,
       out[i] = value(i);
     }
   });
-}
-
-// Deterministic ordered reduction: runs `map` once per chunk in parallel,
-// then folds the per-chunk accumulators into `init` in ascending chunk order
-// on the calling thread. T must be default-constructible; `map` fills
-// acc[chunk_index], `fold` merges (total, partial) left to right.
-template <typename T, typename MapFn, typename FoldFn>
-T OrderedReduce(ThreadPool& pool, size_t begin, size_t end, size_t grain,
-                uint32_t threads, T init, const MapFn& map, const FoldFn& fold) {
-  const uint32_t chunks = ThreadPool::NumChunks(begin, end, grain);
-  std::vector<T> partial(chunks);
-  pool.ParallelFor(begin, end, grain, threads,
-                   [&](const ParallelChunk& c) { map(c, partial[c.chunk_index]); });
-  for (uint32_t i = 0; i < chunks; ++i) {
-    fold(init, partial[i]);
-  }
-  return init;
 }
 
 }  // namespace simdx

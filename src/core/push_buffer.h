@@ -9,20 +9,14 @@
 //      metadata snapshot (nothing mutates `curr` during collection), charges
 //      the traversal costs to the chunk-private `cost` counters, and appends
 //      one record per out-edge, grouped under a PushSourceSpan per source
-//      vertex. For kAssociativeOnly programs the engine may instead fold
-//      same-chunk same-destination candidates INTO the destination's first
-//      record of the chunk (FoldInto, collect-side pre-combining): the
-//      record stream then carries one record per (chunk, destination)
-//      whose candidate is the left-fold of its constituents in record order
-//      and whose fold count says how many candidates it absorbed.
+//      vertex.
 //   2. DRAIN (owner-computes, engine_push.h): each of P range workers walks
 //      all buffers in ascending chunk index order — exactly work-list
 //      order, independent of grain and thread count — applying only the
 //      records whose `dst` its range owns; P = 1 is the serial drain. The
 //      pre-combined drain (StatsContract::kPerDestination) is a different
 //      walk over the same record sequences, so the buffers are oblivious
-//      to it, and a collect-side pre-folded stream drains through it
-//      unchanged.
+//      to it.
 //
 // To give range workers their records without scanning foreign ones, a
 // multi-range collect bucketizes: BeginCollect(P > 1, ...) makes every
@@ -36,21 +30,14 @@
 // a sequential walk would). An unbucketed buffer is one range's: the same
 // walks visit every record and span directly, building no index.
 //
-// Record layout (the record-stream memory diet): storage is struct-of-arrays
-// so every drain walk touches only the lanes it reads —
-//   dst lane         4 bytes/record, always present (fold probes and range
-//                    bucketing scan it without dragging candidate bytes);
-//   cand lane        sizeof(Value) bytes/record, always present;
-//   worker lane      4 bytes/record, present only when the filter policy can
-//                    observe the simulated worker lane (kBallotOnly never
-//                    consults it — see JitController::RecordActivation — so
-//                    the engine drops the lane and replay reads worker 0);
-//   fold-count lane  4 bytes/record, present only while the collect-side
-//                    fold is armed (telemetry: how many candidates each
-//                    record absorbed; Σ fold counts == frontier out-edges).
-// Per-record byte budget = 4 + sizeof(Value) [+4 worker] [+4 fold count]
-// [+4 bucket index when range bucketing is armed], against the fold-free
-// baseline of one record per frontier out-edge.
+// Record layout: struct-of-arrays, three fixed lanes, one entry per frontier
+// out-edge:
+//   dst lane     4 bytes/record;
+//   cand lane    sizeof(Value) bytes/record;
+//   worker lane  4 bytes/record (the simulated lane that owns the
+//                online-filter bin the record's activation lands in).
+// Per-record byte budget = 4 + sizeof(Value) + 4, plus 4 per bucket index
+// when range bucketing is armed.
 //
 // Buffer memory model: one buffer per chunk, owned by the engine and reused
 // across iterations. BeginCollect() keeps capacity, so after the first
@@ -70,10 +57,9 @@
 namespace simdx {
 
 // One deferred push update, materialized from the SoA lanes where a drain
-// needs the whole tuple: the destination, the Compute candidate (possibly a
-// collect-side fold of several candidates), and the simulated worker lane
-// of the update's FIRST record (it owns the online-filter bin the
-// activation lands in during replay).
+// needs the whole tuple: the destination, the Compute candidate, and the
+// simulated worker lane (it owns the online-filter bin the activation
+// lands in during replay).
 template <typename Value>
 struct PushRecord {
   VertexId dst;
@@ -83,10 +69,7 @@ struct PushRecord {
 
 // The edge records of one source vertex, in adjacency order. Replay calls
 // ConsumeActivity for `src` after its `num_records` records — the position
-// the sequential loop consumes at. Under the collect-side fold a span counts
-// only the records first APPENDED in it (candidates folded into an earlier
-// span's record belong to that record's span), which keeps span arithmetic
-// consistent; spans may legally hold zero records.
+// the sequential loop consumes at. Spans may legally hold zero records.
 struct PushSourceSpan {
   VertexId src;
   uint32_t num_records;
@@ -113,29 +96,20 @@ class PushBuffer {
 
   // Clear + configure the lanes for one chunk's collect; every vector keeps
   // its capacity across iterations, so the steady state allocates nothing.
-  //   ranges           > 1 arms destination-range bucketing for that many
-  //                    replay ranges (0/1 = no bucketing);
-  //   track_spans      additionally files one PushSpanEvent per closed
-  //                    source span (only wanted when bucketing is armed AND
-  //                    the program defines ConsumeActivity);
-  //   store_workers    keep the per-record worker lane (off when the filter
-  //                    policy never observes it; worker() then reads 0);
-  //   store_fold_counts keep the per-record fold-count lane (on only while
-  //                    the collect-side fold is armed; fold_count() reads 1
-  //                    otherwise).
-  void BeginCollect(uint32_t ranges, bool track_spans, bool store_workers,
-                    bool store_fold_counts) {
+  //   ranges       > 1 arms destination-range bucketing for that many
+  //                replay ranges (0/1 = no bucketing);
+  //   track_spans  additionally files one PushSpanEvent per closed source
+  //                span (only wanted when bucketing is armed AND the
+  //                program defines ConsumeActivity).
+  void BeginCollect(uint32_t ranges, bool track_spans) {
     dsts_.clear();
     workers_.clear();
     cands_.clear();
-    fold_counts_.clear();
     sources_.clear();
     cost = CostCounters{};
     edges = 0;
     ranges_ = ranges > 1 ? ranges : 0;
     track_spans_ = track_spans && ranges_ > 1;
-    store_workers_ = store_workers;
-    store_fold_counts_ = store_fold_counts;
     if (ranges_ > 1) {
       if (range_records_.size() < ranges_) {
         range_records_.resize(ranges_);
@@ -164,38 +138,17 @@ class PushBuffer {
     open_src_range_ = src_range;
   }
 
-  // Appends one record and returns its index in this buffer (the slot a
-  // collect-side fold table remembers for FoldInto).
-  uint32_t Append(VertexId dst, uint32_t worker, const Value& cand,
-                  uint32_t dst_range) {
-    const uint32_t slot = static_cast<uint32_t>(dsts_.size());
+  // Appends one record; `dst_range` is the replay range owning `dst` (same
+  // rule as BeginSource's `src_range`).
+  void Append(VertexId dst, uint32_t worker, const Value& cand,
+              uint32_t dst_range) {
     if (ranges_ > 1) {
-      range_records_[dst_range].push_back(slot);
+      range_records_[dst_range].push_back(static_cast<uint32_t>(dsts_.size()));
     }
     dsts_.push_back(dst);
     cands_.push_back(cand);
-    if (store_workers_) {
-      workers_.push_back(worker);
-    }
-    if (store_fold_counts_) {
-      fold_counts_.push_back(1);
-    }
+    workers_.push_back(worker);
     ++sources_.back().num_records;
-    return slot;
-  }
-
-  // Collect-side pre-combining: left-folds a later same-chunk candidate for
-  // the same destination into record `slot` — cand(slot) becomes
-  // Combine(cand(slot), cand), exactly the next step of the destination's
-  // global left-fold (same-chunk records are contiguous in the global
-  // (chunk, record) order). The record keeps its dst, its first-record
-  // worker, and its bucket entry; only the candidate and the fold count
-  // change, so no span or bucket bookkeeping moves.
-  template <typename Program>
-  void FoldInto(uint32_t slot, const Value& cand, const Program& program) {
-    assert(store_fold_counts_ && "FoldInto requires the fold-count lane");
-    cands_[slot] = program.Combine(cands_[slot], cand);
-    ++fold_counts_[slot];
   }
 
   // Files the final span event; must be called once after the last source
@@ -206,32 +159,18 @@ class PushBuffer {
   uint32_t size() const { return static_cast<uint32_t>(dsts_.size()); }
   VertexId dst(uint32_t i) const { return dsts_[i]; }
   const Value& cand(uint32_t i) const { return cands_[i]; }
-  // Worker lane of record i's FIRST candidate; 0 when the lane is dropped
-  // (legal only because no drain observes it then).
-  uint32_t worker(uint32_t i) const {
-    return store_workers_ ? workers_[i] : 0u;
-  }
-  // Candidates folded into record i (>= 1); 1 when the lane is off.
-  uint32_t fold_count(uint32_t i) const {
-    return store_fold_counts_ ? fold_counts_[i] : 1u;
-  }
+  uint32_t worker(uint32_t i) const { return workers_[i]; }
   PushRecord<Value> record(uint32_t i) const {
-    return PushRecord<Value>{dsts_[i], worker(i), cands_[i]};
+    return PushRecord<Value>{dsts_[i], workers_[i], cands_[i]};
   }
   const std::vector<PushSourceSpan>& sources() const { return sources_; }
 
-  // Bytes the record stream of this chunk occupies right now: the armed
+  // Bytes the record stream of this chunk occupies right now: the three
   // record lanes plus span and bucket bookkeeping. Bucket-index bytes depend
   // on whether the partitioned drain was armed (a host_threads decision), so
   // this is host telemetry — never a simulated statistic.
   size_t FootprintBytes() const {
-    size_t per_record = sizeof(VertexId) + sizeof(Value);
-    if (store_workers_) {
-      per_record += sizeof(uint32_t);
-    }
-    if (store_fold_counts_) {
-      per_record += sizeof(uint32_t);
-    }
+    size_t per_record = sizeof(VertexId) + sizeof(Value) + sizeof(uint32_t);
     if (ranges_ > 1) {
       per_record += sizeof(uint32_t);  // one bucket index entry per record
     }
@@ -325,7 +264,6 @@ class PushBuffer {
   std::vector<VertexId> dsts_;
   std::vector<uint32_t> workers_;
   std::vector<Value> cands_;
-  std::vector<uint32_t> fold_counts_;
   std::vector<PushSourceSpan> sources_;
   // Owner-computes replay buckets (see file comment), armed by BeginCollect.
   std::vector<std::vector<uint32_t>> range_records_;
@@ -333,8 +271,6 @@ class PushBuffer {
   uint32_t ranges_ = 0;
   uint32_t open_src_range_ = 0;
   bool track_spans_ = false;
-  bool store_workers_ = true;
-  bool store_fold_counts_ = false;
 };
 
 }  // namespace simdx

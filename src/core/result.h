@@ -44,9 +44,9 @@ inline const char* ToString(RunOutcome o) {
   return "?";
 }
 
-// One graceful-degradation step taken mid-run (memory pressure shedding the
-// collect fold, falling back to the serial drain). Recorded instead of
-// aborting; the simulated stats are invariant to every rung of the ladder.
+// One graceful-degradation step taken mid-run (memory pressure falling back
+// to the serial drain). Recorded instead of aborting; the simulated stats
+// are invariant to the ladder's rung.
 struct DowngradeEvent {
   uint32_t iteration = 0;
   std::string action;
@@ -73,19 +73,10 @@ struct RunStats {
   // kPerDestination iff the run pre-combined its push replay. Depends only on
   // options + program capability, never on host_threads.
   StatsContract contract = StatsContract::kPerRecord;
-  // Record-stream telemetry of the push collect (HOST-side facts, never part
-  // of the simulated cost model, and deliberately NOT in the bench
-  // StatsFingerprint: a collect-fold-on run must stay fingerprint-identical
-  // to its fold-off sibling — the buffered-record shrink is the point, and
-  // it is gated separately). All three are nonetheless deterministic for any
-  // host_threads: candidates are a simulated stat, the fold decision keys on
-  // simulated stats only, and a folding collect runs a thread-count-stable
-  // chunk plan.
-  uint64_t push_record_candidates = 0;  // frontier out-edge candidates (what
-                                        // a fold-free collect would buffer)
-  uint64_t push_records_buffered = 0;   // records actually written to buffers
-  uint32_t collect_fold_iterations = 0;  // push iterations the collect-side
-                                         // fold engaged on
+  // Push records buffered across the run: one per frontier out-edge of
+  // every push iteration. Deterministic for any host_threads, but kept out
+  // of the bench StatsFingerprint with the rest of the host-side telemetry.
+  uint64_t push_records_buffered = 0;
   CostCounters counters;
   SimTime time;
   // The scale-invariant part of `time`: kernel-launch, barrier and

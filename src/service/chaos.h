@@ -72,7 +72,7 @@ struct ChaosSpec {
   static bool Parse(const std::string& spec, ChaosSpec* out,
                     std::string* error);
 
-  // The mix the chaos sweep and `qps --chaos default` run: every fault
+  // The mix the chaos sweep (tests/service/chaos_test) runs: every fault
   // armed at low-but-bite probability, time faults short enough that the
   // client timeouts (seconds) dominate them by orders of magnitude.
   static ChaosSpec Default();

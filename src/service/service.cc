@@ -98,10 +98,6 @@ GraphService::GraphService(const Graph& graph, ServiceOptions options)
         o.queue_capacity = std::max(1u, o.queue_capacity);
         // One machine word of lanes bounds a batch.
         o.batch_max = std::clamp(o.batch_max, 1u, 64u);
-        // Faults arrive per query or via SIMDX_FAULTS — an engine-level spec
-        // would arm EVERY query on this arena and (worse) abort the process
-        // if malformed. Admission already validates the per-query route.
-        o.engine.fault_spec.clear();
         return o;
       }()),
       paused_(options_.start_paused),

@@ -64,9 +64,8 @@ namespace simdx::service {
 struct ServiceOptions {
   uint32_t workers = 2;          // query worker threads (>= 1)
   uint32_t queue_capacity = 64;  // bounded admission queue (>= 1)
-  // Engine configuration shared by every per-worker arena. fault_spec must
-  // stay empty here — faults arrive per query (Query::fault_spec) or via the
-  // SIMDX_FAULTS env registry.
+  // Engine configuration shared by every per-worker arena. Faults arrive per
+  // query (Query::fault_spec) or via the SIMDX_FAULTS env registry.
   EngineOptions engine;
   DeviceSpec device = MakeK40();
   uint32_t checkpoint_every = 4;     // RobustRun snapshot cadence (0 = never)

@@ -1,7 +1,6 @@
 #include "simt/cost_model.h"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 
 namespace simdx {
@@ -57,18 +56,6 @@ SimTime EstimateTime(const CostCounters& c, const DeviceSpec& device,
 SimTime EstimateTime(const CostCounters& c, const DeviceSpec& device,
                      const KernelResources& kernel) {
   return EstimateTime(c, device, OccupancyFraction(device, kernel));
-}
-
-double EstimateRecordsPerDestination(uint64_t records,
-                                     uint64_t in_destinations) {
-  if (records == 0 || in_destinations == 0) {
-    return 0.0;
-  }
-  const double r = static_cast<double>(records);
-  const double d = static_cast<double>(in_destinations);
-  const double touched = d * (1.0 - std::exp(-r / d));
-  // touched <= min(r, d) and > 0 here; the ratio is always >= 1.
-  return r / touched;
 }
 
 std::string ToString(const CostCounters& c) {

@@ -87,19 +87,6 @@ SimTime EstimateTime(const CostCounters& c, const DeviceSpec& device,
 SimTime EstimateTime(const CostCounters& c, const DeviceSpec& device,
                      const KernelResources& kernel);
 
-// Expected records per DISTINCT destination when a push iteration scatters
-// `records` (= frontier out-edge sum) over `in_destinations` vertices that
-// have incoming edges. Balls-into-bins: E[touched] = D·(1 - e^(-R/D)), so
-// the estimate is R / E[touched] — 1.0 when destinations cannot repeat,
-// growing as the frontier's edge volume crowds the reachable range's
-// in-degree capacity. Drives the per-iteration collect-side pre-combining
-// decision (EngineOptions::pre_combine_collect): the fold table walk only
-// pays when chunks revisit destinations, and chunk-local reuse grows with
-// this global reuse ratio. Both inputs are simulated statistics, so the
-// decision is identical for any host_threads.
-double EstimateRecordsPerDestination(uint64_t records,
-                                     uint64_t in_destinations);
-
 std::string ToString(const CostCounters& c);
 
 }  // namespace simdx

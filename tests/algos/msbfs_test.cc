@@ -122,7 +122,6 @@ TEST(MsBfsTest, LanesMatchSoloBfsAcrossThreadsAndContracts) {
         EngineOptions o = TestOptions();
         o.host_threads = host_threads;
         o.pre_combine_replay = pre_combine;
-        o.pre_combine_collect = pre_combine;
         const MsBfsRunResult ms = RunMsBfs(g, sources, MakeK40(), o);
         ASSERT_TRUE(ms.run.stats.ok());
         ASSERT_EQ(ms.state.lanes(), sources.size());

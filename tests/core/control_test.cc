@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -251,30 +252,18 @@ TEST(ControlTest, IncompatibleResumeSourceYieldsFaulted) {
   EXPECT_EQ(r.stats.resumes, 0u);
 }
 
-TEST(ControlTest, FaultSpecOptionArmsIterationStartFault) {
-  const Graph g = ChainGraph();
-  EngineOptions o = DefaultOptions();
-  o.fault_spec = "iteration-start@2";
-  BfsProgram program;
-  Engine<BfsProgram> engine(g, MakeK40(), o);
-  const auto r = engine.Run(program);
-  EXPECT_EQ(r.stats.outcome, RunOutcome::kFaulted);
-  EXPECT_EQ(r.stats.iterations, 2u);
-  // One-shot: the engine's own registry re-arms per Run... it does NOT —
-  // the spec is parsed fresh each Run, so a second Run faults again.
-  const auto again = engine.Run(program);
-  EXPECT_EQ(again.stats.outcome, RunOutcome::kFaulted);
-}
-
 TEST(ControlTest, MidStageFaultsSurfaceAsFaulted) {
   const Graph g = ChainGraph();
   for (const char* spec : {"collect@1", "replay@1", "apply@1", "frontier@1"}) {
+    FaultRegistry faults;
+    ASSERT_TRUE(FaultRegistry::Parse(spec, &faults)) << spec;
+    RunControl control;
+    control.faults = &faults;
     EngineOptions o = DefaultOptions();
     o.force_push = true;  // the collect/replay/apply hooks live in push
-    o.fault_spec = spec;
     BfsProgram program;
     Engine<BfsProgram> engine(g, MakeK40(), o);
-    const auto r = engine.Run(program);
+    const auto r = engine.Run(program, control);
     EXPECT_EQ(r.stats.outcome, RunOutcome::kFaulted) << spec;
     EXPECT_FALSE(r.stats.converged) << spec;
   }
@@ -406,23 +395,26 @@ TEST(ControlTest, AllocPressureFaultStepsDegradationLadderAndCompletes) {
   const Graph g = Graph::FromEdges(GenerateRmat(7, 8, 3), false);
   EngineOptions base = DefaultOptions();
   base.pre_combine_replay = true;
-  base.pre_combine_collect = true;
-  base.pre_combine_collect_min_fold = 0.0;
   base.parallel_replay_min_records = 0;
   const auto plain = PlainBfs(g, base);
   ASSERT_TRUE(plain.stats.ok());
 
-  EngineOptions faulted = base;
-  faulted.fault_spec = "alloc-pressure@1,alloc-pressure@2";
-  const auto degraded = PlainBfs(g, faulted);
+  FaultRegistry faults;
+  ASSERT_TRUE(
+      FaultRegistry::Parse("alloc-pressure@1,alloc-pressure@2", &faults));
+  RunControl control;
+  control.faults = &faults;
+  BfsProgram program;
+  Engine<BfsProgram> engine(g, MakeK40(), base);
+  const auto degraded = engine.Run(program, control);
   ASSERT_TRUE(degraded.stats.ok());
   EXPECT_EQ(degraded.stats.outcome, RunOutcome::kCompleted);
-  ASSERT_EQ(degraded.stats.downgrades.size(), 2u);
+  // The ladder has one rung: the first fault steps onto it, the second finds
+  // it latched and records nothing.
+  ASSERT_EQ(degraded.stats.downgrades.size(), 1u);
   EXPECT_EQ(degraded.stats.downgrades[0].iteration, 1u);
-  EXPECT_EQ(degraded.stats.downgrades[0].action, "shed-collect-fold:fault");
-  EXPECT_EQ(degraded.stats.downgrades[1].iteration, 2u);
-  EXPECT_EQ(degraded.stats.downgrades[1].action, "serial-drain:fault");
-  // Every rung of the ladder is stats-invariant: identical fingerprint.
+  EXPECT_EQ(degraded.stats.downgrades[0].action, "serial-drain:fault");
+  // The rung is stats-invariant: identical fingerprint.
   EXPECT_EQ(bench::StatsFingerprint(degraded), bench::StatsFingerprint(plain));
 }
 
@@ -430,8 +422,6 @@ TEST(ControlTest, HostMemoryBudgetDegradesInsteadOfAborting) {
   const Graph g = Graph::FromEdges(GenerateRmat(7, 8, 3), false);
   EngineOptions base = DefaultOptions();
   base.pre_combine_replay = true;
-  base.pre_combine_collect = true;
-  base.pre_combine_collect_min_fold = 0.0;
   base.parallel_replay_min_records = 0;
   base.force_push = true;  // the budget guards the push record stream
   const auto plain = PlainBfs(g, base);
@@ -443,7 +433,7 @@ TEST(ControlTest, HostMemoryBudgetDegradesInsteadOfAborting) {
   ASSERT_TRUE(degraded.stats.ok());
   EXPECT_EQ(degraded.stats.outcome, RunOutcome::kCompleted);
   ASSERT_GE(degraded.stats.downgrades.size(), 1u);
-  EXPECT_EQ(degraded.stats.downgrades[0].action, "shed-collect-fold:budget");
+  EXPECT_EQ(degraded.stats.downgrades[0].action, "serial-drain:budget");
   // host_memory_budget_bytes is in the digest, so compare values + counters
   // directly rather than resumes: the budget must not change the simulated
   // trajectory, only the host-side drain machinery.
@@ -568,6 +558,70 @@ TEST(ControlTest, SsspSchedulerStateSurvivesResume) {
         << "iteration " << snap.header.iteration;
     EXPECT_EQ(resumed.values, plain.values);
   }
+}
+
+// Resumes SSSP on the 20x8 road grid (|V| = 160) from a real snapshot whose
+// pending list is non-empty, after rewriting the first pending vertex id to
+// `id` and re-sealing — the snapshot is CRC-valid, only its content lies.
+RunResult<uint32_t> ResumeSsspWithFirstPendingId(VertexId id) {
+  const Graph g = Graph::FromEdges(GenerateGridRoad(20, 8, 7), false);
+  EXPECT_EQ(g.vertex_count(), 160u);
+  std::vector<Checkpoint> snaps;
+  RunControl writer;
+  writer.checkpoint_every = 1;
+  writer.on_checkpoint = [&](const Checkpoint& cp) {
+    snaps.push_back(cp);
+    return true;
+  };
+  {
+    SsspProgram program;
+    Engine<SsspProgram> engine(g, MakeK40(), DefaultOptions());
+    EXPECT_TRUE(engine.Run(program, writer).stats.ok());
+  }
+  // kProgramState layout: bucket limit, pending count, then (id, distance)
+  // pairs.
+  constexpr size_t kCountAt = sizeof(SsspProgram::Value);
+  constexpr size_t kFirstIdAt = kCountAt + sizeof(uint64_t);
+  for (Checkpoint& cp : snaps) {
+    for (CheckpointSection& section : cp.sections()) {
+      if (section.id !=
+              static_cast<uint32_t>(CheckpointSectionId::kProgramState) ||
+          section.bytes.size() < kFirstIdAt + sizeof(VertexId)) {
+        continue;
+      }
+      uint64_t count = 0;
+      std::memcpy(&count, section.bytes.data() + kCountAt, sizeof(count));
+      if (count == 0) {
+        continue;
+      }
+      std::memcpy(section.bytes.data() + kFirstIdAt, &id, sizeof(id));
+      cp.Seal();
+      EXPECT_TRUE(cp.Validate(nullptr));
+      RunControl resume;
+      resume.resume = &cp;
+      SsspProgram program;
+      Engine<SsspProgram> engine(g, MakeK40(), DefaultOptions());
+      return engine.Run(program, resume);
+    }
+  }
+  ADD_FAILURE() << "no snapshot with a pending SSSP vertex";
+  return {};
+}
+
+TEST(ControlTest, SsspPendingVertexAtVertexCountFaultsResume) {
+  // One past the last vertex: must not resume and release it into the
+  // frontier.
+  const auto r = ResumeSsspWithFirstPendingId(160);
+  EXPECT_EQ(r.stats.outcome, RunOutcome::kFaulted);
+  EXPECT_EQ(r.stats.resumes, 0u);
+}
+
+TEST(ControlTest, SsspHugePendingVertexFaultsResume) {
+  // Far outside the graph: must be refused before any membership array is
+  // sized or indexed from it.
+  const auto r = ResumeSsspWithFirstPendingId(100'000'000);
+  EXPECT_EQ(r.stats.outcome, RunOutcome::kFaulted);
+  EXPECT_EQ(r.stats.resumes, 0u);
 }
 
 }  // namespace

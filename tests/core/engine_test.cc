@@ -256,38 +256,6 @@ TEST(PreCombinedApplyCountTest, ExactlyOneApplyPerTouchedDestination) {
   }
 }
 
-// The collect-side fold shortens the record STREAM but must not change the
-// per-destination Apply contract: still exactly one Apply per touched
-// destination, with fewer records actually buffered.
-TEST(PreCombinedApplyCountTest, CollectSideFoldKeepsOneApplyPerDestination) {
-  const uint32_t kSources = 500;
-  const uint32_t kHubs = 3;
-  const Graph g =
-      Graph::FromEdges(GenerateFunnel(kSources, kHubs), /*directed=*/true);
-  for (uint32_t threads : {1u, 3u}) {
-    std::vector<uint32_t> counts(g.vertex_count(), 0);
-    EngineOptions o = DefaultOptions();
-    o.host_threads = threads;
-    o.force_push = true;
-    o.parallel_replay_min_records = 0;
-    o.pre_combine_replay = true;
-    o.pre_combine_collect = true;
-    o.pre_combine_collect_min_fold = 0.0;
-    CountingBfsProgram program;
-    program.source = 0;
-    program.push_applies = &counts;
-    Engine<CountingBfsProgram> engine(g, MakeK40(), o);
-    const auto r = engine.Run(program);
-    ASSERT_TRUE(r.stats.ok());
-    EXPECT_EQ(r.stats.contract, StatsContract::kPerDestination);
-    EXPECT_LT(r.stats.push_records_buffered, r.stats.push_record_candidates)
-        << "t=" << threads;
-    for (VertexId v = 1; v < g.vertex_count(); ++v) {
-      EXPECT_EQ(counts[v], 1u) << "vertex " << v << " t=" << threads;
-    }
-  }
-}
-
 TEST(EngineTest, ForcePullMatchesOracleAndPinsDirection) {
   const Graph g = Graph::FromEdges(GenerateRmat(9, 8, 5), false);
   EngineOptions o = DefaultOptions();

@@ -86,32 +86,6 @@ TEST(ThreadPoolTest, NestedParallelForFallsBackToSerial) {
   EXPECT_EQ(total.load(), 80);
 }
 
-TEST(ThreadPoolTest, OrderedReduceMatchesSerialFold) {
-  ThreadPool pool(4);
-  // Floating-point fold where grouping matters: the ordered reduction must
-  // match the chunk-order serial fold exactly, every time.
-  std::vector<double> values(10000);
-  for (size_t i = 0; i < values.size(); ++i) {
-    values[i] = 1.0 / (1.0 + static_cast<double>(i));
-  }
-  const size_t grain = 97;
-  auto run = [&](uint32_t threads) {
-    return OrderedReduce<double>(
-        pool, 0, values.size(), grain, threads, 0.0,
-        [&](const ParallelChunk& c, double& acc) {
-          for (size_t i = c.begin; i < c.end; ++i) {
-            acc += values[i];
-          }
-        },
-        [](double& total, const double& part) { total += part; });
-  };
-  const double serial = run(1);
-  for (int rep = 0; rep < 5; ++rep) {
-    const double parallel = run(4);
-    EXPECT_EQ(serial, parallel);  // bitwise, not near
-  }
-}
-
 TEST(ThreadPoolTest, ReusableAcrossManyJobs) {
   ThreadPool pool(4);
   for (int job = 0; job < 200; ++job) {
@@ -131,13 +105,11 @@ TEST(ThreadPoolTest, ReusableAcrossManyJobs) {
 // host_threads must be a pure wall-clock knob: every simulated statistic and
 // every output value byte-identical to the single-threaded run. ---
 
-// Simulated statistics + values only — everything the bench StatsFingerprint
-// freezes. Cross-CONFIG equality gates (e.g. collect-fold on vs off) use
-// this form: the host-side record-stream telemetry legitimately differs
-// there (shrinking it is the point).
+// Everything the bench StatsFingerprint freezes, plus the buffered push
+// record count (host telemetry outside the fingerprint, but deterministic
+// for any host_threads all the same).
 template <typename Value>
-void ExpectIdenticalSimStats(const RunResult<Value>& a,
-                             const RunResult<Value>& b) {
+void ExpectIdenticalRuns(const RunResult<Value>& a, const RunResult<Value>& b) {
   EXPECT_EQ(a.values, b.values);
   // Identical runs must have been accounted under the same contract — a
   // per-record fingerprint never compares equal to a per-destination one.
@@ -175,18 +147,7 @@ void ExpectIdenticalSimStats(const RunResult<Value>& a,
               b.stats.iteration_logs[i].direction);
     EXPECT_EQ(a.stats.iteration_logs[i].ms, b.stats.iteration_logs[i].ms);
   }
-}
-
-// Same-config comparisons (thread sweeps, toggle-changes-nothing tests)
-// additionally pin the host-side record-stream telemetry: candidates are a
-// simulated stat, and a folding collect runs a thread-count-stable chunk
-// plan, so all three fields are deterministic for any host_threads.
-template <typename Value>
-void ExpectIdenticalRuns(const RunResult<Value>& a, const RunResult<Value>& b) {
-  ExpectIdenticalSimStats(a, b);
-  EXPECT_EQ(a.stats.push_record_candidates, b.stats.push_record_candidates);
   EXPECT_EQ(a.stats.push_records_buffered, b.stats.push_records_buffered);
-  EXPECT_EQ(a.stats.collect_fold_iterations, b.stats.collect_fold_iterations);
 }
 
 EngineOptions OptionsWithThreads(uint32_t host_threads) {
@@ -470,8 +431,8 @@ TEST(PartitionedReplayTest, ProfileShowsPartitionedDrainOnRangeWorkers) {
 // each destination's records with Combine and issues one Apply per touched
 // destination. The contract: values, stats and touch sets bit-identical
 // across host_threads (including 1, where one inline range drains
-// everything) — not to the per-record drain, which stays byte-for-byte
-// untouched.
+// everything) and across range counts at a fixed thread count — not to the
+// per-record drain, which stays byte-for-byte untouched.
 
 EngineOptions PreCombineOptions(uint32_t host_threads) {
   EngineOptions o = PartitionedPushOptions(host_threads);
@@ -479,14 +440,21 @@ EngineOptions PreCombineOptions(uint32_t host_threads) {
   return o;
 }
 
+// Every thread count drains both over several ranges and as one inline
+// range; each cell must match the 1-thread run.
 template <typename RunFn>
 void SweepPreCombinedThreads(const RunFn& run) {
   const auto serial = run(PreCombineOptions(1));
   ASSERT_TRUE(serial.stats.ok());
   for (uint32_t threads : {2u, 3u, 8u}) {
-    const auto parallel = run(PreCombineOptions(threads));
-    ExpectIdenticalRuns(serial, parallel);
-    EXPECT_TRUE(serial.stats.counters == parallel.stats.counters) << threads;
+    for (bool partitioned : {true, false}) {
+      SCOPED_TRACE(::testing::Message() << "threads=" << threads
+                                        << " partitioned=" << partitioned);
+      const EngineOptions o = PreCombineOptions(threads);
+      const auto parallel = run(partitioned ? o : OneRange(o));
+      ExpectIdenticalRuns(serial, parallel);
+      EXPECT_TRUE(serial.stats.counters == parallel.stats.counters);
+    }
   }
 }
 
@@ -503,6 +471,16 @@ TEST(PreCombinedReplayTest, HighContentionBfsDeterministic) {
   const Graph g = MakeFunnelGraph(2000, 3, /*park_weights=*/false);
   SweepPreCombinedThreads(
       [&](const EngineOptions& o) { return RunBfs(g, 0, MakeK40(), o); });
+}
+
+TEST(PreCombinedReplayTest, BallotOnlyPolicyDeterministic) {
+  // kBallotOnly never consults the worker lane the online bins are keyed
+  // by; the fold drain must stay deterministic under it all the same.
+  const Graph g = MakeFunnelGraph(1000, 3, /*park_weights=*/false);
+  SweepPreCombinedThreads([&](EngineOptions o) {
+    o.filter = FilterPolicy::kBallotOnly;
+    return RunBfs(g, 0, MakeK40(), o);
+  });
 }
 
 TEST(PreCombinedReplayTest, WccOnSkewedRmatDeterministic) {
@@ -601,6 +579,21 @@ TEST(PreCombinedReplayTest, EmptyPushIterationsViaRefill) {
   EXPECT_EQ(with_flag.stats.contract, StatsContract::kPerRecord);
 }
 
+TEST(PreCombinedReplayTest, KCoreIgnoresTheFlag) {
+  // k-Core is the other order-sensitive program (its mid-stream freeze
+  // depends on where in the record stream the threshold is crossed): the
+  // flag must leave the whole run on the per-record drain, byte-identical to
+  // the flag-off run, at every thread count.
+  const Graph g = Graph::FromEdges(GenerateRmat(10, 8, 23), /*directed=*/false);
+  for (uint32_t threads : {1u, 3u, 8u}) {
+    const auto with_flag =
+        RunKCore(g, 8, MakeK40(), PreCombineOptions(threads));
+    ExpectIdenticalRuns(
+        RunKCore(g, 8, MakeK40(), PartitionedPushOptions(threads)), with_flag);
+    EXPECT_EQ(with_flag.stats.contract, StatsContract::kPerRecord) << threads;
+  }
+}
+
 TEST(PreCombinedReplayTest, AtomicChargesCollapseToPerDestination) {
   // Under atomics + pre-combining, each touched destination charges exactly
   // one atomic per iteration, so same-destination conflicts vanish — the
@@ -665,216 +658,12 @@ TEST(PreCombinedReplayTest, ProfileReportsFoldRatio) {
   EXPECT_GT(best_ratio, 100u);
 }
 
-// --- Collect-side pre-combining (fold at the source, kPerDestination) ---
-//
-// With pre_combine_collect on top of pre_combine_replay, chunk workers fold
-// same-chunk same-destination candidates before buffering. The contract:
-// every SIMULATED stat and value is identical to the drain-side-fold-only
-// run of the same drain variant at any host_threads, while the buffered
-// record count — host telemetry — strictly shrinks whenever a chunk
-// revisits destinations.
-
-EngineOptions CollectFoldOptions(uint32_t host_threads) {
-  EngineOptions o = PreCombineOptions(host_threads);
-  o.pre_combine_collect = true;
-  o.pre_combine_collect_min_fold = 0.0;  // force the fold on every iteration
-  return o;
-}
-
-// Sweeps host_threads {1,2,3,8} × {partitioned, serial} drains: every cell
-// must match the 1-thread collect-fold reference bit-for-bit (including the
-// buffered-record telemetry — the folding collect uses a thread-stable
-// chunk plan) AND match the drain-side-fold-only run of the same cell on
-// every simulated stat and value.
-template <typename RunFn>
-void SweepCollectFoldThreads(const RunFn& run) {
-  const auto reference = run(CollectFoldOptions(1));
-  ASSERT_TRUE(reference.stats.ok());
-  for (uint32_t threads : {1u, 2u, 3u, 8u}) {
-    for (bool partitioned : {true, false}) {
-      const auto ranges = [&](EngineOptions o) {
-        return partitioned ? o : OneRange(o);
-      };
-      const EngineOptions fold_on = ranges(CollectFoldOptions(threads));
-      const EngineOptions fold_off = ranges(PreCombineOptions(threads));
-      const auto folded = run(fold_on);
-      SCOPED_TRACE(::testing::Message() << "threads=" << threads
-                                        << " partitioned=" << partitioned);
-      ExpectIdenticalRuns(reference, folded);
-      ExpectIdenticalSimStats(run(fold_off), folded);
-      EXPECT_EQ(folded.stats.contract, StatsContract::kPerDestination);
-    }
-  }
-}
-
-TEST(CollectFoldTest, FunnelBfsFoldsAtTheSourceAndMatchesDrainOnlyFold) {
-  // 2000 spokes -> 3 hubs: the funnel iteration's 6000 candidates share 3
-  // destinations, so each collect chunk emits at most 3 records.
-  const Graph g = MakeFunnelGraph(2000, 3, /*park_weights=*/false);
-  SweepCollectFoldThreads(
-      [&](const EngineOptions& o) { return RunBfs(g, 0, MakeK40(), o); });
-  const auto folded = RunBfs(g, 0, MakeK40(), CollectFoldOptions(3));
-  const auto drain_only = RunBfs(g, 0, MakeK40(), PreCombineOptions(3));
-  EXPECT_LT(folded.stats.push_records_buffered,
-            folded.stats.push_record_candidates);
-  EXPECT_GT(folded.stats.collect_fold_iterations, 0u);
-  EXPECT_EQ(drain_only.stats.push_records_buffered,
-            drain_only.stats.push_record_candidates);
-  EXPECT_EQ(drain_only.stats.collect_fold_iterations, 0u);
-}
-
-TEST(CollectFoldTest, HubHeavyWccSweep) {
-  const Graph g = Graph::FromEdges(GenerateRmat(10, 8, 47), /*directed=*/false);
-  SweepCollectFoldThreads(
-      [&](const EngineOptions& o) { return RunWcc(g, MakeK40(), o); });
-}
-
-TEST(CollectFoldTest, SameDestinationAcrossChunkBoundaryEmitsOneRecordEach) {
-  // 600 spokes -> ONE hub. The spoke frontier is Thread-class (min grain
-  // 256), so the stable plan splits it into 3 chunks and the hub's 600
-  // candidates must emit exactly one record PER CHUNK — the fold never
-  // crosses a chunk boundary (that is the drain-side fold's job).
-  const uint32_t kSpokes = 600;
-  const ChunkPlan plan = PlanChunksStable(kSpokes, 256);
-  ASSERT_EQ(plan.chunks, 3u);
-  const Graph g = MakeFunnelGraph(kSpokes, 1, /*park_weights=*/false);
-  const auto folded = RunBfs(g, 0, MakeK40(), CollectFoldOptions(3));
-  ASSERT_TRUE(folded.stats.ok());
-  // Push iterations: root->600 spokes (600 distinct dsts, 600 records),
-  // spokes->hub (600 candidates, one record per chunk), hub->tail (1).
-  EXPECT_EQ(folded.stats.push_record_candidates, 600u + 600u + 1u);
-  EXPECT_EQ(folded.stats.push_records_buffered, 600u + plan.chunks + 1u);
-  SweepCollectFoldThreads(
-      [&](const EngineOptions& o) { return RunBfs(g, 0, MakeK40(), o); });
-}
-
-TEST(CollectFoldTest, PageRankFloatingPointFoldIsThreadCountStable) {
-  // FP residual sums make the fold's chunk grouping bit-visible: this is the
-  // test that the stable chunk plan actually pins it. Values only need to
-  // match the drain-only fold up to reassociation (asserted NEAR below), but
-  // across thread counts and drain variants they must be bit-identical —
-  // SweepCollectFoldThreads would trip on any grouping drift.
-  const Graph g = MakeFunnelGraph(800, 4, /*park_weights=*/false);
-  const auto run = [&](const EngineOptions& o) {
-    return RunPageRank(g, MakeK40(), o, /*epsilon=*/1e-10);
-  };
-  const auto reference = run(CollectFoldOptions(1));
-  ASSERT_TRUE(reference.stats.ok());
-  for (uint32_t threads : {2u, 3u, 8u}) {
-    for (bool partitioned : {true, false}) {
-      const EngineOptions o = CollectFoldOptions(threads);
-      ExpectIdenticalRuns(reference, run(partitioned ? o : OneRange(o)));
-    }
-  }
-  const auto drain_only = run(PreCombineOptions(1));
-  ASSERT_EQ(reference.values.size(), drain_only.values.size());
-  for (VertexId v = 0; v < g.vertex_count(); ++v) {
-    EXPECT_NEAR(reference.values[v].rank, drain_only.values[v].rank, 1e-9) << v;
-  }
-}
-
-TEST(CollectFoldTest, PageRankResidualPushConservesMass) {
-  // Undirected grid (no dangling sinks): the collect-side fold must conserve
-  // the residual mass the consume hands out, like both existing drains.
-  const Graph g =
-      Graph::FromEdges(GenerateGridRoad(30, 30, 2), /*directed=*/false);
-  const auto result =
-      RunPageRank(g, MakeK40(), CollectFoldOptions(3), /*epsilon=*/1e-10);
-  ASSERT_TRUE(result.stats.ok());
-  double sum = 0.0;
-  for (const auto& value : result.values) {
-    sum += value.rank;
-  }
-  EXPECT_NEAR(sum, 1.0, 1e-6);
-}
-
-TEST(CollectFoldTest, CostModelSkipsLowReuseIterations) {
-  // Default min_fold with a chain graph: one candidate per destination, the
-  // reuse estimate stays ~1 and the fold-table walk must never engage (the
-  // record stream is already minimal). The funnel's hub iteration clears the
-  // default threshold and folds.
-  EdgeList e;
-  for (VertexId v = 0; v < 199; ++v) {
-    e.Add(v, v + 1, 1);
-  }
-  const Graph chain = Graph::FromEdges(e, /*directed=*/true);
-  EngineOptions gated = PreCombineOptions(3);
-  gated.pre_combine_collect = true;  // min_fold stays at the default
-  const auto chain_run = RunBfs(chain, 0, MakeK40(), gated);
-  ASSERT_TRUE(chain_run.stats.ok());
-  EXPECT_EQ(chain_run.stats.collect_fold_iterations, 0u);
-  EXPECT_EQ(chain_run.stats.push_records_buffered,
-            chain_run.stats.push_record_candidates);
-
-  const Graph funnel = MakeFunnelGraph(2000, 3, /*park_weights=*/false);
-  const auto funnel_run = RunBfs(funnel, 0, MakeK40(), gated);
-  ASSERT_TRUE(funnel_run.stats.ok());
-  EXPECT_GT(funnel_run.stats.collect_fold_iterations, 0u);
-  EXPECT_LT(funnel_run.stats.push_records_buffered,
-            funnel_run.stats.push_record_candidates);
-  // Gating is simulated-stats-driven, so a gated run still matches the
-  // always-fold run on every simulated stat (only the fold decision per
-  // iteration — and hence the buffered telemetry — can differ).
-  ExpectIdenticalSimStats(funnel_run,
-                          RunBfs(funnel, 0, MakeK40(), CollectFoldOptions(3)));
-}
-
-TEST(CollectFoldTest, PerRecordContractUntouchedWithoutPreCombineReplay) {
-  // pre_combine_collect without pre_combine_replay must be a no-op: folding
-  // records under the per-record drain would change kPerRecord stats, so the
-  // engine refuses, and the run stays byte-identical to a default-options
-  // run — including the record-stream telemetry — at every thread count.
-  const Graph g = MakeFunnelGraph(1500, 3, /*park_weights=*/false);
-  for (uint32_t threads : {1u, 2u, 3u, 8u}) {
-    EngineOptions collect_only = PushOptions(threads);
-    collect_only.pre_combine_collect = true;
-    collect_only.pre_combine_collect_min_fold = 0.0;
-    const auto r = RunBfs(g, 0, MakeK40(), collect_only);
-    ExpectIdenticalRuns(RunBfs(g, 0, MakeK40(), PushOptions(threads)), r);
-    EXPECT_EQ(r.stats.contract, StatsContract::kPerRecord);
-    EXPECT_EQ(r.stats.collect_fold_iterations, 0u);
-    EXPECT_EQ(r.stats.push_records_buffered, r.stats.push_record_candidates);
-  }
-}
-
-TEST(CollectFoldTest, OrderSensitiveProgramsIgnoreTheFlagEntirely) {
-  // SSSP (bucket parking) and k-Core (mid-stream freeze) must stay on the
-  // per-record drain with an untouched record stream even with both
-  // pre-combine flags set.
-  const Graph g = MakeFunnelGraph(1500, 3, /*park_weights=*/true);
-  const auto sssp = RunSssp(g, 0, MakeK40(), CollectFoldOptions(3));
-  ExpectIdenticalRuns(RunSssp(g, 0, MakeK40(), PartitionedPushOptions(3)), sssp);
-  EXPECT_EQ(sssp.stats.contract, StatsContract::kPerRecord);
-  EXPECT_EQ(sssp.stats.push_records_buffered, sssp.stats.push_record_candidates);
-
-  const Graph rmat = Graph::FromEdges(GenerateRmat(10, 8, 23), /*directed=*/false);
-  const auto kcore = RunKCore(rmat, 8, MakeK40(), CollectFoldOptions(3));
-  ExpectIdenticalRuns(RunKCore(rmat, 8, MakeK40(), PartitionedPushOptions(3)),
-                      kcore);
-  EXPECT_EQ(kcore.stats.contract, StatsContract::kPerRecord);
-  EXPECT_EQ(kcore.stats.collect_fold_iterations, 0u);
-}
-
-TEST(CollectFoldTest, BallotOnlyPolicyDropsTheWorkerLane) {
-  // Same results with and without the worker lane (kBallotOnly never reads
-  // it); the drop is pure memory diet. kJit keeps the lane — also asserted
-  // as a same-stats run, since the lane itself is not observable in stats,
-  // only through bin routing (covered by every other test at kJit).
-  const Graph g = MakeFunnelGraph(1000, 3, /*park_weights=*/false);
-  EngineOptions ballot = CollectFoldOptions(3);
-  ballot.filter = FilterPolicy::kBallotOnly;
-  EngineOptions ballot_serial = CollectFoldOptions(1);
-  ballot_serial.filter = FilterPolicy::kBallotOnly;
-  ExpectIdenticalRuns(RunBfs(g, 0, MakeK40(), ballot_serial),
-                      RunBfs(g, 0, MakeK40(), ballot));
-}
-
 // --- PushBuffer mechanics ---
 
 TEST(PushBufferTest, RegrowsAndReusesCapacity) {
   PushBuffer<uint32_t> buf;
   // First fill: everything regrows from empty.
-  buf.BeginCollect(0, false, /*store_workers=*/true, false);
+  buf.BeginCollect(0, false);
   buf.BeginSource(7, /*src_range=*/0);
   for (uint32_t i = 0; i < 1000; ++i) {
     buf.Append(/*dst=*/i, /*worker=*/i % 48, /*cand=*/i * 3, /*dst_range=*/0);
@@ -886,7 +675,7 @@ TEST(PushBufferTest, RegrowsAndReusesCapacity) {
   const size_t warm_capacity = buf.capacity();
 
   // BeginCollect keeps capacity: a same-sized refill must not reallocate.
-  buf.BeginCollect(0, false, /*store_workers=*/true, false);
+  buf.BeginCollect(0, false);
   EXPECT_TRUE(buf.empty());
   EXPECT_EQ(buf.capacity(), warm_capacity);
   EXPECT_EQ(buf.cost.alu_ops, 0u);
@@ -900,7 +689,7 @@ TEST(PushBufferTest, RegrowsAndReusesCapacity) {
   EXPECT_EQ(buf.cand(0), 42u);
 
   // Overflowing the warm capacity regrows without corrupting contents.
-  buf.BeginCollect(0, false, /*store_workers=*/true, false);
+  buf.BeginCollect(0, false);
   const uint32_t overflow = static_cast<uint32_t>(warm_capacity) + 123;
   for (uint32_t v = 0; v < 4; ++v) {
     buf.BeginSource(v, /*src_range=*/0);
@@ -919,64 +708,16 @@ TEST(PushBufferTest, RegrowsAndReusesCapacity) {
   EXPECT_EQ(r, buf.size());
 }
 
-// Minimal Combine carrier for the FoldInto unit tests.
-struct MinFoldProgram {
-  uint32_t Combine(uint32_t a, uint32_t b) const { return std::min(a, b); }
-};
-
-TEST(PushBufferTest, FoldIntoLeftFoldsAndCountsCandidates) {
+TEST(PushBufferTest, FootprintCountsLanesAndBuckets) {
   PushBuffer<uint32_t> buf;
-  buf.BeginCollect(/*ranges=*/0, /*track_spans=*/false, /*store_workers=*/true,
-                   /*store_fold_counts=*/true);
-  const MinFoldProgram program;
-  buf.BeginSource(1, 0);
-  const uint32_t slot_a = buf.Append(/*dst=*/5, /*worker=*/7, /*cand=*/30, 0);
-  buf.Append(/*dst=*/6, /*worker=*/8, /*cand=*/50, 0);
-  // Two later candidates for dst 5 fold into its first record: the candidate
-  // left-folds, the fold count grows, dst/worker stay the first record's.
-  buf.FoldInto(slot_a, 10, program);
-  buf.FoldInto(slot_a, 20, program);
-  ASSERT_EQ(buf.size(), 2u);
-  EXPECT_EQ(buf.dst(slot_a), 5u);
-  EXPECT_EQ(buf.worker(slot_a), 7u);
-  EXPECT_EQ(buf.cand(slot_a), 10u);
-  EXPECT_EQ(buf.fold_count(slot_a), 3u);
-  EXPECT_EQ(buf.fold_count(1), 1u);
-  // Spans count only APPENDED records — folded candidates belong to the
-  // record they merged into.
-  ASSERT_EQ(buf.sources().size(), 1u);
-  EXPECT_EQ(buf.sources()[0].num_records, 2u);
-}
-
-TEST(PushBufferTest, WorkerLaneDroppedWhenUnobserved) {
-  PushBuffer<uint32_t> with_lane;
-  with_lane.BeginCollect(0, false, /*store_workers=*/true, false);
-  with_lane.BeginSource(0, 0);
-  with_lane.Append(1, /*worker=*/9, 11, 0);
-
-  PushBuffer<uint32_t> without_lane;
-  without_lane.BeginCollect(0, false, /*store_workers=*/false, false);
-  without_lane.BeginSource(0, 0);
-  without_lane.Append(1, /*worker=*/9, 11, 0);
-
-  EXPECT_EQ(with_lane.worker(0), 9u);
-  EXPECT_EQ(without_lane.worker(0), 0u);  // lane dropped, constant 0
-  // The diet is visible in the footprint: 4 bytes per record saved.
-  EXPECT_EQ(with_lane.FootprintBytes() - without_lane.FootprintBytes(),
-            sizeof(uint32_t));
-}
-
-TEST(PushBufferTest, FootprintCountsArmedLanesAndBuckets) {
-  PushBuffer<uint32_t> buf;
-  // Bucketed + fold counts: per record dst(4) + cand(4) + worker(4) +
-  // fold count(4) + bucket index(4), plus one span.
-  buf.BeginCollect(/*ranges=*/4, /*track_spans=*/false, /*store_workers=*/true,
-                   /*store_fold_counts=*/true);
+  // Bucketed: per record dst(4) + cand(4) + worker(4) + bucket index(4),
+  // plus one span.
+  buf.BeginCollect(/*ranges=*/4, /*track_spans=*/false);
   buf.BeginSource(0, 0);
   buf.Append(1, 0, 11, /*dst_range=*/2);
   buf.Append(2, 0, 22, /*dst_range=*/3);
   EXPECT_EQ(buf.FootprintBytes(),
-            2 * (5 * sizeof(uint32_t)) + sizeof(PushSourceSpan));
+            2 * (4 * sizeof(uint32_t)) + sizeof(PushSourceSpan));
   std::vector<uint32_t> owned;
   buf.ForEachRecord(2, [&](uint32_t i) { owned.push_back(i); });
   EXPECT_EQ(owned, std::vector<uint32_t>{0u});
@@ -992,8 +733,7 @@ TEST(PushBufferTest, RangeWalksInterleaveConsumesAtSpanEnds) {
   const std::vector<std::pair<VertexId, std::vector<VertexId>>> stream = {
       {10, {1, 2}}, {11, {}}, {12, {2, 3}}};
   const auto collect = [&](PushBuffer<uint32_t>& buf, uint32_t ranges) {
-    buf.BeginCollect(ranges, /*track_spans=*/true, /*store_workers=*/true,
-                     /*store_fold_counts=*/false);
+    buf.BeginCollect(ranges, /*track_spans=*/true);
     for (const auto& [src, dsts] : stream) {
       buf.BeginSource(src, ranges > 1 ? src % 2 : 0);
       for (const VertexId d : dsts) {
@@ -1037,28 +777,6 @@ TEST(PlanChunksTest, CollapsesToOneChunkWhenSerial) {
   EXPECT_GT(parallel.chunks, 1u);
   EXPECT_EQ(parallel.chunks,
             ThreadPool::NumChunks(0, 100000, parallel.grain));
-}
-
-TEST(PlanChunksStableTest, IndependentOfThreadsAndNeverBelowGrainFloor) {
-  EXPECT_EQ(PlanChunksStable(0, 64).chunks, 0u);
-  // Small ranges: one chunk (grain floored at min_grain covers everything).
-  const ChunkPlan tiny = PlanChunksStable(100, 256);
-  EXPECT_EQ(tiny.chunks, 1u);
-  EXPECT_EQ(tiny.grain, 256u);
-  // Mid-size range: several chunks, boundary formula = ParallelFor's.
-  const ChunkPlan mid = PlanChunksStable(600, 256);
-  EXPECT_EQ(mid.grain, 256u);
-  EXPECT_EQ(mid.chunks, ThreadPool::NumChunks(0, 600, mid.grain));
-  EXPECT_EQ(mid.chunks, 3u);
-  // Large range: chunk count capped at kStableMaxChunks.
-  const ChunkPlan big = PlanChunksStable(10'000'000, 4);
-  EXPECT_LE(big.chunks, kStableMaxChunks);
-  EXPECT_EQ(big.chunks, ThreadPool::NumChunks(0, 10'000'000, big.grain));
-  // The whole point: no thread-count or pool argument exists, so the plan
-  // cannot depend on either — unlike PlanChunks, which collapses to one
-  // chunk without a pool.
-  EXPECT_EQ(PlanChunks(600, 1, 256, 512, true).chunks, 1u);
-  EXPECT_EQ(PlanChunksStable(600, 256).chunks, 3u);
 }
 
 TEST(CollectAndDrainTest, DrainOrderIsChunkOrderForAnyThreadCount) {
@@ -1173,11 +891,10 @@ TEST(BalancedRangeBoundariesTest, ZeroElements) {
 }
 
 TEST(PlanChunksTest, ZeroElementsProducesNoChunks) {
-  // Regression: both planners must return chunks == 0 (not a single empty
+  // Regression: the planner must return chunks == 0 (not a single empty
   // chunk) for n == 0 — the engine's drains iterate plan.chunks directly.
   EXPECT_EQ(PlanChunks(0, 8, 64, 512, true).chunks, 0u);
   EXPECT_EQ(PlanChunks(0, 1, 64, 512, false).chunks, 0u);
-  EXPECT_EQ(PlanChunksStable(0, 1).chunks, 0u);
 }
 
 }  // namespace

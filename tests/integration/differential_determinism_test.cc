@@ -6,8 +6,8 @@
 // seed-randomized graphs from three generator families (R-MAT, Erdős–Rényi,
 // small-world) across the full algorithm suite, host thread counts
 // {1, 2, 3, 8}, pinned directions (natural / force_push / force_pull) and
-// three replay modes (per-record / drain-side fold / drain-side fold +
-// collect-side pre-combining), asserting for every cell:
+// two replay modes (per-record / pre-combined drain), asserting for every
+// cell:
 //
 //   * DIFFERENTIAL DETERMINISM: the bench StatsFingerprint (counters,
 //     simulated time, patterns, raw value bytes) of every multi-threaded run
@@ -129,24 +129,13 @@ const char* Name(Dir d) {
   }
 }
 
-// Replay-accounting mode: the per-record contract, the drain-side fold
-// (kPerDestination), and the drain-side fold with collect-side
-// pre-combining stacked on top (min_fold 0 forces the fold-table walk on
-// every push iteration, so tiny graphs still exercise it — including the
-// thread-count-stable chunk plan that keeps FP folds bit-identical).
-enum class Mode { kPerRecord, kPreCombine, kPreCombineCollect };
-constexpr Mode kModes[] = {Mode::kPerRecord, Mode::kPreCombine,
-                           Mode::kPreCombineCollect};
+// Replay-accounting mode: the per-record contract or the pre-combined
+// drain (kPerDestination).
+enum class Mode { kPerRecord, kPreCombine };
+constexpr Mode kModes[] = {Mode::kPerRecord, Mode::kPreCombine};
 
 const char* Name(Mode m) {
-  switch (m) {
-    case Mode::kPerRecord:
-      return "per_record";
-    case Mode::kPreCombine:
-      return "pre_combine";
-    default:
-      return "pre_combine_collect";
-  }
+  return m == Mode::kPerRecord ? "per_record" : "pre_combine";
 }
 
 EngineOptions Options(uint32_t threads, Dir dir, Mode mode) {
@@ -155,9 +144,7 @@ EngineOptions Options(uint32_t threads, Dir dir, Mode mode) {
   o.sim_worker_threads = 64;  // small graphs: keep the online filter viable
   o.force_push = dir == Dir::kForcePush;
   o.force_pull = dir == Dir::kForcePull;
-  o.pre_combine_replay = mode != Mode::kPerRecord;
-  o.pre_combine_collect = mode == Mode::kPreCombineCollect;
-  o.pre_combine_collect_min_fold = 0.0;
+  o.pre_combine_replay = mode == Mode::kPreCombine;
   o.parallel_replay_min_records = 0;  // tiny graphs must still partition
   return o;
 }
@@ -176,14 +163,10 @@ void SweepCell(const std::string& label, Dir dir, Mode mode, const RunFn& run,
     const auto parallel = run(Options(threads, dir, mode));
     EXPECT_EQ(bench::StatsFingerprint(parallel), serial_print)
         << "host_threads=" << threads;
-    // The record-stream telemetry is outside the fingerprint by design
-    // (collect-fold-on vs -off runs must stay fingerprint-comparable), so
-    // pin its thread-count determinism here.
+    // The buffered record count is outside the fingerprint (host-side
+    // telemetry), so pin its thread-count determinism here.
     EXPECT_EQ(parallel.stats.push_records_buffered,
               serial.stats.push_records_buffered)
-        << "host_threads=" << threads;
-    EXPECT_EQ(parallel.stats.push_record_candidates,
-              serial.stats.push_record_candidates)
         << "host_threads=" << threads;
   }
 }
@@ -315,14 +298,13 @@ TEST(DifferentialDeterminismTest, PreCombinedPushBpMatchesOracle) {
   for (uint64_t seed = 1; seed <= 3; ++seed) {
     const Graph g =
         Graph::FromEdges(GenerateUniformRandom(200, 1200, seed), false);
-    for (Mode mode : {Mode::kPreCombine, Mode::kPreCombineCollect}) {
-      const auto r = RunBp(g, 10, MakeK40(), Options(3, Dir::kForcePush, mode));
-      ASSERT_TRUE(r.stats.ok());
-      const std::vector<double> expected = CpuBp(g, 10);
-      for (VertexId v = 0; v < g.vertex_count(); ++v) {
-        EXPECT_NEAR(r.values[v], expected[v], 1e-9)
-            << "seed " << seed << " mode " << Name(mode) << " vertex " << v;
-      }
+    const auto r =
+        RunBp(g, 10, MakeK40(), Options(3, Dir::kForcePush, Mode::kPreCombine));
+    ASSERT_TRUE(r.stats.ok());
+    const std::vector<double> expected = CpuBp(g, 10);
+    for (VertexId v = 0; v < g.vertex_count(); ++v) {
+      EXPECT_NEAR(r.values[v], expected[v], 1e-9)
+          << "seed " << seed << " vertex " << v;
     }
   }
 }
@@ -332,14 +314,13 @@ TEST(DifferentialDeterminismTest, PreCombinedPushSpmvMatchesOracle) {
     const Graph g =
         Graph::FromEdges(GenerateUniformRandom(200, 1200, seed), false);
     const std::vector<double> x = SpmvInput(g);
-    for (Mode mode : {Mode::kPreCombine, Mode::kPreCombineCollect}) {
-      const auto r = RunSpmv(g, x, MakeK40(), Options(3, Dir::kForcePush, mode));
-      ASSERT_TRUE(r.stats.ok());
-      const std::vector<double> expected = CpuSpmv(g, x);
-      for (VertexId v = 0; v < g.vertex_count(); ++v) {
-        EXPECT_NEAR(r.values[v].y, expected[v], 1e-9)
-            << "seed " << seed << " mode " << Name(mode) << " vertex " << v;
-      }
+    const auto r = RunSpmv(g, x, MakeK40(),
+                           Options(3, Dir::kForcePush, Mode::kPreCombine));
+    ASSERT_TRUE(r.stats.ok());
+    const std::vector<double> expected = CpuSpmv(g, x);
+    for (VertexId v = 0; v < g.vertex_count(); ++v) {
+      EXPECT_NEAR(r.values[v].y, expected[v], 1e-9)
+          << "seed " << seed << " vertex " << v;
     }
   }
 }

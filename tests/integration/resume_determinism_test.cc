@@ -58,8 +58,6 @@ EngineOptions BaseOptions(uint32_t threads, bool pre_combine) {
   o.host_threads = threads;
   o.parallel_replay_min_records = 0;  // tiny graphs must still partition
   o.pre_combine_replay = pre_combine;
-  o.pre_combine_collect = pre_combine;
-  o.pre_combine_collect_min_fold = 0.0;
   return o;
 }
 

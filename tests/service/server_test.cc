@@ -37,7 +37,7 @@ class ServerTest : public ::testing::Test {
 };
 
 TEST_F(ServerTest, UdsAnswerIsBitEqualToDirectSubmit) {
-  BlockingClient cli;
+  BlockingClient cli(kTestTimeouts);
   std::string err;
   ASSERT_EQ(cli.ConnectUds(h_->uds, &err), ClientStatus::kOk) << err;
   wire::Frame reply;
@@ -51,7 +51,7 @@ TEST_F(ServerTest, UdsAnswerIsBitEqualToDirectSubmit) {
 }
 
 TEST_F(ServerTest, TcpAnswerMatchesToo) {
-  BlockingClient cli;
+  BlockingClient cli(kTestTimeouts);
   std::string err;
   ASSERT_EQ(cli.ConnectTcp("127.0.0.1", h_->server->tcp_port(), &err),
             ClientStatus::kOk)
@@ -73,7 +73,7 @@ TEST_F(ServerTest, ConcurrentClientsAllGetTheirOwnAnswers) {
   std::vector<int> failures(kClients, 0);
   for (int c = 0; c < kClients; ++c) {
     threads.emplace_back([&, c] {
-      BlockingClient cli;
+      BlockingClient cli(kTestTimeouts);
       std::string err;
       if (cli.ConnectUds(h_->uds, &err) != ClientStatus::kOk) {
         failures[c] = kPerClient;
@@ -100,7 +100,7 @@ TEST_F(ServerTest, ConcurrentClientsAllGetTheirOwnAnswers) {
 }
 
 TEST_F(ServerTest, RawGarbageGetsBadFrameRejectThenClose) {
-  BlockingClient cli;
+  BlockingClient cli(kTestTimeouts);
   std::string err;
   ASSERT_EQ(cli.ConnectUds(h_->uds, &err), ClientStatus::kOk);
   const char garbage[] = "GET / HTTP/1.1\r\n\r\n";  // wrong protocol entirely
@@ -125,7 +125,7 @@ TEST_F(ServerTest, EveryMalformedFrameGetsItsTypedRejectOverTheSocket) {
     SCOPED_TRACE(mc.name);
     // Bounded reads: a server that keeps a desynced stream open must fail
     // the row, not hang it.
-    BlockingClient cli(ClientTimeouts{5000.0, 5000.0, 5000.0});
+    BlockingClient cli(kTestTimeouts);
     std::string err;
     ASSERT_EQ(cli.ConnectUds(h_->uds, &err), ClientStatus::kOk) << err;
     ASSERT_EQ(cli.SendRaw(mc.bytes.data(), mc.bytes.size(), &err),
@@ -160,7 +160,7 @@ TEST_F(ServerTest, OutOfRangeKindByteIsInvalidQueryNotACrash) {
   // The codec carries the hostile byte intact; ADMISSION refuses it before
   // any per-kind array is indexed (the kind-byte bound-guard fix). The
   // connection survives — the frame itself was well-formed.
-  BlockingClient cli;
+  BlockingClient cli(kTestTimeouts);
   std::string err;
   ASSERT_EQ(cli.ConnectUds(h_->uds, &err), ClientStatus::kOk);
   wire::RequestFrame rf = BfsRequest(0);
@@ -175,7 +175,7 @@ TEST_F(ServerTest, OutOfRangeKindByteIsInvalidQueryNotACrash) {
 }
 
 TEST_F(ServerTest, InvalidSourceMapsToInvalidQueryReject) {
-  BlockingClient cli;
+  BlockingClient cli(kTestTimeouts);
   std::string err;
   ASSERT_EQ(cli.ConnectUds(h_->uds, &err), ClientStatus::kOk);
   wire::RequestFrame rf = BfsRequest(0);
@@ -188,7 +188,7 @@ TEST_F(ServerTest, InvalidSourceMapsToInvalidQueryReject) {
 }
 
 TEST_F(ServerTest, TornWriteReassemblesIntoANormalAnswer) {
-  BlockingClient cli;
+  BlockingClient cli(kTestTimeouts);
   std::string err;
   ASSERT_EQ(cli.ConnectUds(h_->uds, &err), ClientStatus::kOk);
   wire::RequestFrame rf = BfsRequest(2);
@@ -210,7 +210,7 @@ TEST_F(ServerTest, GenerousRelativeDeadlineCompletesDespiteTransitDelay) {
   // The wire deadline is relative to SERVER admission: a client-side pause
   // between encoding and sending must not erode it (absolute semantics
   // would make this flaky; relative semantics make it a non-event).
-  BlockingClient cli;
+  BlockingClient cli(kTestTimeouts);
   std::string err;
   ASSERT_EQ(cli.ConnectUds(h_->uds, &err), ClientStatus::kOk);
   wire::RequestFrame rf = BfsRequest(0);
@@ -226,7 +226,7 @@ TEST_F(ServerTest, GenerousRelativeDeadlineCompletesDespiteTransitDelay) {
 }
 
 TEST_F(ServerTest, ServerStatsLedgerAddsUp) {
-  BlockingClient cli;
+  BlockingClient cli(kTestTimeouts);
   std::string err;
   ASSERT_EQ(cli.ConnectUds(h_->uds, &err), ClientStatus::kOk);
   wire::Frame reply;
@@ -257,7 +257,7 @@ TEST_F(ServerTest, CloseMidWriteDoesNotKillServer) {
   // the whole process on the first iteration.
   std::string err;
   for (int i = 0; i < 30; ++i) {
-    BlockingClient cli;
+    BlockingClient cli(kTestTimeouts);
     ASSERT_EQ(cli.ConnectUds(h_->uds, &err), ClientStatus::kOk);
     std::vector<uint8_t> bytes;
     wire::EncodeRequest(BfsRequest(static_cast<VertexId>(i % 64)), &bytes);
@@ -266,7 +266,7 @@ TEST_F(ServerTest, CloseMidWriteDoesNotKillServer) {
   }
   for (int i = 0; i < 10; ++i) {
     // The between-header-and-body variant: leave the decoder mid-frame.
-    BlockingClient cli;
+    BlockingClient cli(kTestTimeouts);
     ASSERT_EQ(cli.ConnectUds(h_->uds, &err), ClientStatus::kOk);
     std::vector<uint8_t> bytes;
     wire::EncodeRequest(BfsRequest(0), &bytes);
@@ -274,7 +274,7 @@ TEST_F(ServerTest, CloseMidWriteDoesNotKillServer) {
     cli.Close();
   }
   // The process survived; the server still answers.
-  BlockingClient cli;
+  BlockingClient cli(kTestTimeouts);
   ASSERT_EQ(cli.ConnectUds(h_->uds, &err), ClientStatus::kOk);
   wire::Frame reply;
   ASSERT_EQ(cli.Call(BfsRequest(1), &reply, &err), ClientStatus::kOk) << err;
@@ -309,7 +309,7 @@ TEST_F(ServerTest, FdChurnSoakReturnsToBaseline) {
   {
     // Warm-up: first query initializes lazy process state (thread pool,
     // arenas) whose fds must not count against the churn.
-    BlockingClient cli;
+    BlockingClient cli(kTestTimeouts);
     ASSERT_EQ(cli.ConnectUds(h_->uds, &err), ClientStatus::kOk);
     wire::Frame reply;
     ASSERT_EQ(cli.Call(BfsRequest(0), &reply, &err), ClientStatus::kOk);
@@ -319,7 +319,7 @@ TEST_F(ServerTest, FdChurnSoakReturnsToBaseline) {
   const int baseline = CountOpenFds();
   ASSERT_GT(baseline, 0);
   for (int i = 0; i < 300; ++i) {
-    BlockingClient cli;
+    BlockingClient cli(kTestTimeouts);
     ASSERT_EQ(cli.ConnectUds(h_->uds, &err), ClientStatus::kOk);
     wire::Frame reply;
     ASSERT_EQ(cli.Call(BfsRequest(static_cast<VertexId>(i % 128)), &reply,
@@ -344,8 +344,8 @@ TEST(ServerLifecycleTest, ConnectionSlotsRecycleAfterOverflow) {
   Harness h(opts);
   ASSERT_TRUE(h.ok) << h.error;
   std::string err;
-  BlockingClient a;
-  BlockingClient b;
+  BlockingClient a(kTestTimeouts);
+  BlockingClient b(kTestTimeouts);
   ASSERT_EQ(a.ConnectUds(h.uds, &err), ClientStatus::kOk);
   ASSERT_EQ(b.ConnectUds(h.uds, &err), ClientStatus::kOk);
   wire::Frame reply;
@@ -355,10 +355,7 @@ TEST(ServerLifecycleTest, ConnectionSlotsRecycleAfterOverflow) {
 
   // Third connection: connect() lands in the backlog, then the dispatch
   // loop closes it at the cap — the client's next read sees the EOF.
-  BlockingClient c;
-  ClientTimeouts t;
-  t.recv_ms = 3000.0;
-  c.set_timeouts(t);
+  BlockingClient c(kTestTimeouts);
   ASSERT_EQ(c.ConnectUds(h.uds, &err), ClientStatus::kOk);
   const ClientStatus over = c.Call(BfsRequest(2, 3), &reply, &err);
   // EPIPE on the send or EOF on the read, depending on who raced whom —
@@ -374,8 +371,7 @@ TEST(ServerLifecycleTest, ConnectionSlotsRecycleAfterOverflow) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
   while (!recycled && std::chrono::steady_clock::now() < deadline) {
-    BlockingClient d;
-    d.set_timeouts(t);
+    BlockingClient d(kTestTimeouts);
     if (d.ConnectUds(h.uds, &err) == ClientStatus::kOk &&
         d.Call(BfsRequest(3, 4), &reply, &err) == ClientStatus::kOk &&
         reply.type == wire::MsgType::kResponse) {
@@ -436,9 +432,7 @@ TEST(ServerLifecycleTest, SlowLorisPartialFrameGetsTimedOutReject) {
   Harness h(opts);
   ASSERT_TRUE(h.ok) << h.error;
   std::string err;
-  ClientTimeouts t;
-  t.recv_ms = 5000.0;
-  BlockingClient cli(t);
+  BlockingClient cli(kTestTimeouts);
   ASSERT_EQ(cli.ConnectUds(h.uds, &err), ClientStatus::kOk);
   std::vector<uint8_t> bytes;
   wire::EncodeRequest(BfsRequest(0, 1), &bytes);
@@ -460,9 +454,7 @@ TEST(ServerLifecycleTest, IdleConnectionsAreReaped) {
   Harness h(opts);
   ASSERT_TRUE(h.ok) << h.error;
   std::string err;
-  ClientTimeouts t;
-  t.recv_ms = 5000.0;
-  BlockingClient cli(t);
+  BlockingClient cli(kTestTimeouts);
   ASSERT_EQ(cli.ConnectUds(h.uds, &err), ClientStatus::kOk);
   // Say nothing, owe nothing: the reap is a plain close (EOF), no reject —
   // there is no request to answer.
@@ -479,7 +471,7 @@ TEST(ServerLifecycleTest, SlowReaderOverOutbufCapIsClosed) {
   Harness h(opts);
   ASSERT_TRUE(h.ok) << h.error;
   std::string err;
-  BlockingClient cli;
+  BlockingClient cli(kTestTimeouts);
   ASSERT_EQ(cli.ConnectUds(h.uds, &err), ClientStatus::kOk);
   // 64 want_values requests, never reading a byte back: ~36 KB of replies
   // pile up behind a 4 KB kernel buffer, blow the 8 KB cap, and the stall
@@ -577,7 +569,7 @@ TEST(ServerDrainTest, DrainDeadlineDropsStuckReplies) {
   Harness h({}, so);
   ASSERT_TRUE(h.ok) << h.error;
   std::string err;
-  BlockingClient cli;
+  BlockingClient cli(kTestTimeouts);
   ASSERT_EQ(cli.ConnectUds(h.uds, &err), ClientStatus::kOk);
   std::vector<uint8_t> bytes;
   wire::EncodeRequest(BfsRequest(1, 1), &bytes);

@@ -165,6 +165,11 @@ inline int CountOpenFds() {
   return n;
 }
 
+// Budgets for every test client that is not itself probing a timeout: a
+// server regression that stops answering (or keeps a dead stream open)
+// fails the test within 5 s instead of hanging ctest.
+inline constexpr ClientTimeouts kTestTimeouts{5000.0, 5000.0, 5000.0};
+
 // A BFS request that pulls the level array across the wire. Id 0 lets
 // BlockingClient::Call assign one.
 inline wire::RequestFrame BfsRequest(VertexId source, uint64_t request_id = 0) {

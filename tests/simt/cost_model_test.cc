@@ -87,26 +87,6 @@ TEST(CostModelTest, KernelResourceOverloadUsesOccupancy) {
   EXPECT_GT(low.cycles, high.cycles);
 }
 
-TEST(CostModelTest, RecordsPerDestinationEstimate) {
-  // Degenerate inputs: no records or no reachable destinations -> 0 (the
-  // collect-side fold gate then never arms, min_fold 0 excepted).
-  EXPECT_EQ(EstimateRecordsPerDestination(0, 100), 0.0);
-  EXPECT_EQ(EstimateRecordsPerDestination(100, 0), 0.0);
-  // Sparse scatter: far fewer records than destinations -> ratio ~1 (no
-  // guaranteed reuse), and always >= 1.
-  const double sparse = EstimateRecordsPerDestination(10, 100000);
-  EXPECT_GE(sparse, 1.0);
-  EXPECT_LT(sparse, 1.01);
-  // Crowded scatter: records >> destinations -> ratio approaches R/D (the
-  // pigeonhole bound); the funnel workload (16000 records, ~4000 reachable
-  // destinations) sits around 4.
-  EXPECT_NEAR(EstimateRecordsPerDestination(16000, 4000), 4.07, 0.05);
-  EXPECT_GT(EstimateRecordsPerDestination(1000000, 100), 9999.0);
-  // Monotone in the record volume for a fixed destination universe.
-  EXPECT_LT(EstimateRecordsPerDestination(1000, 4000),
-            EstimateRecordsPerDestination(8000, 4000));
-}
-
 TEST(CostModelTest, ToStringMentionsAllFields) {
   CostCounters c;
   c.coalesced_words = 1;
