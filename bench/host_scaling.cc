@@ -207,8 +207,8 @@ int main(int argc, char** argv) {
   Measure(
       "bp", args, [&](uint32_t t) { return RunBp(g, 10, device, options(t)); },
       samples);
-  // Push-heavy programs (thin frontiers scatter through the per-chunk
-  // update buffers + ordered replay).
+  // Push-heavy programs (thin frontiers scatter through the push record
+  // stream + ordered replay).
   Measure(
       "bfs", args,
       [&](uint32_t t) { return RunBfs(g, source, device, options(t)); },

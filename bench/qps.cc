@@ -424,7 +424,6 @@ RemoteReport RunRemote(const Graph& g, const ServiceOptions& base,
       dq.deadline_ms = in.request.deadline_rel_ms;
       dq.max_attempts = in.request.max_attempts;
       dq.want_values = in.request.want_values != 0;
-      dq.fault_spec = in.request.fault_spec;
       auto ticket = loop.Submit(dq);
       if (ticket.verdict != AdmissionVerdict::kAdmitted) {
         std::cerr << "loopback: burst query not admitted\n";

@@ -12,10 +12,11 @@
 // Execution contract (matches the BSP ping-pong buffers of the GPU design):
 //  * PUSH iterations scatter along out-edges reading the PHASE-START
 //    snapshot of every source value (pure BSP, Jacobi flavored: the engine
-//    defers all destination writes into per-chunk buffers and replays them
-//    after the scatter, so a candidate computed this phase never observes a
-//    value written this phase — exact for monotone combines and for
-//    residual-carrying programs, and what makes the phase host-parallel).
+//    defers all destination writes into a push record stream and replays
+//    them after the scatter, so a candidate computed this phase never
+//    observes a value written this phase — exact for monotone combines and
+//    for residual-carrying programs, and what makes the phase
+//    host-parallel).
 //  * PULL iterations gather along in-edges reading the PREVIOUS-iteration
 //    value of every contributor (pure BSP — what the double-buffered
 //    metadata arrays give the real kernels).

@@ -88,7 +88,6 @@ uint64_t SemanticOptionsDigest(const EngineOptions& o) {
   h = FnvField(o.max_iterations, h);
   h = FnvField(static_cast<uint8_t>(o.pre_combine_replay), h);
   h = FnvField(static_cast<uint64_t>(o.memory_budget_bytes), h);
-  h = FnvField(static_cast<uint64_t>(o.host_memory_budget_bytes), h);
   h = FnvField(o.fixed_sm_budget, h);
   h = FnvField(static_cast<uint8_t>(o.use_atomic_updates), h);
   h = FnvField(static_cast<uint8_t>(o.enable_vote_early_exit), h);

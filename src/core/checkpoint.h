@@ -2,8 +2,8 @@
 // boundaries — the survivability layer the ROADMAP's resident-service
 // direction sits on.
 //
-// Why iteration boundaries: every piece of engine scratch (push buffers,
-// fold accumulators, classifier bins, online-filter bins) is dead between
+// Why iteration boundaries: every piece of engine scratch (push record
+// lanes, fold accumulators, classifier bins, online-filter bins) is dead between
 // iterations by construction — the stamp-guarded arrays compare against the
 // current iteration's stamp and the jit bins reset at every frontier build —
 // so a snapshot needs only the loop-carried state: both metadata buffers,
@@ -45,13 +45,11 @@ uint32_t Crc32(const void* data, size_t size, uint32_t seed = 0);
 // are deliberately EXCLUDED: a checkpoint written by an 8-thread run must
 // restore into a 1-thread engine (and vice versa) and still reproduce the
 // uninterrupted fingerprint, which is exactly what the resume sweep asserts.
-// host_memory_budget_bytes IS included: it steers the degradation ladder,
-// whose downgrade points are part of the run's trajectory.
 uint64_t SemanticOptionsDigest(const EngineOptions& options);
 
 // Bumped whenever a section's byte layout changes, so a snapshot written by
 // an older layout is refused as kBadVersion instead of misparsed.
-inline constexpr uint32_t kCheckpointVersion = 2;
+inline constexpr uint32_t kCheckpointVersion = 3;
 
 enum class CheckpointSectionId : uint32_t {
   kEngineLoop = 1,    // loop-carried flags + jit/fusion history + telemetry

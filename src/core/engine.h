@@ -13,15 +13,15 @@
 // Buffering model (see acc.h): both directions are BSP. Pull reads prev
 // (frozen all iteration); push reads the phase-start snapshot of curr —
 // identical to curr at collect time, because every push write is deferred
-// into per-chunk buffers and replayed after the collect (push_buffer.h).
+// into the iteration's record stream and replayed after the collect
+// (engine_push.h).
 // prev is synchronized to curr at every frontier commit, so
 // Active(curr, prev) during an iteration means exactly "changed since the
 // last commit" — the predicate the ballot filter scans.
 //
 // The member definitions live in one file per seam, included at the end:
-// engine_control.h (cancellation, faults, degradation, checkpoints),
-// engine_push.h (collect and the owner-computes drain) and engine_pull.h
-// (gathers).
+// engine_control.h (cancellation, faults, checkpoints), engine_push.h
+// (collect and the owner-computes drain) and engine_pull.h (gathers).
 #ifndef SIMDX_CORE_ENGINE_H_
 #define SIMDX_CORE_ENGINE_H_
 
@@ -43,7 +43,6 @@
 #include "core/metadata.h"
 #include "core/options.h"
 #include "core/parallel.h"
-#include "core/push_buffer.h"
 #include "core/result.h"
 #include "core/worklist.h"
 #include "graph/graph.h"
@@ -153,8 +152,6 @@ class Engine {
     watch_cancel_ = cancel_ != nullptr || deadline_ms_ > 0.0;
     control_break_ = false;
     break_outcome_ = RunOutcome::kCompleted;
-    degrade_serial_drain_ = false;
-    run_downgrades_.clear();
 
     const auto n = static_cast<VertexId>(graph_.vertex_count());
     // Associative pre-combining (acc.h CombineCapability): armed per run
@@ -395,7 +392,6 @@ class Engine {
     result.stats.outcome = control_break_ ? break_outcome_
                            : control.resume != nullptr ? RunOutcome::kResumed
                                                        : RunOutcome::kCompleted;
-    result.stats.downgrades = run_downgrades_;
     result.values.assign(meta.values().begin(), meta.values().end());
     DisarmControl();
     return result;
@@ -452,8 +448,8 @@ class Engine {
   // Optional hook: programs carrying explicit activity (e.g. delta-PageRank
   // residuals) define ConsumeActivity(curr, prev, dir) returning the value
   // after the pending activity has been handed to the neighbors. Gated on
-  // kHasConsume — the same probe that decides span tracking in the collect
-  // pass — so the two can never drift apart.
+  // kHasConsume — the same probe that picks the drain's list-cursor walk —
+  // so the two can never drift apart.
   static void Consume(const Program& program, VertexMeta<Value>& meta, VertexId v,
                       Direction dir) {
     if constexpr (kHasConsume) {
@@ -576,9 +572,9 @@ class Engine {
     uint64_t refill_words = 0;
   };
 
-  // One destination first touched by the pre-combined fold pass: where its
-  // first record sits in the global serial order (the position its single
-  // Apply — and any activation it produces — is sequenced at), and the
+  // One destination first touched by the pre-combined fold pass: the slot of
+  // its first record (the serial position its single Apply — and any
+  // activation it produces — is sequenced at), and the
   // simulated worker lane of that first record (owner of the filter bin the
   // activation lands in, mirroring the per-record drain's convention).
   struct FoldTouch {
@@ -588,10 +584,11 @@ class Engine {
   };
 
   // Per-range scratch for the push drain, reused across iterations. Holds
-  // the range worker's counters plus its position-tagged deferred streams;
-  // `effect_pos[i]` is the position of `effects[i]` (kept parallel rather
-  // than wrapped so the no-effect programs pay nothing). `touched` is the
-  // pre-combined fold's first-touch list (empty for per-record runs).
+  // the range worker's counters plus its slot-tagged deferred streams;
+  // `effect_pos[i]` is the slot of the record that produced `effects[i]`
+  // (kept parallel rather than wrapped so the no-effect programs pay
+  // nothing). `touched` is the pre-combined fold's first-touch list (empty
+  // for per-record runs).
   struct ReplayScratch {
     CostCounters cost;
     std::vector<DeferredActivation> activations;
@@ -601,12 +598,6 @@ class Engine {
     double wall_ms = 0.0;
     double fold_ms = 0.0;
     double apply_ms = 0.0;
-  };
-
-  struct ReplayOutcome {
-    uint64_t edges = 0;       // records buffered: one per frontier out-edge
-    uint64_t applies = 0;     // == edges for per-record drains
-    size_t buffer_bytes = 0;  // record-stream footprint of this iteration
   };
 
   // Per-chunk scratch for the parallel pull phase, reused across iterations.
@@ -622,17 +613,10 @@ class Engine {
         .count();
   }
 
-  // Global serial position of record `index` in chunk buffer `buffer` — the
-  // merge key every deferred stream is sequenced by.
-  static uint64_t Pos(uint32_t buffer, uint32_t index) {
-    return (static_cast<uint64_t>(buffer) << 32) | index;
-  }
-
   // --- control plane (engine_control.h) ---
   void DisarmControl();
   bool CancelOrDeadline();
   bool StageBreak(FaultPoint point);
-  void Degrade(uint32_t iteration, const char* trigger);
   bool IterationControl(const Program& program, const VertexMeta<Value>& meta,
                         const std::vector<VertexId>& frontier,
                         const JitController& jit,
@@ -654,23 +638,20 @@ class Engine {
                        std::span<const WorkListView> views, bool frontier_sorted,
                        uint64_t frontier_out_edges, JitController& jit,
                        CostCounters& cost);
-  uint32_t CollectPush(const Program& program, const VertexMeta<Value>& meta,
+  uint64_t CollectPush(const Program& program, const VertexMeta<Value>& meta,
                        const WorkListView& view, bool frontier_sorted,
-                       uint32_t base);
-  void CollectPushRange(const Program& program, const VertexMeta<Value>& meta,
-                        const WorkListView& view, bool frontier_sorted,
-                        size_t begin, size_t end,
-                        PushBuffer<Value>& buf) const;
-  ReplayOutcome ReplayPush(const Program& program, VertexMeta<Value>& meta,
-                           uint32_t num_buffers, JitController& jit,
-                           CostCounters& cost);
+                       uint64_t slot, CostCounters& cost);
+  CostCounters CollectPushRange(const Program& program,
+                                const VertexMeta<Value>& meta,
+                                const WorkListView& view, bool frontier_sorted,
+                                size_t begin, size_t end, uint64_t& slot);
   uint64_t Drain(const Program& program, VertexMeta<Value>& meta,
-                 uint32_t num_buffers, uint32_t ranges, JitController& jit,
-                 CostCounters& cost);
+                 std::span<const WorkListView> views, uint64_t records,
+                 uint32_t ranges, JitController& jit, CostCounters& cost);
   template <bool kInline>
   void DrainRange(const Program& program, VertexMeta<Value>& meta,
-                  uint32_t num_buffers, uint32_t p, ReplayScratch& s,
-                  JitController& jit);
+                  std::span<const WorkListView> views, uint64_t records,
+                  uint32_t p, ReplayScratch& s, JitController& jit);
   void FoldRecord(const Program& program, VertexId u, uint32_t worker,
                   const Value& cand, uint64_t pos,
                   std::vector<FoldTouch>& touched);
@@ -679,8 +660,8 @@ class Engine {
   // per record and runs up to ~1.5x slower (push_replay, 1 thread).
   template <bool kInline>
   [[gnu::always_inline]] inline void ReplayRecord(
-      const Program& program, VertexMeta<Value>& meta,
-      const PushRecord<Value>& rec, uint64_t pos, ReplayScratch& s,
+      const Program& program, VertexMeta<Value>& meta, VertexId u,
+      uint32_t worker, const Value& cand, uint64_t slot, ReplayScratch& s,
       JitController& jit);
   template <typename SizeFn, typename PosFn, typename EmitFn>
   void MergeByPosition(uint32_t ranges, const SizeFn& size, const PosFn& pos,
@@ -711,10 +692,19 @@ class Engine {
   FrontierClassifier classifier_;
   std::vector<VertexId> next_frontier_;
   std::vector<PullScratch> pull_scratch_;
-  // Per-chunk push update buffers (one per chunk slot across the three
-  // lists), reused across iterations; see push_buffer.h for the memory
-  // model.
-  std::vector<PushBuffer<Value>> push_buffers_;
+  // The push record stream (engine_push.h): struct-of-arrays lanes holding
+  // one record per frontier out-edge, where a record's index is its slot in
+  // the serial order. The lanes only grow, so they are sized by the largest
+  // push iteration this engine has run. NumaVector growth writes nothing
+  // into a trivial lane (dst, worker, and cand for a trivial Value), so the
+  // collecting pool threads first-touch their slices.
+  NumaVector<VertexId> push_dst_;
+  NumaVector<Value> push_cand_;
+  NumaVector<uint32_t> push_worker_;
+  // Per-chunk collect scratch for a list split over several chunks: each
+  // chunk's first slot and its simulated charges.
+  std::vector<uint64_t> chunk_slot_;
+  std::vector<CostCounters> chunk_cost_;
   // Iteration-stamped "already recorded" marks (avoids duplicate bin
   // entries; the real system tolerates duplicates, our sequential apply
   // makes exactly-once recording the natural semantics). NumaVector +
@@ -726,13 +716,11 @@ class Engine {
   uint32_t stamp_ = 0;
   uint32_t last_stage_count_ = 0;
   // Owner-computes drain state (SetupReplayPartition): the range count
-  // (1 = every drain runs as one inline range), the per-vertex owner lookup
-  // the collect pass buckets with, per-range worker scratch, and the merge
-  // cursors.
+  // (1 = every drain runs as one inline range) and the range boundaries —
+  // range p owns the vertices [replay_bounds_[p], replay_bounds_[p + 1]).
+  // Per-range worker scratch and the merge cursors follow below.
   uint32_t replay_ranges_ = 1;
-  // Per-iteration decision made in ProcessPush before the collect: whether
-  // this iteration's records were bucketed (and drain over replay_ranges_).
-  bool collect_bucketed_ = false;
+  std::vector<size_t> replay_bounds_;
   // Per-run decision (Run): associative pre-combining armed — option on AND
   // the program declared CombineCapability::kAssociativeOnly.
   bool pre_combine_ = false;
@@ -744,7 +732,6 @@ class Engine {
   // sharing). Allocated only when pre_combine_ is armed.
   NumaVector<uint32_t> fold_stamp_;
   std::vector<Value> fold_acc_;
-  NumaVector<uint32_t> range_of_vertex_;
   std::vector<ReplayScratch> replay_scratch_;
   std::vector<size_t> merge_heads_;
   PushReplayProfile profile_;
@@ -758,10 +745,6 @@ class Engine {
   // breaks at the next stage boundary with break_outcome_ as the verdict.
   bool control_break_ = false;
   RunOutcome break_outcome_ = RunOutcome::kCompleted;
-  // Degradation-ladder latch (per run, checkpointed so a resumed run stays
-  // on the rung the interrupted one reached).
-  bool degrade_serial_drain_ = false;
-  std::vector<DowngradeEvent> run_downgrades_;
 };
 
 }  // namespace simdx

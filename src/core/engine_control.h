@@ -1,6 +1,6 @@
 // Control plane of Engine (member definitions; included from core/engine.h):
-// cancellation, deadlines, fault hooks, graceful degradation and
-// checkpointing (control.h / checkpoint.h / fault.h).
+// cancellation, deadlines, fault hooks and checkpointing (control.h /
+// checkpoint.h / fault.h).
 #ifndef SIMDX_CORE_ENGINE_CONTROL_H_
 #define SIMDX_CORE_ENGINE_CONTROL_H_
 
@@ -54,25 +54,8 @@ bool Engine<Program>::StageBreak(FaultPoint point) {
   return watch_cancel_ && CancelOrDeadline();
 }
 
-// Graceful-degradation ladder under host memory pressure, one rung: drain
-// every iteration as one inline range (drops the bucket lanes and per-range
-// scratch growth). The rung is latched and recorded as a DowngradeEvent
-// instead of aborting, and it is stats-invariant — simulated statistics are
-// identical on it, so the fingerprint oracle holds under pressure (pinned
-// by tests/core/control_test).
-template <AccProgram Program>
-void Engine<Program>::Degrade(uint32_t iteration, const char* trigger) {
-  if (!degrade_serial_drain_) {
-    degrade_serial_drain_ = true;
-    push_buffers_.clear();
-    push_buffers_.shrink_to_fit();
-    run_downgrades_.push_back(
-        DowngradeEvent{iteration, std::string("serial-drain:") + trigger});
-  }
-}
-
 // Runs at the top of every iteration, before any stage: cancellation,
-// alloc-pressure faults, checkpoint cadence, iteration-start faults.
+// checkpoint cadence, iteration-start faults.
 // Returns true when the loop must break (break_outcome_ says why).
 template <AccProgram Program>
 bool Engine<Program>::IterationControl(const Program& program,
@@ -88,11 +71,6 @@ bool Engine<Program>::IterationControl(const Program& program,
   }
   if (CancelOrDeadline()) {
     return true;
-  }
-  if (faults_ != nullptr &&
-      faults_->ShouldFail(FaultPoint::kAllocPressure, iter)) {
-    // Simulated allocation failure: step the ladder, keep running.
-    Degrade(iter, "fault");
   }
   if (control_->checkpoint_every != 0 && control_->on_checkpoint &&
       iter % control_->checkpoint_every == 0) {
@@ -144,12 +122,6 @@ bool Engine<Program>::WriteCheckpoint(const Program& program,
     w.Pod(static_cast<uint8_t>(loop.charge_init_scan));
     w.Pod(loop.refill_words);
     w.Pod(run_records_buffered_);
-    w.Pod(static_cast<uint8_t>(degrade_serial_drain_));
-    w.Pod(static_cast<uint64_t>(run_downgrades_.size()));
-    for (const DowngradeEvent& d : run_downgrades_) {
-      w.Pod(d.iteration);
-      w.Str(d.action);
-    }
     w.Pod(static_cast<uint8_t>(jit.failed()));
     w.Pod(jit.ballot_iterations());
     w.Pod(jit.online_iterations());
@@ -239,26 +211,13 @@ bool Engine<Program>::RestoreCheckpoint(const Checkpoint& cp,
   }
   {
     ByteReader r(loop->bytes);
-    uint8_t dir8 = 0, sorted8 = 0, init8 = 0, serial8 = 0;
+    uint8_t dir8 = 0, sorted8 = 0, init8 = 0;
     r.Pod(&dir8);
     r.Pod(&sorted8);
     r.Pod(&state->pending_filter);
     r.Pod(&init8);
     r.Pod(&state->refill_words);
     r.Pod(&run_records_buffered_);
-    r.Pod(&serial8);
-    uint64_t downgrade_count = 0;
-    if (!r.Pod(&downgrade_count) || downgrade_count > loop->bytes.size()) {
-      return false;
-    }
-    run_downgrades_.clear();
-    for (uint64_t i = 0; i < downgrade_count; ++i) {
-      DowngradeEvent d;
-      if (!r.Pod(&d.iteration) || !r.Str(&d.action)) {
-        return false;
-      }
-      run_downgrades_.push_back(std::move(d));
-    }
     uint8_t jit_failed = 0;
     uint32_t ballot = 0, online = 0;
     std::string pattern;
@@ -277,7 +236,6 @@ bool Engine<Program>::RestoreCheckpoint(const Checkpoint& cp,
     state->prev_dir = static_cast<Direction>(dir8);
     state->frontier_sorted = sorted8 != 0;
     state->charge_init_scan = init8 != 0;
-    degrade_serial_drain_ = serial8 != 0;
     jit.RestoreHistory(std::move(pattern), ballot, online, jit_failed != 0);
     fusion.RestoreHistory(launched8 != 0, static_cast<Direction>(last_dir8),
                           launches, barriers);

@@ -1,41 +1,47 @@
 // Push phase of Engine (member definitions; included from core/engine.h):
-// deterministic collect-then-drain over per-chunk update buffers
-// (push_buffer.h).
+// deterministic collect-then-drain over one flat record stream per
+// iteration.
 //
 // The sequential push loop both READS source values and WRITES destination
 // values of the same curr array, so it cannot split across host threads in
-// place. Instead the phase runs in two passes:
+// place. Instead the phase runs in two passes over the record stream — the
+// SoA lanes push_dst_ (4 B), push_cand_ (sizeof(Value)) and push_worker_
+// (4 B, the simulated lane that owns the online-filter bin the record's
+// activation lands in), one record per frontier out-edge. A record's SLOT is
+// its serial position: list order (Thread, Warp, CTA), then vertex order
+// within the list, then adjacency order — the slot an exclusive scan of
+// frontier out-degrees gives each edge on the GPU.
 //
-//   COLLECT (parallel): each chunk of each Thread/Warp/CTA list walks its
-//   contiguous slice, runs Compute against the phase-start metadata —
-//   nothing writes curr during collection, so curr(v) IS the snapshot —
-//   charges the traversal costs to its chunk-private counters, and buffers
-//   one (dst, worker, candidate) record per out-edge (bucketed under the
-//   destination's replay range when the iteration drains over several).
+//   COLLECT (parallel): each chunk of each list walks its contiguous slice,
+//   runs Compute against the phase-start metadata — nothing writes curr
+//   during collection, so curr(v) IS the snapshot — charges the traversal
+//   costs to a chunk-local CostCounters, and writes its records into its
+//   own disjoint slice of the stream. A list split over several chunks
+//   first sums each chunk's out-degrees over the same chunk boundaries; a
+//   serial prefix over those sums gives every chunk its first slot.
 //
 //   DRAIN (owner-computes): the destination-vertex space is split into
-//   disjoint ranges balanced by in-degree mass (BalancedRangeBoundaries over
-//   the in-CSR offsets, so ranges balance by incoming records). Each range
-//   worker walks the buffers in ascending chunk order — which is exactly
-//   list order, independent of grain and thread count — drains only the
-//   records whose dst it owns, and runs ConsumeActivity for the sources it
-//   owns at their serial span positions. Everything a record touches —
-//   curr(dst), the touch/record stamps, the activation decision, the park
-//   decision — is keyed by a single vertex that exactly one worker owns, so
-//   the per-destination statement order IS the serial order. The
-//   order-sensitive side channels leave the workers through per-range
-//   scratch: CostCounters merge in range order (pure integer sums), while
-//   online-filter records and deferred Apply effects (ApplyEffect; SSSP's
-//   bucket parks) carry their (chunk, record) position and are k-way merged
-//   back into the global serial order before touching the shared bins /
-//   program state.
+//   disjoint contiguous ranges balanced by in-degree mass
+//   (BalancedRangeBoundaries over the in-CSR offsets, so ranges balance by
+//   incoming records). Each range worker scans the slots in order, applies
+//   the records whose dst lies in its range, and runs ConsumeActivity for
+//   the sources it owns where their out-degree says their records end.
+//   Everything a record touches — curr(dst), the touch/record stamps, the
+//   activation decision, the park decision — is keyed by a single vertex
+//   that exactly one worker owns, so the per-destination statement order IS
+//   the serial order. The order-sensitive side channels leave the workers
+//   through per-range scratch: CostCounters merge in range order (pure
+//   integer sums), while online-filter records and deferred Apply effects
+//   (ApplyEffect; SSSP's bucket parks) carry their slot and are k-way merged
+//   back into the serial order before touching the shared bins / program
+//   state.
 //
 //   The serial drain is the ONE-RANGE case of the same body: at
-//   host_threads == 1, for iterations below parallel_replay_min_records, or
-//   on the degradation ladder's serial rung, a single range owns every
-//   record, the collect skips the bucketing, and the drain runs inline on
-//   the calling thread. Every simulated stat, touch stamp and output value
-//   is therefore bit-identical for any host_threads.
+//   host_threads == 1 or for iterations below parallel_replay_min_records,
+//   a single range owns every record and the drain runs inline on the
+//   calling thread. Every simulated stat, touch stamp and output value is
+//   therefore bit-identical for any host_threads, and the stream costs
+//   4 + sizeof(Value) + 4 bytes per record at any range count.
 //
 //   PRE-COMBINED (StatsContract::kPerDestination): when the program
 //   declares CombineCapability::kAssociativeOnly and
@@ -44,7 +50,7 @@
 //   comment above FoldRecord). Stats remain bit-identical for any
 //   host_threads — under the per-destination contract, which maps to the
 //   per-record one as documented in bench/README.md. This drain is the ONE
-//   place a push iteration folds: the collect always buffers one record per
+//   place a push iteration folds: the collect always writes one record per
 //   out-edge.
 //
 // Semantics: push iterations are BSP (Jacobi-style), like pull and like
@@ -56,9 +62,25 @@
 #ifndef SIMDX_CORE_ENGINE_PUSH_H_
 #define SIMDX_CORE_ENGINE_PUSH_H_
 
+#include <cassert>
+
 #include "core/engine.h"
 
 namespace simdx {
+
+// The inline drain polls for cancellation at its start and then once per
+// this many slots.
+inline constexpr uint64_t kCancelPollSlots = 65536;
+
+// Grows a record lane to at least n entries. A lane never shrinks, and its
+// old contents are dead, so growth reallocates without copying them.
+template <typename Lane>
+void GrowLane(Lane& lane, uint64_t n) {
+  if (lane.size() < n) {
+    lane.clear();
+    lane.resize(n);
+  }
+}
 
 template <AccProgram Program>
 uint64_t Engine<Program>::ProcessPush(const Program& program,
@@ -70,83 +92,64 @@ uint64_t Engine<Program>::ProcessPush(const Program& program,
   if (StageBreak(FaultPoint::kCollect)) {
     return 0;
   }
-  // Decide the range count up front: the frontier's out-edge sum (already
-  // computed by classification) is exactly the record count the collect
-  // will buffer, so iterations below the threshold skip the bucketing
-  // bookkeeping (owner lookups, index appends, span events) entirely and
-  // drain as one inline range.
-  collect_bucketed_ =
-      replay_ranges_ > 1 && !degrade_serial_drain_ &&
-      frontier_out_edges >= options_.parallel_replay_min_records;
-  // The whole replay scheme addresses records WITHIN one buffer by uint32
-  // (Pos packs buffer<<32|index, span counters and bucket entries are
-  // uint32), and a single-chunk collect puts the entire frontier in one
-  // buffer. 2^32 records is ~50 GB of host buffer — far past the
-  // simulator's design regime — so refuse loudly instead of wrapping
-  // silently into corrupt replays.
-  if (frontier_out_edges >> 32 != 0) {
-    std::fprintf(stderr,
-                 "simdx: push iteration with %llu out-edge records exceeds "
-                 "the 2^32 per-buffer record bound\n",
-                 static_cast<unsigned long long>(frontier_out_edges));
-    std::abort();
-  }
+  // The frontier's out-edge sum (already computed by classification) is
+  // exactly the record count, so the lanes are sized before the collect and
+  // iterations below the threshold drain as one inline range.
+  const uint64_t records = frontier_out_edges;
+  GrowLane(push_dst_, records);
+  GrowLane(push_cand_, records);
+  GrowLane(push_worker_, records);
   const bool profile = options_.profile_push_replay;
   const double t_collect = profile ? NowMs() : 0.0;
-  uint32_t num_buffers = 0;
+  uint64_t slot = 0;
   for (const WorkListView& view : views) {
-    num_buffers +=
-        CollectPush(program, meta, view, frontier_sorted, num_buffers);
+    slot = CollectPush(program, meta, view, frontier_sorted, slot, cost);
   }
+  assert(slot == records && "frontier_out_edges must equal the record count");
   if (StageBreak(FaultPoint::kReplay)) {
     return 0;
   }
   const double t_replay = profile ? NowMs() : 0.0;
-  const ReplayOutcome outcome =
-      ReplayPush(program, meta, num_buffers, jit, cost);
-  // Host-side memory pressure: the record stream outgrew the budget —
-  // step down the degradation ladder instead of aborting (the next
-  // iterations collect leaner; this one already ran to completion, so
-  // simulated stats are untouched).
-  if (options_.host_memory_budget_bytes != 0 &&
-      outcome.buffer_bytes > options_.host_memory_budget_bytes) {
-    Degrade(stamp_ - 1, "budget");
-  }
+  const uint32_t ranges =
+      records >= options_.parallel_replay_min_records ? replay_ranges_ : 1;
+  const uint64_t touched =
+      Drain(program, meta, views, records, ranges, jit, cost);
+  const uint64_t applies = pre_combine_ ? touched : records;
   if (StageBreak(FaultPoint::kApply)) {
-    return outcome.edges;
+    return records;
   }
-  run_records_buffered_ += outcome.edges;
+  run_records_buffered_ += records;
   if (profile) {
     const double t_done = NowMs();
     profile_.collect_ms += t_replay - t_collect;
     profile_.replay_ms += t_done - t_replay;
-    (collect_bucketed_ ? profile_.partitioned_replays
-                       : profile_.serial_replays) += 1;
+    (ranges > 1 ? profile_.partitioned_replays : profile_.serial_replays) += 1;
     if (pre_combine_) {
       profile_.precombined_replays += 1;
-      profile_.fold_records += outcome.edges;
-      profile_.fold_applies += outcome.applies;
+      profile_.fold_records += records;
+      profile_.fold_applies += applies;
     }
     profile_.iterations.push_back(PushReplayIterationSplit{
-        stamp_ - 1, outcome.edges, outcome.applies, t_replay - t_collect,
-        t_done - t_replay, collect_bucketed_, pre_combine_});
+        stamp_ - 1, records, applies, t_replay - t_collect, t_done - t_replay,
+        ranges > 1, pre_combine_});
   }
-  return outcome.edges;
+  return records;
 }
 
-// Collect phase for one list: chunk it, fill push_buffers_[base ..
-// base+chunks). Grain floors shrink with kernel class — a CTA-class vertex
-// carries at least medium_degree_limit edges, so far fewer of them make a
-// worthwhile chunk. Chunk boundaries never affect results (the drain walks
-// buffers in list order regardless), so the serial path uses a single
-// chunk.
+// Collect phase for one list: writes its records from `slot` on and returns
+// the slot after its last record. Grain floors shrink with kernel class — a
+// CTA-class vertex carries at least medium_degree_limit edges, so far fewer
+// of them make a worthwhile chunk. Chunk boundaries never affect results
+// (every record lands at its serial slot regardless), so the serial path
+// uses a single chunk and skips the out-degree pass.
 template <AccProgram Program>
-uint32_t Engine<Program>::CollectPush(const Program& program,
+uint64_t Engine<Program>::CollectPush(const Program& program,
                                       const VertexMeta<Value>& meta,
                                       const WorkListView& view,
-                                      bool frontier_sorted, uint32_t base) {
+                                      bool frontier_sorted, uint64_t slot,
+                                      CostCounters& cost) {
   if (view.empty()) {
-    return 0;
+    return slot;
   }
   size_t min_grain = 256;
   if (view.klass == KernelClass::kWarp) {
@@ -156,42 +159,54 @@ uint32_t Engine<Program>::CollectPush(const Program& program,
   }
   const ChunkPlan plan = PlanChunks(view.size, host_threads_, min_grain,
                                     /*serial_below=*/512, pool_ != nullptr);
-  if (push_buffers_.size() < base + plan.chunks) {
-    push_buffers_.resize(base + plan.chunks);
-  }
-  // Multi-range drains bucket every record under its destination's range
-  // at collect time (one extra owner lookup per edge) so each range worker
-  // later walks only its own records. Chunk buffers are filled — and their
-  // bucket pages first-touched — by whichever pool thread runs the chunk.
-  const bool bucketed = collect_bucketed_;
-  const auto run_chunk = [&](uint32_t chunk, size_t begin, size_t end) {
-    PushBuffer<Value>& buf = push_buffers_[base + chunk];
-    buf.BeginCollect(bucketed ? replay_ranges_ : 0,
-                     /*track_spans=*/bucketed && kHasConsume);
-    CollectPushRange(program, meta, view, frontier_sorted, begin, end, buf);
-  };
   if (plan.chunks == 1) {
-    run_chunk(0, 0, view.size);
-  } else {
-    pool_->ParallelFor(0, view.size, plan.grain, host_threads_,
-                       [&](const ParallelChunk& c) {
-                         run_chunk(c.chunk_index, c.begin, c.end);
-                       });
+    cost += CollectPushRange(program, meta, view, frontier_sorted, 0,
+                             view.size, slot);
+    return slot;
   }
-  return plan.chunks;
+  if (chunk_slot_.size() < plan.chunks) {
+    chunk_slot_.resize(plan.chunks);
+    chunk_cost_.resize(plan.chunks);
+  }
+  pool_->ParallelFor(0, view.size, plan.grain, host_threads_,
+                     [&](const ParallelChunk& c) {
+                       uint64_t degrees = 0;
+                       for (size_t idx = c.begin; idx < c.end; ++idx) {
+                         degrees += graph_.OutDegree(view[idx]);
+                       }
+                       chunk_slot_[c.chunk_index] = degrees;
+                     });
+  for (uint32_t k = 0; k < plan.chunks; ++k) {
+    const uint64_t degrees = chunk_slot_[k];
+    chunk_slot_[k] = slot;
+    slot += degrees;
+  }
+  pool_->ParallelFor(0, view.size, plan.grain, host_threads_,
+                     [&](const ParallelChunk& c) {
+                       uint64_t chunk_slot = chunk_slot_[c.chunk_index];
+                       chunk_cost_[c.chunk_index] = CollectPushRange(
+                           program, meta, view, frontier_sorted, c.begin,
+                           c.end, chunk_slot);
+                     });
+  for (uint32_t k = 0; k < plan.chunks; ++k) {
+    cost += chunk_cost_[k];
+  }
+  return slot;
 }
 
 // One chunk's collect: one record per out-edge of every vertex in
-// [begin, end) of the list.
+// [begin, end) of the list, written from `slot` on (advanced past the
+// chunk's last record). Returns the chunk's simulated charges.
 template <AccProgram Program>
-void Engine<Program>::CollectPushRange(const Program& program,
-                                       const VertexMeta<Value>& meta,
-                                       const WorkListView& view,
-                                       bool frontier_sorted, size_t begin,
-                                       size_t end,
-                                       PushBuffer<Value>& buf) const {
+CostCounters Engine<Program>::CollectPushRange(const Program& program,
+                                               const VertexMeta<Value>& meta,
+                                               const WorkListView& view,
+                                               bool frontier_sorted,
+                                               size_t begin, size_t end,
+                                               uint64_t& slot) {
   const uint32_t workers = options_.sim_worker_threads;
-  const bool bucketed = collect_bucketed_;
+  const bool batch = options_.filter == FilterPolicy::kBatch;
+  CostCounters cost;
   for (size_t idx = begin; idx < end; ++idx) {
     const VertexId v = view[idx];
     const auto nbrs = graph_.out().Neighbors(v);
@@ -202,62 +217,38 @@ void Engine<Program>::CollectPushRange(const Program& program,
     // sorted (ballot-filter output), scattered otherwise — the memory
     // benefit Section 4 attributes to the ballot filter.
     if (frontier_sorted) {
-      buf.cost.coalesced_words += 3;
+      cost.coalesced_words += 3;
     } else {
-      buf.cost.scattered_words += 3;
+      cost.scattered_words += 3;
     }
     // Adjacency ids + weights. The Warp/CTA kernels read them coalesced,
     // rounded up to full 32-lane transactions; the Thread kernel's lanes
     // walk unrelated adjacency runs (partial coalescing).
     if (view.klass == KernelClass::kThread) {
-      buf.cost.coalesced_words += 2ull * degree;
-      buf.cost.scattered_words += degree / 4;
+      cost.coalesced_words += 2ull * degree;
+      cost.scattered_words += degree / 4;
     } else {
       const uint32_t rounded = (degree + 31) / 32 * 32;
-      buf.cost.coalesced_words += 2ull * rounded;
+      cost.coalesced_words += 2ull * rounded;
     }
-
-    buf.BeginSource(v, bucketed ? range_of_vertex_[v] : 0);
-    for (uint32_t i = 0; i < degree; ++i) {
-      buf.cost.scattered_words += 1;  // load destination metadata
-      buf.cost.alu_ops += 2;          // Compute + Combine lane work
-      // Batch filter: this edge also transited the expanded active-edge
-      // list (3 words written at expansion, 3 read back at apply).
-      if (options_.filter == FilterPolicy::kBatch) {
-        buf.cost.coalesced_words += 6;
-      }
+    // Per edge: one destination-metadata load and the Compute + Combine
+    // lane work; under the batch filter the edge also transits the
+    // expanded active-edge list (3 words written at expansion, 3 read back
+    // at apply).
+    cost.scattered_words += degree;
+    cost.alu_ops += 2ull * degree;
+    if (batch) {
+      cost.coalesced_words += 6ull * degree;
+    }
+    for (uint32_t i = 0; i < degree; ++i, ++slot) {
       const VertexId dst = nbrs[i];
-      const Value cand =
+      push_dst_[slot] = dst;
+      push_cand_[slot] =
           program.Compute(v, dst, wts[i], meta.curr(v), Direction::kPush);
-      buf.Append(dst, WorkerFor(idx, i, view.klass, workers), cand,
-                 bucketed ? range_of_vertex_[dst] : 0);
+      push_worker_[slot] = WorkerFor(idx, i, view.klass, workers);
     }
-    buf.edges += degree;
   }
-  buf.FinishCollect();
-}
-
-// Merges the collect-side counters in chunk order, then drains — over
-// replay_ranges_ workers when the collect bucketed, else as one inline
-// range. Per-record runs issue one Apply per record
-// (StatsContract::kPerRecord), pre-combined runs one per touched
-// destination (kPerDestination).
-template <AccProgram Program>
-auto Engine<Program>::ReplayPush(const Program& program,
-                                 VertexMeta<Value>& meta, uint32_t num_buffers,
-                                 JitController& jit, CostCounters& cost)
-    -> ReplayOutcome {
-  ReplayOutcome out;
-  for (uint32_t b = 0; b < num_buffers; ++b) {
-    cost += push_buffers_[b].cost;
-    out.edges += push_buffers_[b].edges;
-    out.buffer_bytes += push_buffers_[b].FootprintBytes();
-  }
-  const uint64_t touched =
-      Drain(program, meta, num_buffers, collect_bucketed_ ? replay_ranges_ : 1,
-            jit, cost);
-  out.applies = pre_combine_ ? touched : out.edges;
-  return out;
+  return cost;
 }
 
 // The one push drain: range worker p drains the records whose destination
@@ -269,7 +260,8 @@ auto Engine<Program>::ReplayPush(const Program& program,
 // pre-combined fold touched (0 for per-record runs).
 template <AccProgram Program>
 uint64_t Engine<Program>::Drain(const Program& program, VertexMeta<Value>& meta,
-                                uint32_t num_buffers, uint32_t ranges,
+                                std::span<const WorkListView> views,
+                                uint64_t records, uint32_t ranges,
                                 JitController& jit, CostCounters& cost) {
   const bool profile = options_.profile_push_replay;
   uint64_t touched = 0;
@@ -280,9 +272,9 @@ uint64_t Engine<Program>::Drain(const Program& program, VertexMeta<Value>& meta,
         ResetScratch(s);
         const double t0 = profile ? NowMs() : 0.0;
         if (ranges == 1) {
-          DrainRange<true>(program, meta, num_buffers, p, s, jit);
+          DrainRange<true>(program, meta, views, records, p, s, jit);
         } else {
-          DrainRange<false>(program, meta, num_buffers, p, s, jit);
+          DrainRange<false>(program, meta, views, records, p, s, jit);
         }
         if (profile) {
           s.wall_ms = NowMs() - t0;
@@ -317,61 +309,103 @@ uint64_t Engine<Program>::Drain(const Program& program, VertexMeta<Value>& meta,
   return touched;
 }
 
-// One range worker's drain over every buffer in ascending chunk order. A
-// per-record run replays each owned record, with owned sources'
-// ConsumeActivity interleaved at their serial span positions (a span's
-// consume runs after owned records below its end and before the one at
-// it — see PushSpanEvent). A pre-combined run folds owned records, applies
-// once per owned destination, then consumes owned sources (the passes are
-// described above FoldRecord). kInline is the one-range drain on the
-// calling thread: it is the only case that may poll for cancellation
-// (pool workers must not touch control_break_), and since it walks the
-// records in serial order its side channels skip the merge (ReplayRecord).
+// One range worker's drain over slots [0, records). Range p owns the
+// vertices [replay_bounds_[p], replay_bounds_[p + 1]); the inline one-range
+// drain owns every vertex and skips the test. A per-record run replays each
+// owned record; a program with ConsumeActivity walks the lists with a slot
+// cursor instead, so an owned source's consume runs right after its last
+// slot — between the owned records around it, exactly where a sequential
+// walk consumes. A pre-combined run folds owned records, applies once per
+// owned destination, then consumes owned sources (the passes are described
+// above FoldRecord). kInline is the only case that may poll for
+// cancellation (pool workers must not touch control_break_), and since it
+// walks the records in serial order its side channels skip the merge
+// (ReplayRecord).
 template <AccProgram Program>
 template <bool kInline>
 void Engine<Program>::DrainRange(const Program& program,
-                                 VertexMeta<Value>& meta, uint32_t num_buffers,
-                                 uint32_t p, ReplayScratch& s,
-                                 JitController& jit) {
+                                 VertexMeta<Value>& meta,
+                                 std::span<const WorkListView> views,
+                                 uint64_t records, uint32_t p,
+                                 ReplayScratch& s, JitController& jit) {
   const bool profile = options_.profile_push_replay;
   const double t0 = profile ? NowMs() : 0.0;
-  for (uint32_t b = 0; b < num_buffers; ++b) {
-    if (kInline && watch_cancel_ && (b & 31u) == 0 && CancelOrDeadline()) {
-      return;
+  const VertexId lo = kInline ? 0 : static_cast<VertexId>(replay_bounds_[p]);
+  const VertexId width =
+      kInline ? 0 : static_cast<VertexId>(replay_bounds_[p + 1]) - lo;
+  const auto owns = [&](VertexId v) { return kInline || v - lo < width; };
+  uint64_t next_poll = 0;
+  const auto cancelled = [&](uint64_t slot) {
+    if (!kInline || !watch_cancel_ || slot < next_poll) {
+      return false;
     }
-    const PushBuffer<Value>& buf = push_buffers_[b];
-    const auto replay = [&](uint32_t i) {
-      ReplayRecord<kInline>(program, meta, buf.record(i), Pos(b, i), s, jit);
-    };
-    if (pre_combine_) {
-      buf.ForEachRecord(p, [&](uint32_t i) {
-        FoldRecord(program, buf.dst(i), buf.worker(i), buf.cand(i), Pos(b, i),
-                   s.touched);
-      });
-    } else if constexpr (kHasConsume) {
-      buf.ForEachInSerialOrder(p, replay, [&](VertexId src) {
-        Consume(program, meta, src, Direction::kPush);
-      });
-    } else {
-      buf.ForEachRecord(p, replay);
+    next_poll = slot + kCancelPollSlots;
+    return CancelOrDeadline();
+  };
+  const auto replay = [&](uint64_t i) {
+    ReplayRecord<kInline>(program, meta, push_dst_[i], push_worker_[i],
+                          push_cand_[i], i, s, jit);
+  };
+  // fn(slot) for every owned slot in order; false when cancelled.
+  const auto for_each_owned = [&](const auto& fn) {
+    for (uint64_t begin = 0; begin < records; begin += kCancelPollSlots) {
+      if (cancelled(begin)) {
+        return false;
+      }
+      const uint64_t end = std::min(records, begin + kCancelPollSlots);
+      for (uint64_t i = begin; i < end; ++i) {
+        if (owns(push_dst_[i])) {
+          fn(i);
+        }
+      }
     }
-  }
+    return true;
+  };
   if (!pre_combine_) {
+    if constexpr (kHasConsume) {
+      uint64_t slot = 0;
+      for (const WorkListView& view : views) {
+        for (size_t idx = 0; idx < view.size; ++idx) {
+          if (cancelled(slot)) {
+            return;
+          }
+          const VertexId v = view[idx];
+          for (const uint64_t end = slot + graph_.OutDegree(v); slot < end;
+               ++slot) {
+            if (owns(push_dst_[slot])) {
+              replay(slot);
+            }
+          }
+          if (owns(v)) {
+            Consume(program, meta, v, Direction::kPush);
+          }
+        }
+      }
+    } else {
+      for_each_owned(replay);
+    }
+    return;
+  }
+  if (!for_each_owned([&](uint64_t i) {
+        FoldRecord(program, push_dst_[i], push_worker_[i], push_cand_[i], i,
+                   s.touched);
+      })) {
     return;
   }
   if (profile) {
     s.fold_ms = NowMs() - t0;
   }
   for (const FoldTouch& t : s.touched) {
-    ReplayRecord<kInline>(program, meta,
-                          PushRecord<Value>{t.dst, t.worker, fold_acc_[t.dst]},
+    ReplayRecord<kInline>(program, meta, t.dst, t.worker, fold_acc_[t.dst],
                           t.pos, s, jit);
   }
   if constexpr (kHasConsume) {
-    for (uint32_t b = 0; b < num_buffers; ++b) {
-      push_buffers_[b].ForEachSource(p, [&](VertexId src) {
-        Consume(program, meta, src, Direction::kPush);
-      });
+    for (const WorkListView& view : views) {
+      for (size_t idx = 0; idx < view.size; ++idx) {
+        if (owns(view[idx])) {
+          Consume(program, meta, view[idx], Direction::kPush);
+        }
+      }
     }
   }
   if (profile) {
@@ -386,26 +420,26 @@ void Engine<Program>::DrainRange(const Program& program,
 // so the result is bit-identical for any range count, i.e. any
 // host_threads:
 //
-//   FOLD: walk the worker's records in ascending (chunk, record) order,
+//   FOLD: walk the worker's records in ascending slot order,
 //   left-folding each destination's candidates into fold_acc_[dst]
 //   (fold_stamp_ guards staleness; the fold order for one destination is
 //   exactly the serial record order restricted to it, identical however
 //   the destinations are distributed over workers). First touch files a
-//   FoldTouch carrying the record's global position and worker lane.
+//   FoldTouch carrying the record's slot and worker lane.
 //
 //   APPLY: walk the touched list in first-touch order (= ascending first-
-//   record position) and run the per-record statement sequence ONCE per
+//   record slot) and run the per-record statement sequence ONCE per
 //   destination with the folded candidate — exactly one Apply, one
 //   touch-stamp/atomic charge and at most one value write + activation per
 //   touched destination per push iteration. Activations carry the first-
-//   record position, so the deferred merge sequences the shared filter bins
+//   record slot, so the deferred merge sequences the shared filter bins
 //   identically for any range count.
 //
 //   CONSUME: run ConsumeActivity for the worker's sources AFTER its
 //   applies. Per vertex the order is always fold-apply-consume (one owner
 //   runs all three), and operations on distinct vertices touch disjoint
 //   state, so cross-worker interleaving is unobservable. (The per-record
-//   drain instead interleaves consumes at exact span positions — that
+//   drain instead interleaves consumes at exact serial positions — that
 //   distinction is part of the contract split: per-destination semantics
 //   hand EVERY same-phase arrival to the consume, which for residual
 //   programs conserves activity just like the serial interleaving, only
@@ -417,12 +451,12 @@ void Engine<Program>::DrainRange(const Program& program,
 template <AccProgram Program>
 void Engine<Program>::FoldRecord(const Program& program, VertexId u,
                                  uint32_t worker, const Value& cand,
-                                 uint64_t pos,
+                                 uint64_t slot,
                                  std::vector<FoldTouch>& touched) {
   if (fold_stamp_[u] != stamp_) {
     fold_stamp_[u] = stamp_;
     fold_acc_[u] = cand;
-    touched.push_back(FoldTouch{pos, u, worker});
+    touched.push_back(FoldTouch{slot, u, worker});
   } else {
     fold_acc_[u] = program.Combine(fold_acc_[u], cand);
   }
@@ -439,31 +473,31 @@ void Engine<Program>::ResetScratch(ReplayScratch& s) {
   s.apply_ms = 0.0;
 }
 
-// The per-record statement sequence. A range worker defers the two shared
-// side channels: the online-filter record and any Apply side effect go to
-// the range's scratch, tagged with the record's global position `pos` for
-// the serial-order merge. The inline one-range drain already runs in that
-// order, so it emits both directly. Everything else a record touches is
-// owned by this worker's range. The pre-combined passes reuse it with a
-// synthesized record carrying the folded candidate and the destination's
-// first-record position.
+// The per-record statement sequence for a record (u, worker, cand) at
+// `slot`. A range worker defers the two shared side channels: the
+// online-filter record and any Apply side effect go to the range's scratch,
+// tagged with the slot for the serial-order merge. The inline one-range
+// drain already runs in that order, so it emits both directly. Everything
+// else a record touches is owned by this worker's range. The pre-combined
+// apply pass reuses it with the folded candidate and the destination's
+// first-record slot.
 template <AccProgram Program>
 template <bool kInline>
 void Engine<Program>::ReplayRecord(const Program& program,
-                                   VertexMeta<Value>& meta,
-                                   const PushRecord<Value>& rec, uint64_t pos,
-                                   ReplayScratch& s, JitController& jit) {
-  const VertexId u = rec.dst;
+                                   VertexMeta<Value>& meta, VertexId u,
+                                   uint32_t worker, const Value& cand,
+                                   uint64_t slot, ReplayScratch& s,
+                                   JitController& jit) {
   Value applied;
   if constexpr (kHasDeferredApply && !kInline) {
     const size_t before = s.effects.size();
-    applied = program.ApplyCollect(u, rec.cand, meta.curr(u),
-                                   Direction::kPush, s.effects);
+    applied = program.ApplyCollect(u, cand, meta.curr(u), Direction::kPush,
+                                   s.effects);
     for (size_t i = before; i < s.effects.size(); ++i) {
-      s.effect_pos.push_back(pos);
+      s.effect_pos.push_back(slot);
     }
   } else {
-    applied = program.Apply(u, rec.cand, meta.curr(u), Direction::kPush);
+    applied = program.Apply(u, cand, meta.curr(u), Direction::kPush);
   }
   if (options_.use_atomic_updates) {
     // AFC-style: every candidate lands as a device atomic; concurrent
@@ -481,24 +515,24 @@ void Engine<Program>::ReplayRecord(const Program& program,
       s.cost.scattered_words += 1;  // single writer, no atomic (ACC)
     }
     if constexpr (kInline) {
-      MaybeRecord(program, meta, u, rec.worker, jit, s.cost);
+      MaybeRecord(program, meta, u, worker, jit, s.cost);
     } else {
       // MaybeRecord, deferred: the stamp and the Active check only touch
       // owned per-vertex state; the bin append must wait for the merge.
       if (recorded_stamp_[u] != stamp_ &&
           program.Active(meta.curr(u), meta.prev(u))) {
         recorded_stamp_[u] = stamp_;
-        s.activations.push_back(DeferredActivation{pos, rec.worker, u});
+        s.activations.push_back(DeferredActivation{slot, worker, u});
       }
     }
   }
 }
 
-// K-way merge of per-range position-sorted streams back into the global
-// serial record order: size(p)/pos(p, h) describe range p's stream,
-// emit(p, h) consumes the chosen head. Each stream is position-sorted
-// (range workers walk the buffers in order) and a position belongs to
-// exactly one range (one record, one owner), so strict-< selection is
+// K-way merge of per-range slot-sorted streams back into the serial record
+// order: size(p)/pos(p, h) describe range p's stream, emit(p, h) consumes
+// the chosen head. Each stream is slot-sorted (range workers walk the slots
+// in order) and a slot belongs to exactly one range (one record, one
+// owner), so strict-< selection is
 // unambiguous and within-range order is preserved. The linear head scan
 // is O(streams) per element; with streams capped at host_threads it beats
 // a heap's constant factor — revisit if range counts grow past ~32.
@@ -525,12 +559,10 @@ void Engine<Program>::MergeByPosition(uint32_t ranges, const SizeFn& size,
 }
 
 // Arms the owner-computes drain for this run: one range per host thread
-// (a single inline range at host_threads == 1), in-degree-balanced
+// (a single inline range at host_threads == 1) over in-degree-balanced
 // boundaries (each destination receives at most in-degree records per
 // phase, so in-CSR offset mass IS expected drain work; the +i term splits
-// long zero-degree runs), and the vertex→range owner lookup the collect
-// pass buckets with — filled range by range, so each slice is
-// first-touched by a pool thread.
+// long zero-degree runs).
 template <AccProgram Program>
 void Engine<Program>::SetupReplayPartition() {
   const auto n = static_cast<size_t>(graph_.vertex_count());
@@ -550,20 +582,9 @@ void Engine<Program>::SetupReplayPartition() {
     return;
   }
   const auto& in_offsets = graph_.in().row_offsets();
-  const std::vector<size_t> boundaries = BalancedRangeBoundaries(
+  replay_bounds_ = BalancedRangeBoundaries(
       n, replay_ranges_,
       [&](size_t i) { return static_cast<uint64_t>(in_offsets[i]) + i; });
-  if (range_of_vertex_.size() < n) {
-    range_of_vertex_.resize(n);
-  }
-  PartitionedDrain(
-      pool_, host_threads_, replay_ranges_,
-      [&](uint32_t p) {
-        for (size_t v = boundaries[p]; v < boundaries[p + 1]; ++v) {
-          range_of_vertex_[v] = p;
-        }
-      },
-      [](uint32_t) {});
 }
 
 // Simulated hardware thread that discovered an activation: a Thread-class

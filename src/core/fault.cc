@@ -23,7 +23,6 @@ constexpr PointName kPointNames[] = {
     {"apply", FaultPoint::kApply},
     {"frontier", FaultPoint::kFrontier},
     {"checkpoint-write", FaultPoint::kCheckpointWrite},
-    {"alloc-pressure", FaultPoint::kAllocPressure},
 };
 
 bool ParseU64(const std::string& s, uint64_t* out) {

@@ -29,7 +29,6 @@ enum class FaultPoint : uint8_t {
   kApply,               // after the replay drain, before stat accumulation
   kFrontier,            // before the filter/frontier-build stage
   kCheckpointWrite,     // the checkpoint writer itself fails
-  kAllocPressure,       // simulated allocation failure -> degradation ladder
 };
 
 const char* ToString(FaultPoint p);

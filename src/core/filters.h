@@ -26,12 +26,12 @@ using ActivePredicate = std::function<bool(VertexId)>;
 // One online-filter record deferred out of the engine's partitioned push
 // replay. Bin contents are order-sensitive (the concatenated bins ARE the
 // next frontier), so range workers must not touch the shared bins; they
-// buffer (worker, v) pairs tagged with the (chunk, record) position that
-// produced them, and the engine merges the per-range buffers by `pos` —
-// restoring the global serial record order — before feeding them to
+// buffer (worker, v) pairs tagged with the slot of the record that produced
+// them, and the engine merges the per-range buffers by `pos` — restoring
+// the serial record order — before feeding them to
 // JitController::ReplayActivation.
 struct DeferredActivation {
-  uint64_t pos;  // (chunk index << 32) | record index: the serial merge key
+  uint64_t pos;  // the record's slot in the push stream: the serial merge key
   uint32_t worker;
   VertexId v;
 };

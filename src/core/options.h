@@ -64,8 +64,9 @@ struct EngineOptions {
   // The push drain is owner-computes over one destination range per host
   // thread (engine_push.h). Iterations that buffer fewer records than this
   // drain as ONE range inline on the calling thread instead (identical
-  // results; the bucketing isn't worth a few thousand applies). Tests set 0
-  // to split even tiny graphs' drains over several ranges.
+  // results; a pool dispatch and the per-range scans of the whole record
+  // stream aren't worth a few thousand applies). Tests set 0 to split even
+  // tiny graphs' drains over several ranges.
   size_t parallel_replay_min_records = 2048;
 
   // Associative pre-combining replay: for programs declaring
@@ -88,15 +89,6 @@ struct EngineOptions {
   // 0 = use the device's global_memory_bytes. Benches shrink this by the
   // preset scale factor so the paper's OOM rows reproduce.
   size_t memory_budget_bytes = 0;
-
-  // HOST-side memory ceiling for the push record stream (bytes of push
-  // buffers per iteration). 0 = unlimited. Exceeding it triggers the
-  // graceful-degradation ladder (engine_control.h Degrade): fall back to the
-  // serial drain, recorded as a DowngradeEvent instead of aborting.
-  // Simulated stats are invariant to the rung, so the fingerprint oracle
-  // still holds under pressure. INCLUDED in SemanticOptionsDigest (it steers
-  // the run's trajectory).
-  size_t host_memory_budget_bytes = 0;
 
   // Record a per-iteration log in the result (frontier size, filter chosen,
   // direction, time). Cheap; on by default.

@@ -162,11 +162,11 @@ size_t SuggestedGrain(size_t n, uint32_t threads, size_t min_grain = 256,
                       size_t align = 1);
 
 // Decomposition of one range into chunks for a collect-then-drain pass:
-// grain via SuggestedGrain, plus the chunk count that per-chunk buffer pools
+// grain via SuggestedGrain, plus the chunk count that per-chunk scratch
 // must be sized for. When the caller cannot (pool == nullptr) or should not
 // (threads <= 1, range below `serial_below`) go parallel, the plan collapses
 // to a single chunk — ordered drains are insensitive to chunk boundaries, so
-// the serial single-buffer pass and any parallel decomposition produce the
+// the serial single-chunk pass and any parallel decomposition produce the
 // same drain sequence.
 struct ChunkPlan {
   size_t grain = 1;
@@ -182,11 +182,13 @@ ChunkPlan PlanChunks(size_t n, uint32_t threads, size_t min_grain,
 // buffer in ascending chunk order on the calling thread. Because chunks are
 // contiguous slices and the drain is ordered, the observable drain sequence
 // equals the sequential left-to-right pass for ANY thread count and grain.
-// Used by the push-mode CPU oracles; the engine's push phase follows the
-// same collect/ordered-drain scheme but hand-rolls it, because its drain
-// must be deferred until ALL THREE Thread/Warp/CTA lists have collected
-// (draining per list would write metadata mid-phase and break the
-// phase-start-snapshot invariant). `buffers` is caller-owned and only ever
+// Used by the push-mode CPU oracles. The engine's push phase has no
+// per-chunk buffers: each chunk writes its records into its own slice of
+// one flat stream, at the slots a prefix sum of per-chunk out-degree sums
+// gives it (engine_push.h), and the drain waits until ALL THREE
+// Thread/Warp/CTA lists have collected (draining per list would write
+// metadata mid-phase and break the phase-start-snapshot invariant).
+// `buffers` is caller-owned and only ever
 // grown, so steady-state reuse allocates nothing; `fill` must reset its
 // buffer (buffers are reused dirty).
 template <typename Buffer, typename FillFn, typename DrainFn>

@@ -44,9 +44,9 @@ inline const char* ToString(RunOutcome o) {
   return "?";
 }
 
-// One graceful-degradation step taken mid-run (memory pressure falling back
-// to the serial drain). Recorded instead of aborting; the simulated stats
-// are invariant to the ladder's rung.
+// One transition of the query service's overload-shedding ladder
+// (ServiceStats::ladder): `iteration` carries the rung after the
+// transition, `action` what the rung does.
 struct DowngradeEvent {
   uint32_t iteration = 0;
   std::string action;
@@ -97,7 +97,6 @@ struct RunStats {
   uint32_t resumes = 0;             // successful checkpoint restores
   uint32_t resume_iteration = 0;    // iteration of the latest restore
   uint32_t checkpoints_written = 0;
-  std::vector<DowngradeEvent> downgrades;
 
   bool ok() const {
     return !oom && !failed &&

@@ -317,7 +317,6 @@ wire::RequestFrame ToRequestFrame(const Query& query) {
   f.deadline_rel_ms = query.deadline_ms;  // relative stays relative
   f.max_attempts = query.max_attempts;
   f.want_values = query.want_values ? 1 : 0;
-  f.fault_spec = query.fault_spec;
   return f;
 }
 

@@ -95,7 +95,8 @@ class BlockingClient {
 
 // Convenience: a Query as the wire request it becomes. The deadline crosses
 // as-is — Query::deadline_ms is already RELATIVE (the one public contract),
-// so no clock is consulted on the client side, ever.
+// so no clock is consulted on the client side, ever. The fault spec does not
+// cross: faults arm only in-process.
 wire::RequestFrame ToRequestFrame(const Query& query);
 
 }  // namespace simdx::service

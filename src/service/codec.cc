@@ -39,7 +39,6 @@ bool ParseRequestBody(ByteReader& r, RequestFrame* f) {
   r.Pod(&f->deadline_rel_ms);
   r.Pod(&f->max_attempts);
   r.Pod(&f->want_values);
-  r.Str(&f->fault_spec);
   return r.AtEnd();  // trailing garbage is malformed, not ignored
 }
 
@@ -147,7 +146,6 @@ void EncodeRequest(const RequestFrame& f, std::vector<uint8_t>* out) {
   w.Pod(f.deadline_rel_ms);
   w.Pod(f.max_attempts);
   w.Pod(f.want_values);
-  w.Str(f.fault_spec);
   EndFrame(head_at, out);
 }
 

@@ -39,6 +39,10 @@
 // misparses); appending NEW trailing body fields also bumps the version —
 // decoders reject trailing garbage by design, so there is no silent
 // "ignore what you don't know" lane to get subtly wrong.
+//
+// Version history: 1 carried a fault spec string at the end of the request
+// body, so any socket peer could arm fault injection on the server; 2 drops
+// it (a version-1 frame is kBadVersion).
 #ifndef SIMDX_SERVICE_CODEC_H_
 #define SIMDX_SERVICE_CODEC_H_
 
@@ -53,7 +57,7 @@
 namespace simdx::service::wire {
 
 inline constexpr uint32_t kFrameMagic = 0x31575853u;  // "SXW1"
-inline constexpr uint16_t kWireVersion = 1;
+inline constexpr uint16_t kWireVersion = 2;
 inline constexpr size_t kFrameHeaderBytes = 16;
 // Body-length ceiling, enforced BEFORE allocation. Generous enough for a
 // want_values response over a scale-24 graph (2^24 vertices x 4-byte
@@ -102,10 +106,10 @@ enum class RejectCode : uint8_t {
   kShedQueueFull = 3,  // admission said kShedQueueFull
   kShedDeadline = 4,   // admission said kShedDeadline
   kServerStopping = 5, // the service is draining; retry elsewhere/later
-  // Transport-resilience codes (PR 10). New CODE VALUES, not new layout:
-  // the reject body is unchanged (u64 id, u8 code, string detail), so the
-  // wire version stays at 1 — an old client renders an unknown code as "?"
-  // but parses the frame fine.
+  // Transport-resilience codes. New CODE VALUES, not new layout: the
+  // reject body is unchanged (u64 id, u8 code, string detail), so they
+  // needed no version bump — an older client renders an unknown code as
+  // "?" but parses the frame fine.
   kTimedOut = 6,       // the connection sat on a partial frame too long
   kPipelineFull = 7,   // per-connection in-flight pipeline cap reached
 };
@@ -129,9 +133,8 @@ struct RequestFrame {
   double deadline_rel_ms = 0.0;
   uint32_t max_attempts = 0;  // 0 = service default
   uint8_t want_values = 0;    // copy raw value bytes into the response
-  // FaultRegistry::Parse grammar, validated at admission exactly like the
-  // in-process path (an unparseable spec is a typed reject, never an abort).
-  std::string fault_spec;
+  // No fault spec crosses the wire: faults arm only in-process (a Query
+  // handed to Submit directly, or SIMDX_FAULTS), never from a socket peer.
 };
 
 struct ResponseFrame {

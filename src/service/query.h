@@ -73,10 +73,12 @@ struct Query {
   // back kDeadlineExceeded without running; the remainder becomes the run's
   // time budget.
   double deadline_ms = 0.0;
-  // Per-query fault arming (FaultRegistry::Parse grammar). Parsed at
-  // admission: an unparseable spec is REJECTED (kRejectedInvalid) rather
-  // than handed to the engine, whose own parse failure aborts the process —
-  // a malformed query must never take the service down.
+  // Per-query fault arming (FaultRegistry::Parse grammar), for trusted
+  // in-process callers only: the wire request has no such field, so a
+  // socket peer cannot arm faults. Parsed at admission: an unparseable spec
+  // is REJECTED (kRejectedInvalid) rather than handed to the engine, whose
+  // own parse failure aborts the process — a malformed query must never
+  // take the service down.
   std::string fault_spec;
   // Total RobustRun attempts (including the first). 0 = service default.
   uint32_t max_attempts = 0;
@@ -186,9 +188,8 @@ struct ServiceStats {
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;       // lookups that went on to admission
   uint64_t cache_evictions = 0;    // LRU evictions (capacity pressure)
-  // Overload-shedding ladder transitions, in order (the service-level
-  // sibling of RunStats::downgrades, same struct on purpose: `iteration`
-  // carries the ladder rung after the transition).
+  // Overload-shedding ladder transitions, in order (`iteration` carries
+  // the ladder rung after the transition).
   std::vector<DowngradeEvent> ladder;
 };
 

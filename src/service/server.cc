@@ -245,7 +245,6 @@ void SocketServer::HandleRequest(Connection& conn,
   query.deadline_ms = req.deadline_rel_ms;
   query.max_attempts = req.max_attempts;
   query.want_values = req.want_values != 0;
-  query.fault_spec = req.fault_spec;
 
   GraphService::Ticket ticket = service_.Submit(query);
   if (ticket.verdict != AdmissionVerdict::kAdmitted) {

@@ -34,7 +34,7 @@
 //     its one-shot oracle. A result cache (cache_capacity > 0, cache.h)
 //     answers repeat questions inside Submit without touching an arena.
 //   * OVERLOAD — a two-rung shedding ladder keyed on queue occupancy,
-//     recorded as DowngradeEvents exactly like the engine's in-run ladder:
+//     each transition recorded as a DowngradeEvent (core/result.h):
 //     rung 1 (>= high_water) halves the deadline-admission margin; rung 2
 //     (>= rung2_water) forces admitted queries onto the serial drain
 //     (host_threads = 1) — legal precisely because every simulated stat is

@@ -1,5 +1,5 @@
 // Engine control-plane tests: cancellation, deadlines, checkpoint cadence
-// and purity, fault arming, graceful degradation, RobustRun retries, and the
+// and purity, fault arming, RobustRun retries, and the
 // resume path's rejection of corrupted/incompatible snapshots. The
 // exhaustive crash-at-every-iteration sweep lives in
 // tests/integration/resume_determinism_test; this file pins the individual
@@ -389,59 +389,6 @@ TEST(ControlTest, ConcurrentCancelFromNonWorkerThreadThenPureRerun) {
       EXPECT_EQ(rerun.values, plain.values) << mode.name;
     }
   }
-}
-
-TEST(ControlTest, AllocPressureFaultStepsDegradationLadderAndCompletes) {
-  const Graph g = Graph::FromEdges(GenerateRmat(7, 8, 3), false);
-  EngineOptions base = DefaultOptions();
-  base.pre_combine_replay = true;
-  base.parallel_replay_min_records = 0;
-  const auto plain = PlainBfs(g, base);
-  ASSERT_TRUE(plain.stats.ok());
-
-  FaultRegistry faults;
-  ASSERT_TRUE(
-      FaultRegistry::Parse("alloc-pressure@1,alloc-pressure@2", &faults));
-  RunControl control;
-  control.faults = &faults;
-  BfsProgram program;
-  Engine<BfsProgram> engine(g, MakeK40(), base);
-  const auto degraded = engine.Run(program, control);
-  ASSERT_TRUE(degraded.stats.ok());
-  EXPECT_EQ(degraded.stats.outcome, RunOutcome::kCompleted);
-  // The ladder has one rung: the first fault steps onto it, the second finds
-  // it latched and records nothing.
-  ASSERT_EQ(degraded.stats.downgrades.size(), 1u);
-  EXPECT_EQ(degraded.stats.downgrades[0].iteration, 1u);
-  EXPECT_EQ(degraded.stats.downgrades[0].action, "serial-drain:fault");
-  // The rung is stats-invariant: identical fingerprint.
-  EXPECT_EQ(bench::StatsFingerprint(degraded), bench::StatsFingerprint(plain));
-}
-
-TEST(ControlTest, HostMemoryBudgetDegradesInsteadOfAborting) {
-  const Graph g = Graph::FromEdges(GenerateRmat(7, 8, 3), false);
-  EngineOptions base = DefaultOptions();
-  base.pre_combine_replay = true;
-  base.parallel_replay_min_records = 0;
-  base.force_push = true;  // the budget guards the push record stream
-  const auto plain = PlainBfs(g, base);
-  ASSERT_TRUE(plain.stats.ok());
-
-  EngineOptions pressured = base;
-  pressured.host_memory_budget_bytes = 1;  // every push iteration overflows
-  const auto degraded = PlainBfs(g, pressured);
-  ASSERT_TRUE(degraded.stats.ok());
-  EXPECT_EQ(degraded.stats.outcome, RunOutcome::kCompleted);
-  ASSERT_GE(degraded.stats.downgrades.size(), 1u);
-  EXPECT_EQ(degraded.stats.downgrades[0].action, "serial-drain:budget");
-  // host_memory_budget_bytes is in the digest, so compare values + counters
-  // directly rather than resumes: the budget must not change the simulated
-  // trajectory, only the host-side drain machinery.
-  EXPECT_EQ(degraded.values, plain.values);
-  EXPECT_EQ(degraded.stats.counters.coalesced_words,
-            plain.stats.counters.coalesced_words);
-  EXPECT_EQ(degraded.stats.time.cycles, plain.stats.time.cycles);
-  EXPECT_EQ(degraded.stats.filter_pattern, plain.stats.filter_pattern);
 }
 
 TEST(ControlTest, RobustRunRetriesFromCheckpointAndMatchesFingerprint) {

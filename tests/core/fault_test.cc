@@ -10,8 +10,8 @@ namespace {
 TEST(FaultPointTest, NamesRoundTrip) {
   for (FaultPoint p :
        {FaultPoint::kIterationStart, FaultPoint::kCollect, FaultPoint::kReplay,
-        FaultPoint::kApply, FaultPoint::kFrontier, FaultPoint::kCheckpointWrite,
-        FaultPoint::kAllocPressure}) {
+        FaultPoint::kApply, FaultPoint::kFrontier,
+        FaultPoint::kCheckpointWrite}) {
     FaultPoint back = FaultPoint::kCollect;
     ASSERT_TRUE(FaultPointFromName(ToString(p), &back)) << ToString(p);
     EXPECT_EQ(back, p);

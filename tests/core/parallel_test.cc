@@ -6,8 +6,6 @@
 #include <atomic>
 #include <vector>
 
-#include "core/push_buffer.h"
-
 #include "algos/algos.h"
 #include "core/engine.h"
 #include "graph/generators.h"
@@ -204,7 +202,7 @@ TEST(EngineHostThreadsDeterminismTest, AutoThreadsMatchesSerial) {
 }
 
 // --- Push-phase determinism: force_push routes EVERY iteration through the
-// collect-then-replay scatter (per-chunk PushBuffers + ordered drain), so
+// collect-then-replay scatter (the flat record stream + ordered drain), so
 // these sweeps exercise exactly the code the pull-heavy tests above miss.
 // Skewed R-MAT graphs make the Thread/Warp/CTA lists all non-empty, putting
 // chunks of every kernel class into the replay order. ---
@@ -422,6 +420,45 @@ TEST(PartitionedReplayTest, ProfileShowsPartitionedDrainOnRangeWorkers) {
   for (const PushReplayIterationSplit& it : prof.iterations) {
     EXPECT_GE(it.collect_ms, 0.0);
     EXPECT_GE(it.replay_ms, 0.0);
+  }
+}
+
+// The record lanes outlive a Run and only grow: after the root run they
+// hold thousands of records, and a spoke run's iterations fill only the
+// first few slots. A drain that read past the iteration's record count would
+// replay the root run's stale records. use_atomic_updates charges one atomic
+// per replayed record, so such a replay shows in the counters even where it
+// changes no value. PPR walks the consume path (the list cursor).
+TEST(EngineReuseTest, LargePushVolumeThenSmallMatchesFreshEngine) {
+  const Graph g = MakeFunnelGraph(2000, 3, /*park_weights=*/false);
+  const VertexId root = 0;
+  const VertexId spoke = 4;  // the first spoke: vertices 1..3 are the hubs
+  for (uint32_t threads : {1u, 4u}) {
+    EngineOptions o = PartitionedPushOptions(threads);
+    o.use_atomic_updates = true;
+    Engine<BfsProgram> bfs(g, MakeK40(), o);
+    Engine<PprProgram> ppr(g, MakeK40(), o);
+    for (const VertexId source : {root, spoke}) {
+      SCOPED_TRACE(::testing::Message() << "threads=" << threads
+                                        << " source=" << source);
+      BfsProgram bfs_program;
+      bfs_program.source = source;
+      const auto reused = bfs.Run(bfs_program);
+      ASSERT_TRUE(reused.stats.ok());
+      // The premise: thousands of records from the root, a handful from the
+      // spoke.
+      if (source == root) {
+        EXPECT_GT(reused.stats.push_records_buffered, 6000u);
+      } else {
+        EXPECT_LT(reused.stats.push_records_buffered, 10u);
+      }
+      ExpectIdenticalRuns(RunBfs(g, source, MakeK40(), o), reused);
+      PprProgram ppr_program;
+      ppr_program.graph = &g;
+      ppr_program.source = source;
+      ExpectIdenticalRuns(RunPpr(g, source, MakeK40(), o),
+                          ppr.Run(ppr_program));
+    }
   }
 }
 
@@ -656,114 +693,6 @@ TEST(PreCombinedReplayTest, ProfileReportsFoldRatio) {
     }
   }
   EXPECT_GT(best_ratio, 100u);
-}
-
-// --- PushBuffer mechanics ---
-
-TEST(PushBufferTest, RegrowsAndReusesCapacity) {
-  PushBuffer<uint32_t> buf;
-  // First fill: everything regrows from empty.
-  buf.BeginCollect(0, false);
-  buf.BeginSource(7, /*src_range=*/0);
-  for (uint32_t i = 0; i < 1000; ++i) {
-    buf.Append(/*dst=*/i, /*worker=*/i % 48, /*cand=*/i * 3, /*dst_range=*/0);
-  }
-  ASSERT_EQ(buf.size(), 1000u);
-  ASSERT_EQ(buf.sources().size(), 1u);
-  EXPECT_EQ(buf.sources()[0].src, 7u);
-  EXPECT_EQ(buf.sources()[0].num_records, 1000u);
-  const size_t warm_capacity = buf.capacity();
-
-  // BeginCollect keeps capacity: a same-sized refill must not reallocate.
-  buf.BeginCollect(0, false);
-  EXPECT_TRUE(buf.empty());
-  EXPECT_EQ(buf.capacity(), warm_capacity);
-  EXPECT_EQ(buf.cost.alu_ops, 0u);
-  EXPECT_EQ(buf.edges, 0u);
-  buf.BeginSource(3, /*src_range=*/0);
-  buf.Append(9, 1, 42, /*dst_range=*/0);
-  EXPECT_EQ(buf.capacity(), warm_capacity);
-  ASSERT_EQ(buf.size(), 1u);
-  EXPECT_EQ(buf.dst(0), 9u);
-  EXPECT_EQ(buf.worker(0), 1u);
-  EXPECT_EQ(buf.cand(0), 42u);
-
-  // Overflowing the warm capacity regrows without corrupting contents.
-  buf.BeginCollect(0, false);
-  const uint32_t overflow = static_cast<uint32_t>(warm_capacity) + 123;
-  for (uint32_t v = 0; v < 4; ++v) {
-    buf.BeginSource(v, /*src_range=*/0);
-    for (uint32_t i = 0; i < overflow / 4 + 1; ++i) {
-      buf.Append(v * 100000 + i, v, v + i, /*dst_range=*/0);
-    }
-  }
-  EXPECT_GT(buf.capacity(), warm_capacity);
-  uint32_t r = 0;
-  for (const PushSourceSpan& span : buf.sources()) {
-    for (uint32_t i = 0; i < span.num_records; ++i, ++r) {
-      EXPECT_EQ(buf.dst(r), span.src * 100000 + i);
-      EXPECT_EQ(buf.cand(r), span.src + i);
-    }
-  }
-  EXPECT_EQ(r, buf.size());
-}
-
-TEST(PushBufferTest, FootprintCountsLanesAndBuckets) {
-  PushBuffer<uint32_t> buf;
-  // Bucketed: per record dst(4) + cand(4) + worker(4) + bucket index(4),
-  // plus one span.
-  buf.BeginCollect(/*ranges=*/4, /*track_spans=*/false);
-  buf.BeginSource(0, 0);
-  buf.Append(1, 0, 11, /*dst_range=*/2);
-  buf.Append(2, 0, 22, /*dst_range=*/3);
-  EXPECT_EQ(buf.FootprintBytes(),
-            2 * (4 * sizeof(uint32_t)) + sizeof(PushSourceSpan));
-  std::vector<uint32_t> owned;
-  buf.ForEachRecord(2, [&](uint32_t i) { owned.push_back(i); });
-  EXPECT_EQ(owned, std::vector<uint32_t>{0u});
-}
-
-// The one-range walk of an unbucketed buffer and the per-range walks of the
-// same stream bucketed: each interleaves the consumes of its sources at the
-// serial span positions, and together the ranges visit every record and
-// source exactly once.
-TEST(PushBufferTest, RangeWalksInterleaveConsumesAtSpanEnds) {
-  // src -> dsts: 10 -> {1, 2}, 11 -> {}, 12 -> {2, 3}. Vertex v is owned by
-  // range v % 2.
-  const std::vector<std::pair<VertexId, std::vector<VertexId>>> stream = {
-      {10, {1, 2}}, {11, {}}, {12, {2, 3}}};
-  const auto collect = [&](PushBuffer<uint32_t>& buf, uint32_t ranges) {
-    buf.BeginCollect(ranges, /*track_spans=*/true);
-    for (const auto& [src, dsts] : stream) {
-      buf.BeginSource(src, ranges > 1 ? src % 2 : 0);
-      for (const VertexId d : dsts) {
-        buf.Append(d, 0, d, ranges > 1 ? d % 2 : 0);
-      }
-    }
-    buf.FinishCollect();
-  };
-  // Walk log: records as their index, consumes as 100 + src.
-  const auto walk = [](const PushBuffer<uint32_t>& buf, uint32_t r) {
-    std::vector<uint32_t> log;
-    buf.ForEachInSerialOrder(
-        r, [&](uint32_t i) { log.push_back(i); },
-        [&](VertexId src) { log.push_back(100 + src); });
-    return log;
-  };
-  PushBuffer<uint32_t> one;
-  collect(one, 0);
-  EXPECT_EQ(walk(one, 0),
-            (std::vector<uint32_t>{0, 1, 110, 111, 2, 3, 112}));
-  std::vector<uint32_t> sources;
-  one.ForEachSource(0, [&](VertexId src) { sources.push_back(src); });
-  EXPECT_EQ(sources, (std::vector<uint32_t>{10, 11, 12}));
-
-  PushBuffer<uint32_t> two;
-  collect(two, 2);
-  // Range 0 owns dsts 2 (records 1, 2) and sources 10, 12; range 1 owns
-  // dsts 1, 3 (records 0, 3) and source 11.
-  EXPECT_EQ(walk(two, 0), (std::vector<uint32_t>{1, 110, 2, 112}));
-  EXPECT_EQ(walk(two, 1), (std::vector<uint32_t>{0, 111, 3}));
 }
 
 TEST(PlanChunksTest, CollapsesToOneChunkWhenSerial) {

@@ -1,4 +1,4 @@
-#include "service/chaos.h"
+#include "tests/service/chaos.h"
 
 #include <fcntl.h>
 #include <poll.h>

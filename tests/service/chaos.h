@@ -34,8 +34,8 @@
 //
 // Single poll thread, non-blocking fds, MSG_NOSIGNAL writes, self-pipe
 // Stop() — the same dispatch discipline as the server it proxies.
-#ifndef SIMDX_SERVICE_CHAOS_H_
-#define SIMDX_SERVICE_CHAOS_H_
+#ifndef SIMDX_TESTS_SERVICE_CHAOS_H_
+#define SIMDX_TESTS_SERVICE_CHAOS_H_
 
 #include <atomic>
 #include <cstdint>
@@ -143,4 +143,4 @@ class ChaosProxy {
 
 }  // namespace simdx::service
 
-#endif  // SIMDX_SERVICE_CHAOS_H_
+#endif  // SIMDX_TESTS_SERVICE_CHAOS_H_

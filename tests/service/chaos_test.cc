@@ -12,7 +12,7 @@
 // Sweep scale responds to the nightly env knobs: SIMDX_SWEEP_SEEDS chooses
 // how many proxy seeds run (each seed is an independent fault schedule) and
 // SIMDX_SWEEP_CHAOS_DENSITY multiplies every fault probability.
-#include "service/chaos.h"
+#include "tests/service/chaos.h"
 
 #include <gtest/gtest.h>
 

@@ -57,7 +57,6 @@ TEST(CodecRoundTripTest, Request) {
   EXPECT_EQ(f.request.deadline_rel_ms, in.deadline_rel_ms);
   EXPECT_EQ(f.request.max_attempts, in.max_attempts);
   EXPECT_EQ(f.request.want_values, in.want_values);
-  EXPECT_EQ(f.request.fault_spec, in.fault_spec);
 }
 
 TEST(CodecRoundTripTest, Response) {
@@ -102,11 +101,11 @@ TEST(CodecRoundTripTest, EmptyValueBytesAndEmptyStrings) {
   ASSERT_EQ(DecodeOne(bytes, &f), DecodeStatus::kOk);
   EXPECT_TRUE(f.response.value_bytes.empty());
 
-  RequestFrame rq;  // empty fault_spec
+  RejectFrame rj;  // empty detail, the one string on the wire
   bytes.clear();
-  EncodeRequest(rq, &bytes);
+  EncodeReject(rj, &bytes);
   ASSERT_EQ(DecodeOne(bytes, &f), DecodeStatus::kOk);
-  EXPECT_TRUE(f.request.fault_spec.empty());
+  EXPECT_TRUE(f.reject.detail.empty());
 }
 
 // An out-of-range kind byte is STRUCTURALLY valid wire traffic: the codec
@@ -212,7 +211,8 @@ TEST(CodecReassemblyTest, OneByteAtATime) {
   }
   dec.Feed(&bytes.back(), 1);
   ASSERT_EQ(dec.Next(&f), DecodeStatus::kOk);
-  EXPECT_EQ(f.request.fault_spec, SampleRequest().fault_spec);
+  // The body's last field arrived intact.
+  EXPECT_EQ(f.request.want_values, SampleRequest().want_values);
 }
 
 TEST(CodecReassemblyTest, ManyFramesInOneFeed) {

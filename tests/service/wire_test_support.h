@@ -39,7 +39,6 @@ inline wire::RequestFrame SampleRequest() {
   f.deadline_rel_ms = 250.5;
   f.max_attempts = 3;
   f.want_values = 1;
-  f.fault_spec = "iteration-start@1";
   return f;
 }
 
@@ -49,13 +48,17 @@ inline std::vector<uint8_t> ValidRequestBytes() {
   return bytes;
 }
 
-// A header over `body` with a CRC that matches it, so only the body lies.
-inline std::vector<uint8_t> FrameAround(const std::vector<uint8_t>& body) {
+// A header over `body` with a CRC that matches it, so only the body (or the
+// version) lies.
+inline std::vector<uint8_t> FrameAround(
+    const std::vector<uint8_t>& body,
+    wire::MsgType type = wire::MsgType::kRequest,
+    uint16_t version = wire::kWireVersion) {
   std::vector<uint8_t> b;
   ByteWriter w(&b);
   w.Pod(wire::kFrameMagic);
-  w.Pod(wire::kWireVersion);
-  w.Pod(static_cast<uint16_t>(wire::MsgType::kRequest));
+  w.Pod(version);
+  w.Pod(static_cast<uint16_t>(type));
   w.Pod(static_cast<uint32_t>(body.size()));
   w.Pod(Crc32(body.data(), body.size()));
   w.Bytes(body.data(), body.size());
@@ -108,7 +111,7 @@ inline std::vector<MalformedCase> MalformedCases() {
   cases.push_back(
       {"truncated-fields", FrameAround({1, 2, 3}), DecodeStatus::kMalformedBody});
   const wire::RequestFrame rq = SampleRequest();
-  const auto fields_before_spec = [&rq](ByteWriter& bw) {
+  const auto request_fields = [&rq](ByteWriter& bw) {
     bw.Pod(rq.request_id);
     bw.Pod(rq.kind);
     bw.Pod(rq.source);
@@ -119,24 +122,38 @@ inline std::vector<MalformedCase> MalformedCases() {
   };
   {
     // Trailing garbage after a complete body: rejected by design (there is
-    // no silent ignore-the-tail lane — new fields bump the version).
+    // no silent ignore-the-tail lane — new fields bump the version, so a
+    // field a newer sender appends arrives as a kBadVersion header, never
+    // as a tail).
     std::vector<uint8_t> body;
     ByteWriter bw(&body);
-    fields_before_spec(bw);
-    bw.Str(rq.fault_spec);
-    bw.Pod(uint32_t{0xAAAAAAAAu});  // the tail a v2 sender might append
+    request_fields(bw);
+    bw.Pod(uint32_t{0xAAAAAAAAu});
     cases.push_back(
         {"trailing-garbage", FrameAround(body), DecodeStatus::kMalformedBody});
   }
   {
-    // A fault_spec length that overruns the remaining payload: ByteReader
-    // validates string lengths before any copy.
+    // A reject detail length that overruns the remaining payload:
+    // ByteReader validates string lengths before any copy.
     std::vector<uint8_t> body;
     ByteWriter bw(&body);
-    fields_before_spec(bw);
+    bw.Pod(uint64_t{7});  // request id
+    bw.Pod(static_cast<uint8_t>(wire::RejectCode::kInvalidQuery));
     bw.Pod(uint64_t{1u << 20});  // claims a 1 MiB string, provides 0 bytes
-    cases.push_back({"string-length-overrun", FrameAround(body),
+    cases.push_back({"string-length-overrun",
+                     FrameAround(body, wire::MsgType::kReject),
                      DecodeStatus::kMalformedBody});
+  }
+  {
+    // A version-1 request: its body ended in a fault spec, which let any
+    // socket peer arm fault injection. Refused from the header.
+    std::vector<uint8_t> body;
+    ByteWriter bw(&body);
+    request_fields(bw);
+    bw.Str("iteration-start@1");
+    cases.push_back({"v1-request-with-fault-spec",
+                     FrameAround(body, wire::MsgType::kRequest, 1),
+                     DecodeStatus::kBadVersion});
   }
   return cases;
 }
