@@ -1,15 +1,13 @@
 // Collect vs. replay wall-clock split of the engine's push phase.
 //
-// PR 2 made the push scatter collect-then-replay with a serial ordered
-// drain; the partitioned (owner-computes) replay removes that last serial
-// O(E) stage. This bench makes the change measurable instead of asserted:
-// for each push-heavy algorithm and host thread count it reports, per
-// iteration, how long the parallel collect and the replay drain took on the
-// host, plus each replay range worker's summed busy time — the direct
-// evidence that the replay stage executed on P workers. Like host_scaling
-// it measures the SIMULATOR's wall clock (not simulated GPU time), emits
-// JSON, and doubles as a determinism gate: simulated stats and values must
-// be byte-identical at every thread count.
+// The push phase is a parallel collect, whose chunks write disjoint slices
+// of one record stream, followed by a serial drain on the Run thread
+// (core/engine_push.h). For each push-heavy algorithm and host thread count
+// this bench reports, per iteration, how long the collect and the drain
+// took on the host. Like host_scaling it measures the SIMULATOR's wall
+// clock (not simulated GPU time), emits JSON, and doubles as a determinism
+// gate: simulated stats and values must be byte-identical at every thread
+// count.
 //
 //   push_replay [--scale N] [--edge-factor N] [--threads 1,2,4,8]
 //               [--repeats N] [--seed N] [--json out.json] [--smoke]
@@ -28,15 +26,9 @@
 // handful of destinations — the pre-combining showcase.
 //
 // --smoke: CI gate — scale 12, 1 repeat, threads {1,2}; exits non-zero on
-// any cross-thread-count divergence, or if the 2-thread run failed to drain
-// any iteration through the partitioned replay (per-range timings missing).
-// With --pre-combine it additionally fails if any capable program never
-// engaged the fold path, if SSSP left the per-record contract, or if the
-// funnel's fold ratio is not > 1. When >= 4 cores are available (and the
-// build is sanitizer-free), smoke also extends the thread list to include 4
-// and enforces a minimum replay-stage speedup — on smaller hosts the gate
-// prints the skip reason and is waived.
-#include <algorithm>
+// any cross-thread-count divergence. With --pre-combine it additionally
+// fails if any capable program never engaged the fold path, if SSSP left
+// the per-record contract, or if the funnel's fold ratio is not > 1.
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -55,11 +47,6 @@
 
 namespace simdx {
 namespace {
-
-// Minimum summed replay-stage speedup (t=1 vs the largest measured thread
-// count) the smoke gate enforces when SpeedupGateEnabled(4): deliberately
-// conservative — 4 workers at even 50% efficiency clear it 1.6x over.
-constexpr double kMinReplaySpeedup = 1.2;
 
 struct Args {
   uint32_t scale = 16;
@@ -107,11 +94,10 @@ Args Parse(int argc, char** argv) {
              " [--repeats N] [--seed N] [--json out.json] [--smoke]"
              " [--pre-combine]\n\n"
              "Collect-then-replay push-drain profile on an RMAT graph:\n"
-             "per-range and per-iteration replay splits, optionally with\n"
+             "per-iteration collect and replay splits, optionally with\n"
              "the pre-combined drain. JSON (stdout, and --json <path>):\n"
              "{graph: {...}, runs: [{algo, host_threads, mode, wall_ms,\n"
-             "  ranges, record counters, range_ms: [...],\n"
-             "  iterations: [{iteration, records, ...}]}]}\n";
+             "  record counters, iterations: [{iteration, records, ...}]}]}\n";
       std::exit(0);
     } else {
       std::cerr << "usage: " << argv[0]
@@ -180,9 +166,7 @@ void Measure(const std::string& algo, const Graph& g, const Program& program,
     }
     std::cerr << algo << " threads=" << t << " wall=" << s.best_ms
               << "ms collect=" << s.profile.collect_ms
-              << "ms replay=" << s.profile.replay_ms
-              << "ms ranges=" << s.profile.ranges
-              << " partitioned_replays=" << s.profile.partitioned_replays;
+              << "ms replay=" << s.profile.replay_ms << "ms";
     if (args.pre_combine) {
       std::cerr << " contract=" << ToString(s.contract)
                 << " fold=" << s.profile.fold_records << "/"
@@ -203,13 +187,6 @@ int main(int argc, char** argv) {
 
   const uint32_t hw = std::thread::hardware_concurrency();
   bench::WarnIfSingleCore();
-
-  // Replay-stage speedup gate (smoke only): self-guarded — on small or
-  // sanitized hosts it prints the skip reason and is waived, so CI can keep
-  // the step unconditionally (the ROADMAP's "once multi-core runners are
-  // guaranteed" condition became a runtime check).
-  const bool speedup_gate =
-      args.smoke && bench::ArmSmokeSpeedupGate(args.threads, args.repeats);
 
   std::cerr << "building RMAT scale=" << args.scale
             << " edge_factor=" << args.edge_factor << " seed=" << args.seed
@@ -266,25 +243,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Smoke acceptance: the multi-thread run must have drained through the
-  // partitioned replay with per-range timings recorded.
-  bool partitioned_seen = true;
-  if (args.smoke) {
-    for (const Sample& s : samples) {
-      if (s.threads <= 1) {
-        continue;
-      }
-      if (s.profile.ranges <= 1 || s.profile.partitioned_replays == 0 ||
-          s.profile.range_ms.size() != s.profile.ranges) {
-        partitioned_seen = false;
-        std::cerr << "SMOKE FAIL: " << s.algo << " t=" << s.threads
-                  << " never used the partitioned replay (ranges="
-                  << s.profile.ranges << ", partitioned_replays="
-                  << s.profile.partitioned_replays << ")\n";
-      }
-    }
-  }
-
   // Pre-combine acceptance (every thread count, smoke or not): capable
   // programs must actually fold under the per-destination contract, the
   // order-sensitive ones must stay per-record, and the funnel must show a
@@ -317,32 +275,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Replay-stage speedup gate (see above): summed replay wall time of the
-  // RMAT suite at t=1 vs the largest measured thread count.
-  bool speedup_ok = true;
-  if (speedup_gate) {
-    const uint32_t t_max =
-        *std::max_element(args.threads.begin(), args.threads.end());
-    double replay_t1 = 0.0;
-    double replay_tmax = 0.0;
-    for (const Sample& s : samples) {
-      if (s.algo == "bfs_funnel") {
-        continue;  // tiny showcase graph, not a scaling workload
-      }
-      replay_t1 += s.threads == 1 ? s.profile.replay_ms : 0.0;
-      replay_tmax += s.threads == t_max ? s.profile.replay_ms : 0.0;
-    }
-    const double speedup = replay_tmax > 0.0 ? replay_t1 / replay_tmax : 0.0;
-    std::cerr << "replay-stage speedup t=1 -> t=" << t_max << ": " << speedup
-              << "x (gate: >= " << kMinReplaySpeedup << ")\n";
-    if (speedup < kMinReplaySpeedup) {
-      speedup_ok = false;
-      std::cerr << "SPEEDUP FAIL: replay stage sped up " << speedup
-                << "x from 1 to " << t_max << " threads (need >= "
-                << kMinReplaySpeedup << ")\n";
-    }
-  }
-
   std::ostringstream json;
   json.precision(6);
   json << std::fixed;
@@ -359,8 +291,7 @@ int main(int argc, char** argv) {
     json << "    {\"algo\": \"" << s.algo << "\", \"host_threads\": " << s.threads
          << ", \"vertices\": " << s.vertices << ", \"edges\": " << s.edges
          << ", \"contract\": \"" << ToString(s.contract)
-         << "\", \"wall_ms\": " << s.best_ms << ", \"ranges\": " << p.ranges
-         << ", \"partitioned_replays\": " << p.partitioned_replays
+         << "\", \"wall_ms\": " << s.best_ms
          << ", \"serial_replays\": " << p.serial_replays
          << ", \"collect_ms\": " << p.collect_ms
          << ", \"replay_ms\": " << p.replay_ms;
@@ -378,19 +309,14 @@ int main(int argc, char** argv) {
            << ", \"fold_ratio\": " << ratio << ", \"fold_ms\": " << p.fold_ms
            << ", \"apply_ms\": " << p.apply_ms;
     }
-    json << ",\n     \"range_ms\": [";
-    for (size_t r = 0; r < p.range_ms.size(); ++r) {
-      json << (r ? ", " : "") << p.range_ms[r];
-    }
-    json << "],\n     \"iterations\": [";
+    json << ",\n     \"iterations\": [";
     for (size_t it = 0; it < p.iterations.size(); ++it) {
       const PushReplayIterationSplit& split = p.iterations[it];
       json << (it ? "," : "") << "\n       {\"iteration\": " << split.iteration
            << ", \"records\": " << split.records
            << ", \"applies\": " << split.applies
            << ", \"collect_ms\": " << split.collect_ms
-           << ", \"replay_ms\": " << split.replay_ms << ", \"partitioned\": "
-           << (split.partitioned ? "true" : "false") << ", \"pre_combined\": "
+           << ", \"replay_ms\": " << split.replay_ms << ", \"pre_combined\": "
            << (split.pre_combined ? "true" : "false") << "}";
     }
     json << (p.iterations.empty() ? "]" : "\n     ]") << "}"
@@ -404,5 +330,5 @@ int main(int argc, char** argv) {
     std::cerr << "wrote " << args.json_path << "\n";
   }
   std::cout << json.str();
-  return deterministic && partitioned_seen && fold_ok && speedup_ok ? 0 : 1;
+  return deterministic && fold_ok ? 0 : 1;
 }

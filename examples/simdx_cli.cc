@@ -10,12 +10,12 @@
 // Filters:    jit online ballot batch      Fusion: selective none all
 // Devices:    k20 k40 p100
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "algos/algos.h"
 #include "algos/scc.h"
+#include "bench/common.h"
 #include "graph/io.h"
 #include "graph/presets.h"
 #include "graph/stats.h"
@@ -70,12 +70,12 @@ bool Parse(int argc, char** argv, CliArgs& args) {
     } else if (a == "--directed") {
       args.directed = true;
     } else if (a == "--source" && next(value)) {
-      args.source = std::strtoul(value.c_str(), nullptr, 10);
+      args.source = bench::ParseU32Flag(value, "--source");
       args.source_set = true;
     } else if (a == "--k" && next(value)) {
-      args.k = std::strtoul(value.c_str(), nullptr, 10);
+      args.k = bench::ParseU32Flag(value, "--k");
     } else if (a == "--rounds" && next(value)) {
-      args.bp_rounds = std::strtoul(value.c_str(), nullptr, 10);
+      args.bp_rounds = bench::ParseU32Flag(value, "--rounds");
     } else if (a == "--device" && next(value)) {
       args.device = value;
     } else if (a == "--filter" && next(value)) {
@@ -132,6 +132,13 @@ int main(int argc, char** argv) {
               graph.vertex_count(),
               static_cast<unsigned long long>(graph.edge_count()),
               graph.directed() ? "directed" : "undirected");
+  if (args.source_set && args.source >= graph.vertex_count()) {
+    std::fprintf(stderr,
+                 "error: --source %u is not a vertex of the graph (%u "
+                 "vertices)\n",
+                 args.source, graph.vertex_count());
+    return 2;
+  }
 
   DeviceSpec device = MakeK40();
   if (args.device == "k20") {

@@ -20,10 +20,9 @@
 //   * Apply ORs the folded update in. Depth extraction happens AT SETTLE
 //     TIME: the bits Apply newly sets (combined & ~old) are stamped with the
 //     current BFS depth into a per-(vertex, lane) level table held in
-//     MsBfsState. The write is keyed by destination vertex, so it is legal
-//     in every drain: the partitioned replay gives each vertex one owner,
-//     the pre-combined drain issues one Apply per touched destination, and
-//     the serial drain writes each first-arrival once (later records of the
+//     MsBfsState. Apply runs on the Run thread in serial order: the
+//     pre-combined drain issues one Apply per touched destination, and the
+//     per-record drain writes each first-arrival once (later records of the
 //     same iteration see the bit already in `old`). All contracts therefore
 //     extract BIT-IDENTICAL level tables — the differential test's oracle.
 //
@@ -56,8 +55,8 @@ struct MsBfsState {
   // v * lanes + lane -> settle depth (kInfinity = lane never reached v).
   std::vector<uint32_t> levels;
   uint32_t depth = 0;  // BFS depth Apply stamps this iteration
-  // Per-vertex count of settled lanes, maintained by Apply (destination-
-  // keyed, so race-free in every drain). Feeds the pull-cost bound below;
+  // Per-vertex count of settled lanes, maintained by Apply (on the Run
+  // thread, like every Apply). Feeds the pull-cost bound below;
   // rebuilt from `levels` on resume, so it never enters the checkpoint.
   std::vector<uint8_t> lanes_set;
   // Sum of in-degrees over vertices still missing a lane — an upper bound
@@ -190,9 +189,9 @@ struct MsBfsProgram {
     Value fresh = next & ~old;
     if (fresh != 0) {
       // Settle time: stamp the depth for every lane that just arrived.
-      // Writes are keyed by the destination vertex, so every drain (serial,
-      // partitioned owner-computes, pre-combined) performs them race-free
-      // and in the same iteration — identical level tables by construction.
+      // Both drains (per-record and pre-combined) and the pull apply run
+      // on the Run thread and settle a lane in the same iteration —
+      // identical level tables by construction.
       const uint32_t lanes = state->lanes();
       uint32_t* row = state->levels.data() + static_cast<uint64_t>(v) * lanes;
       state->lanes_set[v] += static_cast<uint8_t>(std::popcount(fresh));

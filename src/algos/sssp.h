@@ -69,6 +69,9 @@ struct SsspProgram {
   Value Combine(const Value& a, const Value& b) const { return a < b ? a : b; }
   Value CombineIdentity() const { return kInfinity; }
 
+  // Parks straight from Apply: the engine calls Apply on one thread in
+  // serial record order (core/acc.h), so the pending list comes out in the
+  // sequential order RefillFrontier depends on.
   Value Apply(VertexId v, const Value& combined, const Value& old,
               Direction /*dir*/) const {
     if (combined >= old) {
@@ -80,26 +83,6 @@ struct SsspProgram {
     return combined;
   }
 
-  // Partitioned-replay form of Apply: parking mutates the shared pending
-  // list (whose ORDER feeds RefillFrontier, hence the released-frontier
-  // order), so it cannot run from concurrent range workers. The park is
-  // appended as a deferred effect instead; the engine replays the effects
-  // in exact serial record order through ReplayApplyEffect, reproducing the
-  // sequential pending list bit for bit. bucket_limit_ is only read here —
-  // it changes between iterations, never during a replay.
-  Value ApplyCollect(VertexId v, const Value& combined, const Value& old,
-                     Direction /*dir*/, std::vector<ApplyEffect>& effects) const {
-    if (combined >= old) {
-      return old;
-    }
-    if (combined >= bucket_limit_) {
-      effects.push_back(ApplyEffect{v, combined});
-    }
-    return combined;
-  }
-  void ReplayApplyEffect(const ApplyEffect& e) const {
-    Park(e.v, static_cast<Value>(e.payload));
-  }
   bool ValueChanged(const Value& before, const Value& after) const {
     return before != after;
   }

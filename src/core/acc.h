@@ -15,20 +15,18 @@
 //    defers all destination writes into a push record stream and replays
 //    them after the scatter, so a candidate computed this phase never
 //    observes a value written this phase — exact for monotone combines and
-//    for residual-carrying programs, and what makes the phase
-//    host-parallel).
+//    for residual-carrying programs, and what lets the scatter run on
+//    several host threads).
 //  * PULL iterations gather along in-edges reading the PREVIOUS-iteration
 //    value of every contributor (pure BSP — what the double-buffered
 //    metadata arrays give the real kernels).
 //  * Active(curr, prev) is evaluated against the value snapshot taken at the
 //    last frontier commit; it must mean "this vertex has updates its
 //    neighbors have not consumed yet".
-//  * The engine's partitioned push replay calls Apply concurrently for
-//    DISTINCT destination vertices (all of one vertex's applies stay on one
-//    thread, in serial order). Apply must therefore be pure per vertex; a
-//    program whose Apply carries cross-vertex side effects (delta-stepping's
-//    bucket parking) supplies the ApplyCollect/ReplayApplyEffect pair below
-//    so the effects are deferred and replayed in exact serial order.
+//  * Apply runs on one thread in serial order and may touch program state:
+//    both the push drain and the pull apply replay their updates on the
+//    thread that called Run, in the order the sequential loop would
+//    (delta-stepping SSSP parks vertices into its pending list from Apply).
 #ifndef SIMDX_CORE_ACC_H_
 #define SIMDX_CORE_ACC_H_
 
@@ -91,17 +89,6 @@ struct IterationInfo {
   Direction previous_direction = Direction::kPush;
 };
 
-// One Apply side effect deferred out of the partitioned push replay: the
-// vertex it concerns plus a program-defined payload (SSSP parks the
-// improved distance). Replay workers collect these in per-range buffers
-// tagged with the record position that produced them; the engine merges the
-// buffers back into global record order and feeds each effect to
-// ReplayApplyEffect, so the program observes exactly the serial sequence.
-struct ApplyEffect {
-  VertexId v;
-  uint64_t payload;
-};
-
 // Compile-time contract every algorithm in src/algos satisfies. Engines are
 // templated on the program so Compute/Combine inline into the edge loops,
 // mirroring how nvcc specializes the paper's device lambdas.
@@ -119,17 +106,6 @@ struct ApplyEffect {
 //                                                of the kVote early exit,
 //                                                e.g. MS-BFS's full lane
 //                                                mask)
-//   Value ApplyCollect(v, combined, old, dir,
-//                      std::vector<ApplyEffect>&)
-//                                              — Apply variant for the
-//                                                partitioned replay: same
-//                                                return value, but any
-//                                                shared-state side effect is
-//                                                appended instead of
-//                                                performed (thread-safe)
-//   void ReplayApplyEffect(const ApplyEffect&) — perform one deferred
-//                                                effect; called in exact
-//                                                serial record order
 template <typename P>
 concept AccProgram = requires(const P p, typename P::Value v, VertexId id,
                               Weight w, IterationInfo info, Direction dir) {

@@ -41,8 +41,8 @@ uint32_t Crc32(const void* data, size_t size, uint32_t seed = 0);
 
 // Digest over the EngineOptions fields that change SIMULATED semantics
 // (counters, values, patterns, contract). Host-runtime knobs — host_threads,
-// parallel_replay_min_records, profile_push_replay, keep_iteration_log —
-// are deliberately EXCLUDED: a checkpoint written by an 8-thread run must
+// profile_push_replay, keep_iteration_log — are deliberately EXCLUDED: a
+// checkpoint written by an 8-thread run must
 // restore into a 1-thread engine (and vice versa) and still reproduce the
 // uninterrupted fingerprint, which is exactly what the resume sweep asserts.
 uint64_t SemanticOptionsDigest(const EngineOptions& options);

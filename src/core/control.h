@@ -1,9 +1,9 @@
 // Cooperative run control: cancellation, deadlines, checkpoint cadence,
 // resume source, and fault arming — everything a caller threads into
 // Engine::Run beyond the program itself. All checks are cooperative and land
-// at iteration boundaries (plus a per-N-chunk poll inside the one-range drain),
-// so a cancelled run always stops at a state the checkpoint layer could have
-// captured.
+// at iteration boundaries (plus a poll every kCancelPollSlots records inside
+// the push drain), so a cancelled run always stops at a state the checkpoint
+// layer could have captured.
 #ifndef SIMDX_CORE_CONTROL_H_
 #define SIMDX_CORE_CONTROL_H_
 
@@ -30,7 +30,8 @@ class CancelToken {
 };
 
 struct RunControl {
-  // Polled at iteration boundaries and every 32 chunks in the one-range drain.
+  // Polled at iteration boundaries and every kCancelPollSlots records in the
+  // push drain.
   CancelToken* cancel = nullptr;
 
   // Wall-clock budget relative to Run entry; 0 = none. Exceeding it yields

@@ -21,7 +21,7 @@
 //
 // The member definitions live in one file per seam, included at the end:
 // engine_control.h (cancellation, faults, checkpoints), engine_push.h
-// (collect and the owner-computes drain) and engine_pull.h (gathers).
+// (parallel collect, serial drain) and engine_pull.h (gathers).
 #ifndef SIMDX_CORE_ENGINE_H_
 #define SIMDX_CORE_ENGINE_H_
 
@@ -63,10 +63,9 @@ inline double EffectiveOccupancy(double occupancy) {
 }
 
 // Host wall-clock split of the push phase, recorded when
-// EngineOptions::profile_push_replay is set (consumed by bench/push_replay).
-// All times are HOST milliseconds — the simulator's own cost, not simulated
-// GPU time — and per-range entries are each replay worker's busy time, the
-// direct evidence that the replay stage executed on P workers.
+// EngineOptions::profile_push_replay is set (consumed by bench/push_replay
+// and bench/e2e). All times are HOST milliseconds — the simulator's own
+// cost, not simulated GPU time.
 struct PushReplayIterationSplit {
   uint32_t iteration = 0;
   uint64_t records = 0;
@@ -75,13 +74,12 @@ struct PushReplayIterationSplit {
   uint64_t applies = 0;
   double collect_ms = 0.0;
   double replay_ms = 0.0;
-  bool partitioned = false;   // drained over several ranges (vs one inline)
   bool pre_combined = false;  // associative fold drain (one Apply per dst)
 };
 
 struct PushReplayProfile {
-  uint32_t ranges = 0;  // replay ranges armed for this run (1 = serial only)
-  // Drains split over the ranges vs drained as one inline range.
+  // Push drains run. Every drain is serial on the Run thread, so
+  // partitioned_replays stays 0; bench/e2e still reads it.
   uint64_t partitioned_replays = 0;
   uint64_t serial_replays = 0;
   // Pre-combined drains and their record/apply
@@ -92,11 +90,10 @@ struct PushReplayProfile {
   uint64_t fold_applies = 0;
   double collect_ms = 0.0;  // summed over push iterations
   double replay_ms = 0.0;
-  // Pre-combined drain split: worker busy time folding candidates vs
-  // applying them (summed over workers; consumes are counted with apply).
+  // Pre-combined drain split: time folding candidates vs applying them
+  // (consumes are counted with apply).
   double fold_ms = 0.0;
   double apply_ms = 0.0;
-  std::vector<double> range_ms;  // per-range drain busy time, summed
   std::vector<PushReplayIterationSplit> iterations;
 };
 
@@ -172,8 +169,8 @@ class Engine {
     GlobalBarrier barrier(DeadlockFreeGridSize(
         device_, ResourcesFor(options_.fusion, Direction::kPush,
                               options_.threads_per_cta)));
-    // Stamp arrays zeroed through ParallelFor, so their pages land near the
-    // drain workers that will stamp them.
+    // Stamp arrays zeroed through ParallelFill: only the Run thread stamps
+    // them, but a large graph's arrays zero faster on the pool.
     recorded_stamp_.clear();
     ParallelFill(recorded_stamp_, n, pool_, host_threads_, 8192,
                  [](size_t) { return 0u; });
@@ -193,7 +190,9 @@ class Engine {
       }
     }
     run_records_buffered_ = 0;
-    SetupReplayPartition();
+    if (options_.profile_push_replay) {
+      profile_ = PushReplayProfile{};
+    }
 
     const bool static_frontier = StaticFrontierAfterFirst(program);
     LoopState loop;
@@ -520,24 +519,6 @@ class Engine {
       requires(const Program& p, const Value& val) {
         { p.ConsumeActivity(val, val, Direction::kPush) } -> std::same_as<Value>;
       };
-  static constexpr bool kHasDeferredApply =
-      requires(const Program& p, VertexId v, const Value& val,
-               std::vector<ApplyEffect>& out) {
-        { p.ApplyCollect(v, val, val, Direction::kPush, out) }
-            -> std::same_as<Value>;
-        p.ReplayApplyEffect(ApplyEffect{});
-      };
-  // Fail closed: a program that ships ApplyCollect (declaring "my Apply has
-  // side effects that need deferral") but whose hook pair doesn't satisfy
-  // kHasDeferredApply — missing/misdeclared ReplayApplyEffect, wrong
-  // signature — must not silently fall back to running its side-effecting
-  // Apply from concurrent range workers.
-  static_assert(!requires(const Program& p) { &Program::ApplyCollect; } ||
-                    kHasDeferredApply,
-                "Program defines ApplyCollect but the deferred-apply hook "
-                "pair is malformed (see acc.h: ApplyCollect must return "
-                "Value and ReplayApplyEffect(const ApplyEffect&) must be "
-                "callable on a const Program)");
 
   // Optional saturation hook for pull gathers (see PullRange): a program
   // whose Combine is monotone-idempotent can certify mid-gather that the
@@ -572,32 +553,12 @@ class Engine {
     uint64_t refill_words = 0;
   };
 
-  // One destination first touched by the pre-combined fold pass: the slot of
-  // its first record (the serial position its single Apply — and any
-  // activation it produces — is sequenced at), and the
-  // simulated worker lane of that first record (owner of the filter bin the
+  // One destination first touched by the pre-combined fold pass, with the
+  // simulated worker lane of its first record (owner of the filter bin the
   // activation lands in, mirroring the per-record drain's convention).
   struct FoldTouch {
-    uint64_t pos;
     VertexId dst;
     uint32_t worker;
-  };
-
-  // Per-range scratch for the push drain, reused across iterations. Holds
-  // the range worker's counters plus its slot-tagged deferred streams;
-  // `effect_pos[i]` is the slot of the record that produced `effects[i]`
-  // (kept parallel rather than wrapped so the no-effect programs pay
-  // nothing). `touched` is the pre-combined fold's first-touch list (empty
-  // for per-record runs).
-  struct ReplayScratch {
-    CostCounters cost;
-    std::vector<DeferredActivation> activations;
-    std::vector<ApplyEffect> effects;
-    std::vector<uint64_t> effect_pos;
-    std::vector<FoldTouch> touched;
-    double wall_ms = 0.0;
-    double fold_ms = 0.0;
-    double apply_ms = 0.0;
   };
 
   // Per-chunk scratch for the parallel pull phase, reused across iterations.
@@ -647,26 +608,15 @@ class Engine {
                                 size_t begin, size_t end, uint64_t& slot);
   uint64_t Drain(const Program& program, VertexMeta<Value>& meta,
                  std::span<const WorkListView> views, uint64_t records,
-                 uint32_t ranges, JitController& jit, CostCounters& cost);
-  template <bool kInline>
-  void DrainRange(const Program& program, VertexMeta<Value>& meta,
-                  std::span<const WorkListView> views, uint64_t records,
-                  uint32_t p, ReplayScratch& s, JitController& jit);
+                 JitController& jit, CostCounters& cost);
   void FoldRecord(const Program& program, VertexId u, uint32_t worker,
-                  const Value& cand, uint64_t pos,
-                  std::vector<FoldTouch>& touched);
-  static void ResetScratch(ReplayScratch& s);
-  // Forced inline: left to the compiler, the one-range drain pays a call
-  // per record and runs up to ~1.5x slower (push_replay, 1 thread).
-  template <bool kInline>
+                  const Value& cand);
+  // Forced inline: left to the compiler, the drain pays a call per record
+  // and runs up to ~1.5x slower (push_replay, 1 thread).
   [[gnu::always_inline]] inline void ReplayRecord(
       const Program& program, VertexMeta<Value>& meta, VertexId u,
-      uint32_t worker, const Value& cand, uint64_t slot, ReplayScratch& s,
-      JitController& jit);
-  template <typename SizeFn, typename PosFn, typename EmitFn>
-  void MergeByPosition(uint32_t ranges, const SizeFn& size, const PosFn& pos,
-                       const EmitFn& emit);
-  void SetupReplayPartition();
+      uint32_t worker, const Value& cand, JitController& jit,
+      CostCounters& cost);
   static uint32_t WorkerFor(size_t list_idx, uint32_t edge_idx,
                             KernelClass klass, uint32_t workers);
 
@@ -707,20 +657,13 @@ class Engine {
   std::vector<CostCounters> chunk_cost_;
   // Iteration-stamped "already recorded" marks (avoids duplicate bin
   // entries; the real system tolerates duplicates, our sequential apply
-  // makes exactly-once recording the natural semantics). NumaVector +
-  // ParallelFill: pages first-touched by pool threads.
+  // makes exactly-once recording the natural semantics).
   NumaVector<uint32_t> recorded_stamp_;
   // Same-iteration destination-touch marks for atomic-contention accounting
   // (only allocated when use_atomic_updates is set).
   NumaVector<uint32_t> touch_stamp_;
   uint32_t stamp_ = 0;
   uint32_t last_stage_count_ = 0;
-  // Owner-computes drain state (SetupReplayPartition): the range count
-  // (1 = every drain runs as one inline range) and the range boundaries —
-  // range p owns the vertices [replay_bounds_[p], replay_bounds_[p + 1]).
-  // Per-range worker scratch and the merge cursors follow below.
-  uint32_t replay_ranges_ = 1;
-  std::vector<size_t> replay_bounds_;
   // Per-run decision (Run): associative pre-combining armed — option on AND
   // the program declared CombineCapability::kAssociativeOnly.
   bool pre_combine_ = false;
@@ -728,12 +671,11 @@ class Engine {
   // RunStats at the end of Run).
   uint64_t run_records_buffered_ = 0;
   // Pre-combined drain state: per-vertex fold accumulators guarded by an
-  // iteration stamp (a vertex's fold is owned by exactly one worker, so no
-  // sharing). Allocated only when pre_combine_ is armed.
+  // iteration stamp, and the destinations the current fold touched, in
+  // first-touch order. Allocated only when pre_combine_ is armed.
   NumaVector<uint32_t> fold_stamp_;
   std::vector<Value> fold_acc_;
-  std::vector<ReplayScratch> replay_scratch_;
-  std::vector<size_t> merge_heads_;
+  std::vector<FoldTouch> fold_touched_;
   PushReplayProfile profile_;
   // --- control plane (valid during Run; DisarmControl nulls the pointers).
   const RunControl* control_ = nullptr;

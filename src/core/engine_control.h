@@ -17,8 +17,8 @@ void Engine<Program>::DisarmControl() {
 }
 
 // Latches the first cancellation/deadline observation into control_break_.
-// Only called from the Run thread (iteration boundaries and the inline
-// one-range drain) — never from pool workers, so no races.
+// Only called from the Run thread (iteration boundaries and the push
+// drain) — never from pool workers, so no races.
 template <AccProgram Program>
 bool Engine<Program>::CancelOrDeadline() {
   if (control_break_) {

@@ -20,32 +20,19 @@
 //   first sums each chunk's out-degrees over the same chunk boundaries; a
 //   serial prefix over those sums gives every chunk its first slot.
 //
-//   DRAIN (owner-computes): the destination-vertex space is split into
-//   disjoint contiguous ranges balanced by in-degree mass
-//   (BalancedRangeBoundaries over the in-CSR offsets, so ranges balance by
-//   incoming records). Each range worker scans the slots in order, applies
-//   the records whose dst lies in its range, and runs ConsumeActivity for
-//   the sources it owns where their out-degree says their records end.
-//   Everything a record touches — curr(dst), the touch/record stamps, the
-//   activation decision, the park decision — is keyed by a single vertex
-//   that exactly one worker owns, so the per-destination statement order IS
-//   the serial order. The order-sensitive side channels leave the workers
-//   through per-range scratch: CostCounters merge in range order (pure
-//   integer sums), while online-filter records and deferred Apply effects
-//   (ApplyEffect; SSSP's bucket parks) carry their slot and are k-way merged
-//   back into the serial order before touching the shared bins / program
-//   state.
-//
-//   The serial drain is the ONE-RANGE case of the same body: at
-//   host_threads == 1 or for iterations below parallel_replay_min_records,
-//   a single range owns every record and the drain runs inline on the
-//   calling thread. Every simulated stat, touch stamp and output value is
+//   DRAIN (serial, on the Run thread): one pass replays the slots in
+//   order, so every Apply, curr write, touch/record stamp, online-filter
+//   record and program side effect (SSSP's bucket parks) happens exactly
+//   where the sequential loop puts it — there are no side channels and
+//   nothing to merge, and Apply may touch program state. This is the pull
+//   phase's shape too (engine_pull.h): parallel read-only work, then one
+//   ordered apply. Every simulated stat, touch stamp and output value is
 //   therefore bit-identical for any host_threads, and the stream costs
-//   4 + sizeof(Value) + 4 bytes per record at any range count.
+//   4 + sizeof(Value) + 4 bytes per record.
 //
 //   PRE-COMBINED (StatsContract::kPerDestination): when the program
 //   declares CombineCapability::kAssociativeOnly and
-//   EngineOptions::pre_combine_replay is set, the range body folds before it
+//   EngineOptions::pre_combine_replay is set, the drain folds before it
 //   applies and issues exactly one Apply per touched destination (see the
 //   comment above FoldRecord). Stats remain bit-identical for any
 //   host_threads — under the per-destination contract, which maps to the
@@ -68,8 +55,8 @@
 
 namespace simdx {
 
-// The inline drain polls for cancellation at its start and then once per
-// this many slots.
+// The drain polls for cancellation at its start and then once per this
+// many slots.
 inline constexpr uint64_t kCancelPollSlots = 65536;
 
 // Grows a record lane to at least n entries. A lane never shrinks, and its
@@ -93,8 +80,7 @@ uint64_t Engine<Program>::ProcessPush(const Program& program,
     return 0;
   }
   // The frontier's out-edge sum (already computed by classification) is
-  // exactly the record count, so the lanes are sized before the collect and
-  // iterations below the threshold drain as one inline range.
+  // exactly the record count, so the lanes are sized before the collect.
   const uint64_t records = frontier_out_edges;
   GrowLane(push_dst_, records);
   GrowLane(push_cand_, records);
@@ -110,10 +96,7 @@ uint64_t Engine<Program>::ProcessPush(const Program& program,
     return 0;
   }
   const double t_replay = profile ? NowMs() : 0.0;
-  const uint32_t ranges =
-      records >= options_.parallel_replay_min_records ? replay_ranges_ : 1;
-  const uint64_t touched =
-      Drain(program, meta, views, records, ranges, jit, cost);
+  const uint64_t touched = Drain(program, meta, views, records, jit, cost);
   const uint64_t applies = pre_combine_ ? touched : records;
   if (StageBreak(FaultPoint::kApply)) {
     return records;
@@ -123,7 +106,7 @@ uint64_t Engine<Program>::ProcessPush(const Program& program,
     const double t_done = NowMs();
     profile_.collect_ms += t_replay - t_collect;
     profile_.replay_ms += t_done - t_replay;
-    (ranges > 1 ? profile_.partitioned_replays : profile_.serial_replays) += 1;
+    profile_.serial_replays += 1;
     if (pre_combine_) {
       profile_.precombined_replays += 1;
       profile_.fold_records += records;
@@ -131,7 +114,7 @@ uint64_t Engine<Program>::ProcessPush(const Program& program,
     }
     profile_.iterations.push_back(PushReplayIterationSplit{
         stamp_ - 1, records, applies, t_replay - t_collect, t_done - t_replay,
-        ranges > 1, pre_combine_});
+        pre_combine_});
   }
   return records;
 }
@@ -251,115 +234,42 @@ CostCounters Engine<Program>::CollectPushRange(const Program& program,
   return cost;
 }
 
-// The one push drain: range worker p drains the records whose destination
-// it owns (DrainRange), then the per-range side channels merge back into
-// exact serial record order — filter records into the shared bins
-// (overflow latching and charge order match a sequential walk), then Apply
-// effects into the program (SSSP's pending-list order matches). One range
-// runs inline on the calling thread. Returns the destinations the
-// pre-combined fold touched (0 for per-record runs).
+// The one push drain, on the Run thread, over slots [0, records) in order.
+// A per-record run replays each record; a program with ConsumeActivity
+// walks the lists with a slot cursor instead, so a source's consume runs
+// right after its last slot — exactly where a sequential walk consumes. A
+// pre-combined run folds, applies once per touched destination, then
+// consumes (the passes are described above FoldRecord). Returns the
+// destinations the pre-combined fold touched (0 for per-record runs).
 template <AccProgram Program>
 uint64_t Engine<Program>::Drain(const Program& program, VertexMeta<Value>& meta,
                                 std::span<const WorkListView> views,
-                                uint64_t records, uint32_t ranges,
-                                JitController& jit, CostCounters& cost) {
-  const bool profile = options_.profile_push_replay;
-  uint64_t touched = 0;
-  PartitionedDrain(
-      pool_, host_threads_, ranges,
-      [&](uint32_t p) {
-        ReplayScratch& s = replay_scratch_[p];
-        ResetScratch(s);
-        const double t0 = profile ? NowMs() : 0.0;
-        if (ranges == 1) {
-          DrainRange<true>(program, meta, views, records, p, s, jit);
-        } else {
-          DrainRange<false>(program, meta, views, records, p, s, jit);
-        }
-        if (profile) {
-          s.wall_ms = NowMs() - t0;
-        }
-      },
-      [&](uint32_t p) {
-        const ReplayScratch& s = replay_scratch_[p];
-        cost += s.cost;
-        touched += s.touched.size();
-        if (profile) {
-          profile_.range_ms[p] += s.wall_ms;
-          profile_.fold_ms += s.fold_ms;
-          profile_.apply_ms += s.apply_ms;
-        }
-      });
-  MergeByPosition(
-      ranges,
-      [&](uint32_t p) { return replay_scratch_[p].activations.size(); },
-      [&](uint32_t p, size_t h) { return replay_scratch_[p].activations[h].pos; },
-      [&](uint32_t p, size_t h) {
-        jit.ReplayActivation(replay_scratch_[p].activations[h], cost);
-      });
-  if constexpr (kHasDeferredApply) {
-    MergeByPosition(
-        ranges,
-        [&](uint32_t p) { return replay_scratch_[p].effect_pos.size(); },
-        [&](uint32_t p, size_t h) { return replay_scratch_[p].effect_pos[h]; },
-        [&](uint32_t p, size_t h) {
-          program.ReplayApplyEffect(replay_scratch_[p].effects[h]);
-        });
-  }
-  return touched;
-}
-
-// One range worker's drain over slots [0, records). Range p owns the
-// vertices [replay_bounds_[p], replay_bounds_[p + 1]); the inline one-range
-// drain owns every vertex and skips the test. A per-record run replays each
-// owned record; a program with ConsumeActivity walks the lists with a slot
-// cursor instead, so an owned source's consume runs right after its last
-// slot — between the owned records around it, exactly where a sequential
-// walk consumes. A pre-combined run folds owned records, applies once per
-// owned destination, then consumes owned sources (the passes are described
-// above FoldRecord). kInline is the only case that may poll for
-// cancellation (pool workers must not touch control_break_), and since it
-// walks the records in serial order its side channels skip the merge
-// (ReplayRecord).
-template <AccProgram Program>
-template <bool kInline>
-void Engine<Program>::DrainRange(const Program& program,
-                                 VertexMeta<Value>& meta,
-                                 std::span<const WorkListView> views,
-                                 uint64_t records, uint32_t p,
-                                 ReplayScratch& s, JitController& jit) {
-  const bool profile = options_.profile_push_replay;
-  const double t0 = profile ? NowMs() : 0.0;
-  const VertexId lo = kInline ? 0 : static_cast<VertexId>(replay_bounds_[p]);
-  const VertexId width =
-      kInline ? 0 : static_cast<VertexId>(replay_bounds_[p + 1]) - lo;
-  const auto owns = [&](VertexId v) { return kInline || v - lo < width; };
+                                uint64_t records, JitController& jit,
+                                CostCounters& cost) {
   uint64_t next_poll = 0;
   const auto cancelled = [&](uint64_t slot) {
-    if (!kInline || !watch_cancel_ || slot < next_poll) {
+    if (!watch_cancel_ || slot < next_poll) {
       return false;
     }
     next_poll = slot + kCancelPollSlots;
     return CancelOrDeadline();
   };
-  const auto replay = [&](uint64_t i) {
-    ReplayRecord<kInline>(program, meta, push_dst_[i], push_worker_[i],
-                          push_cand_[i], i, s, jit);
-  };
-  // fn(slot) for every owned slot in order; false when cancelled.
-  const auto for_each_owned = [&](const auto& fn) {
+  // fn(slot) for every slot in order; false when cancelled.
+  const auto for_each_slot = [&](const auto& fn) {
     for (uint64_t begin = 0; begin < records; begin += kCancelPollSlots) {
       if (cancelled(begin)) {
         return false;
       }
       const uint64_t end = std::min(records, begin + kCancelPollSlots);
       for (uint64_t i = begin; i < end; ++i) {
-        if (owns(push_dst_[i])) {
-          fn(i);
-        }
+        fn(i);
       }
     }
     return true;
+  };
+  const auto replay = [&](uint64_t i) {
+    ReplayRecord(program, meta, push_dst_[i], push_worker_[i], push_cand_[i],
+                 jit, cost);
   };
   if (!pre_combine_) {
     if constexpr (kHasConsume) {
@@ -367,224 +277,113 @@ void Engine<Program>::DrainRange(const Program& program,
       for (const WorkListView& view : views) {
         for (size_t idx = 0; idx < view.size; ++idx) {
           if (cancelled(slot)) {
-            return;
+            return 0;
           }
           const VertexId v = view[idx];
           for (const uint64_t end = slot + graph_.OutDegree(v); slot < end;
                ++slot) {
-            if (owns(push_dst_[slot])) {
-              replay(slot);
-            }
+            replay(slot);
           }
-          if (owns(v)) {
-            Consume(program, meta, v, Direction::kPush);
-          }
+          Consume(program, meta, v, Direction::kPush);
         }
       }
     } else {
-      for_each_owned(replay);
+      for_each_slot(replay);
     }
-    return;
+    return 0;
   }
-  if (!for_each_owned([&](uint64_t i) {
-        FoldRecord(program, push_dst_[i], push_worker_[i], push_cand_[i], i,
-                   s.touched);
+  const bool profile = options_.profile_push_replay;
+  const double t_fold = profile ? NowMs() : 0.0;
+  fold_touched_.clear();
+  if (!for_each_slot([&](uint64_t i) {
+        FoldRecord(program, push_dst_[i], push_worker_[i], push_cand_[i]);
       })) {
-    return;
+    return fold_touched_.size();
   }
-  if (profile) {
-    s.fold_ms = NowMs() - t0;
-  }
-  for (const FoldTouch& t : s.touched) {
-    ReplayRecord<kInline>(program, meta, t.dst, t.worker, fold_acc_[t.dst],
-                          t.pos, s, jit);
+  const double t_apply = profile ? NowMs() : 0.0;
+  for (const FoldTouch& t : fold_touched_) {
+    ReplayRecord(program, meta, t.dst, t.worker, fold_acc_[t.dst], jit, cost);
   }
   if constexpr (kHasConsume) {
     for (const WorkListView& view : views) {
       for (size_t idx = 0; idx < view.size; ++idx) {
-        if (owns(view[idx])) {
-          Consume(program, meta, view[idx], Direction::kPush);
-        }
+        Consume(program, meta, view[idx], Direction::kPush);
       }
     }
   }
   if (profile) {
-    s.apply_ms = NowMs() - t0 - s.fold_ms;
+    profile_.fold_ms += t_apply - t_fold;
+    profile_.apply_ms += NowMs() - t_apply;
   }
+  return fold_touched_.size();
 }
 
 // --- pre-combined drain (StatsContract::kPerDestination) ---
 //
 // For kAssociativeOnly programs the drain may fold a destination's records
-// with Combine before Apply sees them. Each range worker runs three passes,
-// so the result is bit-identical for any range count, i.e. any
-// host_threads:
+// with Combine before Apply sees them. It runs three passes:
 //
-//   FOLD: walk the worker's records in ascending slot order,
-//   left-folding each destination's candidates into fold_acc_[dst]
-//   (fold_stamp_ guards staleness; the fold order for one destination is
-//   exactly the serial record order restricted to it, identical however
-//   the destinations are distributed over workers). First touch files a
-//   FoldTouch carrying the record's slot and worker lane.
+//   FOLD: walk the records in ascending slot order, left-folding each
+//   destination's candidates into fold_acc_[dst] (fold_stamp_ guards
+//   staleness). First touch files a FoldTouch carrying the record's
+//   worker lane.
 //
 //   APPLY: walk the touched list in first-touch order (= ascending first-
 //   record slot) and run the per-record statement sequence ONCE per
 //   destination with the folded candidate — exactly one Apply, one
 //   touch-stamp/atomic charge and at most one value write + activation per
-//   touched destination per push iteration. Activations carry the first-
-//   record slot, so the deferred merge sequences the shared filter bins
-//   identically for any range count.
+//   touched destination per push iteration.
 //
-//   CONSUME: run ConsumeActivity for the worker's sources AFTER its
-//   applies. Per vertex the order is always fold-apply-consume (one owner
-//   runs all three), and operations on distinct vertices touch disjoint
-//   state, so cross-worker interleaving is unobservable. (The per-record
-//   drain instead interleaves consumes at exact serial positions — that
-//   distinction is part of the contract split: per-destination semantics
-//   hand EVERY same-phase arrival to the consume, which for residual
-//   programs conserves activity just like the serial interleaving, only
-//   with different FP rounding.)
+//   CONSUME: run ConsumeActivity for every source AFTER all applies. (The
+//   per-record drain instead interleaves consumes at exact serial
+//   positions — that distinction is part of the contract split:
+//   per-destination semantics hand EVERY same-phase arrival to the
+//   consume, which for residual programs conserves activity just like the
+//   serial interleaving, only with different FP rounding.)
 //
 // The pull path needs none of this: a pull gather already combines all
 // contributors before its single Apply, i.e. pull iterations are
 // pre-combined by construction under either contract.
 template <AccProgram Program>
 void Engine<Program>::FoldRecord(const Program& program, VertexId u,
-                                 uint32_t worker, const Value& cand,
-                                 uint64_t slot,
-                                 std::vector<FoldTouch>& touched) {
+                                 uint32_t worker, const Value& cand) {
   if (fold_stamp_[u] != stamp_) {
     fold_stamp_[u] = stamp_;
     fold_acc_[u] = cand;
-    touched.push_back(FoldTouch{slot, u, worker});
+    fold_touched_.push_back(FoldTouch{u, worker});
   } else {
     fold_acc_[u] = program.Combine(fold_acc_[u], cand);
   }
 }
 
+// The per-record statement sequence for a record (u, worker, cand): Apply,
+// the atomic charge, the curr write and the online-filter record, charged
+// to the iteration's counters. The pre-combined apply pass reuses it with
+// the folded candidate and the worker lane of the destination's first
+// record.
 template <AccProgram Program>
-void Engine<Program>::ResetScratch(ReplayScratch& s) {
-  s.cost = CostCounters{};
-  s.activations.clear();
-  s.effects.clear();
-  s.effect_pos.clear();
-  s.touched.clear();
-  s.fold_ms = 0.0;
-  s.apply_ms = 0.0;
-}
-
-// The per-record statement sequence for a record (u, worker, cand) at
-// `slot`. A range worker defers the two shared side channels: the
-// online-filter record and any Apply side effect go to the range's scratch,
-// tagged with the slot for the serial-order merge. The inline one-range
-// drain already runs in that order, so it emits both directly. Everything
-// else a record touches is owned by this worker's range. The pre-combined
-// apply pass reuses it with the folded candidate and the destination's
-// first-record slot.
-template <AccProgram Program>
-template <bool kInline>
 void Engine<Program>::ReplayRecord(const Program& program,
                                    VertexMeta<Value>& meta, VertexId u,
                                    uint32_t worker, const Value& cand,
-                                   uint64_t slot, ReplayScratch& s,
-                                   JitController& jit) {
-  Value applied;
-  if constexpr (kHasDeferredApply && !kInline) {
-    const size_t before = s.effects.size();
-    applied = program.ApplyCollect(u, cand, meta.curr(u), Direction::kPush,
-                                   s.effects);
-    for (size_t i = before; i < s.effects.size(); ++i) {
-      s.effect_pos.push_back(slot);
-    }
-  } else {
-    applied = program.Apply(u, cand, meta.curr(u), Direction::kPush);
-  }
+                                   JitController& jit, CostCounters& cost) {
+  const Value applied = program.Apply(u, cand, meta.curr(u), Direction::kPush);
   if (options_.use_atomic_updates) {
     // AFC-style: every candidate lands as a device atomic; concurrent
     // candidates for the same destination serialize (Figure 5's
     // aggregation overhead).
-    s.cost.atomic_ops += 1;
+    cost.atomic_ops += 1;
     if (touch_stamp_[u] == stamp_) {
-      s.cost.atomic_conflicts += 1;
+      cost.atomic_conflicts += 1;
     }
     touch_stamp_[u] = stamp_;
   }
   if (program.ValueChanged(meta.curr(u), applied)) {
     meta.curr(u) = applied;
     if (!options_.use_atomic_updates) {
-      s.cost.scattered_words += 1;  // single writer, no atomic (ACC)
+      cost.scattered_words += 1;  // single writer, no atomic (ACC)
     }
-    if constexpr (kInline) {
-      MaybeRecord(program, meta, u, worker, jit, s.cost);
-    } else {
-      // MaybeRecord, deferred: the stamp and the Active check only touch
-      // owned per-vertex state; the bin append must wait for the merge.
-      if (recorded_stamp_[u] != stamp_ &&
-          program.Active(meta.curr(u), meta.prev(u))) {
-        recorded_stamp_[u] = stamp_;
-        s.activations.push_back(DeferredActivation{slot, worker, u});
-      }
-    }
+    MaybeRecord(program, meta, u, worker, jit, cost);
   }
-}
-
-// K-way merge of per-range slot-sorted streams back into the serial record
-// order: size(p)/pos(p, h) describe range p's stream, emit(p, h) consumes
-// the chosen head. Each stream is slot-sorted (range workers walk the slots
-// in order) and a slot belongs to exactly one range (one record, one
-// owner), so strict-< selection is
-// unambiguous and within-range order is preserved. The linear head scan
-// is O(streams) per element; with streams capped at host_threads it beats
-// a heap's constant factor — revisit if range counts grow past ~32.
-template <AccProgram Program>
-template <typename SizeFn, typename PosFn, typename EmitFn>
-void Engine<Program>::MergeByPosition(uint32_t ranges, const SizeFn& size,
-                                      const PosFn& pos, const EmitFn& emit) {
-  merge_heads_.assign(ranges, 0);
-  while (true) {
-    uint32_t best = ranges;
-    uint64_t best_pos = ~0ull;
-    for (uint32_t p = 0; p < ranges; ++p) {
-      const size_t h = merge_heads_[p];
-      if (h < size(p) && pos(p, h) < best_pos) {
-        best_pos = pos(p, h);
-        best = p;
-      }
-    }
-    if (best == ranges) {
-      break;
-    }
-    emit(best, merge_heads_[best]++);
-  }
-}
-
-// Arms the owner-computes drain for this run: one range per host thread
-// (a single inline range at host_threads == 1) over in-degree-balanced
-// boundaries (each destination receives at most in-degree records per
-// phase, so in-CSR offset mass IS expected drain work; the +i term splits
-// long zero-degree runs).
-template <AccProgram Program>
-void Engine<Program>::SetupReplayPartition() {
-  const auto n = static_cast<size_t>(graph_.vertex_count());
-  replay_ranges_ =
-      pool_ == nullptr || n == 0
-          ? 1u
-          : static_cast<uint32_t>(std::min<size_t>(host_threads_, n));
-  if (replay_scratch_.size() < replay_ranges_) {
-    replay_scratch_.resize(replay_ranges_);
-  }
-  if (options_.profile_push_replay) {
-    profile_ = PushReplayProfile{};
-    profile_.ranges = replay_ranges_;
-    profile_.range_ms.assign(replay_ranges_, 0.0);
-  }
-  if (replay_ranges_ == 1) {
-    return;
-  }
-  const auto& in_offsets = graph_.in().row_offsets();
-  replay_bounds_ = BalancedRangeBoundaries(
-      n, replay_ranges_,
-      [&](size_t i) { return static_cast<uint64_t>(in_offsets[i]) + i; });
 }
 
 // Simulated hardware thread that discovered an activation: a Thread-class

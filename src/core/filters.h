@@ -23,19 +23,6 @@ namespace simdx {
 
 using ActivePredicate = std::function<bool(VertexId)>;
 
-// One online-filter record deferred out of the engine's partitioned push
-// replay. Bin contents are order-sensitive (the concatenated bins ARE the
-// next frontier), so range workers must not touch the shared bins; they
-// buffer (worker, v) pairs tagged with the slot of the record that produced
-// them, and the engine merges the per-range buffers by `pos` — restoring
-// the serial record order — before feeding them to
-// JitController::ReplayActivation.
-struct DeferredActivation {
-  uint64_t pos;  // the record's slot in the push stream: the serial merge key
-  uint32_t worker;
-  VertexId v;
-};
-
 // Per-chunk output buffers for the parallel ballot scan, owned by the caller
 // (the JIT controller) so the per-iteration scan allocates nothing once warm.
 struct BallotScratch {

@@ -34,15 +34,6 @@ class JitController {
   // update this iteration), from simulated worker `worker`.
   void RecordActivation(uint32_t worker, VertexId v, CostCounters& counters);
 
-  // Deferred form for the partitioned push replay: the engine's range
-  // workers buffer activations instead of touching the shared bins, then
-  // merge the buffers into global record order and feed them here — one
-  // call per DeferredActivation, on one thread, so bin contents, overflow
-  // latching and charging are exactly the sequential drain's.
-  void ReplayActivation(const DeferredActivation& a, CostCounters& counters) {
-    RecordActivation(a.worker, a.v, counters);
-  }
-
   // Finalizes the iteration: returns the next frontier and appends one
   // character to pattern() — 'O' when the bins produced it, 'B' when a
   // ballot scan did. `active` is the scan predicate Active(curr[v], prev[v]).

@@ -8,8 +8,7 @@
 // `curr` — the push collect pass and the pull gather both run in that
 // window, so they may read `curr`/`prev` concurrently from any number of
 // host threads with every write deferred to the ordered replay that
-// follows. The partitioned replay additionally writes curr from multiple
-// threads, but each vertex's slot from exactly one (owner-computes).
+// follows, which runs on the Run thread alone.
 //
 // Storage uses NumaVector (default-init allocator): for trivial Values the
 // arrays' pages stay unmapped through resize and are faulted in by whichever

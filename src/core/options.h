@@ -53,21 +53,12 @@ struct EngineOptions {
   uint32_t max_iterations = 100000;
 
   // HOST threads driving the simulator's embarrassingly-parallel phases
-  // (pull gathers, ballot scans, frontier classification). Purely a
+  // (push collect, pull gathers, ballot scans, frontier classification).
+  // Applies stay on the calling thread in serial order. Purely a
   // wall-clock knob: every simulated statistic is bit-identical for any
   // value (see core/parallel.h). 0 = hardware_concurrency; 1 = the serial
   // code path, chunk by chunk in order on the calling thread.
   uint32_t host_threads = 0;
-
-  // --- Host-runtime knobs (wall-clock only; never change simulated stats).
-
-  // The push drain is owner-computes over one destination range per host
-  // thread (engine_push.h). Iterations that buffer fewer records than this
-  // drain as ONE range inline on the calling thread instead (identical
-  // results; a pool dispatch and the per-range scans of the whole record
-  // stream aren't worth a few thousand applies). Tests set 0 to split even
-  // tiny graphs' drains over several ranges.
-  size_t parallel_replay_min_records = 2048;
 
   // Associative pre-combining replay: for programs declaring
   // CombineCapability::kAssociativeOnly (core/acc.h), fold each destination's
@@ -81,9 +72,10 @@ struct EngineOptions {
   // (SSSP, k-Core) ignore the flag and keep the per-record drain.
   bool pre_combine_replay = false;
 
-  // Record host wall-clock collect/replay splits and per-range replay busy
-  // times (Engine::push_profile(), bench/push_replay). Off by default to
-  // keep clock reads out of the hot loop.
+  // Record host wall-clock collect/replay splits per push iteration
+  // (Engine::push_profile(), bench/push_replay). Wall-clock only: never
+  // changes a simulated stat. Off by default to keep clock reads out of
+  // the hot loop.
   bool profile_push_replay = false;
 
   // 0 = use the device's global_memory_bytes. Benches shrink this by the

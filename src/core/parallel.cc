@@ -188,43 +188,6 @@ size_t SuggestedGrain(size_t n, uint32_t threads, size_t min_grain, size_t align
   return std::max<size_t>(grain, 1);
 }
 
-std::vector<size_t> BalancedRangeBoundaries(
-    size_t n, uint32_t parts, const std::function<uint64_t(size_t)>& cum) {
-  const uint32_t p = std::max(1u, parts);
-  std::vector<size_t> boundaries(p + 1, n);
-  boundaries[0] = 0;
-  const uint64_t total = cum(n);
-  if (total == 0) {
-    // Degenerate mass (zero-edge graph, or an empty frontier right at a
-    // checkpoint/resume boundary): every target is 0, so the binary search
-    // would collapse all interior boundaries to 0 and the last range would
-    // own everything. Fall back to an even element split — still sorted,
-    // still covering [0, n).
-    for (uint32_t k = 1; k < p; ++k) {
-      boundaries[k] = n * k / p;
-    }
-    return boundaries;
-  }
-  for (uint32_t k = 1; k < p; ++k) {
-    // Smallest i with cum(i) >= total * k / parts. The multiply cannot
-    // overflow for any graph this simulator holds (edge counts are far below
-    // 2^57); keep the division last so targets are exact.
-    const uint64_t target = total / p * k + total % p * k / p;
-    size_t lo = boundaries[k - 1];
-    size_t hi = n;
-    while (lo < hi) {
-      const size_t mid = lo + (hi - lo) / 2;
-      if (cum(mid) < target) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    boundaries[k] = lo;
-  }
-  return boundaries;
-}
-
 ChunkPlan PlanChunks(size_t n, uint32_t threads, size_t min_grain,
                      size_t serial_below, bool have_pool) {
   ChunkPlan plan;

@@ -20,7 +20,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -216,48 +215,6 @@ void CollectAndDrain(ThreadPool* pool, uint32_t threads, size_t n,
   }
   for (uint32_t i = 0; i < plan.chunks; ++i) {
     drain(buffers[i]);
-  }
-}
-
-// Contiguous boundaries of a weighted partition of [0, n) into `parts`
-// ranges: boundaries[p] .. boundaries[p+1] is range p, boundaries.front() is
-// 0 and boundaries.back() is n. `cum(i)` is the cumulative weight of the
-// elements [0, i) (monotone non-decreasing; cum(0) == 0). Each boundary is
-// the smallest index whose cumulative weight reaches p/parts of the total,
-// so ranges balance by weight mass, not element count — the engine feeds the
-// in-CSR row offsets here so push-replay ranges balance by incoming records.
-// Ranges may be empty (heavier-than-average single elements, parts > n).
-std::vector<size_t> BalancedRangeBoundaries(
-    size_t n, uint32_t parts, const std::function<uint64_t(size_t)>& cum);
-
-// Owner-computes partitioned drain, the parallel sibling of CollectAndDrain:
-// `drain(p)` runs once per partition index in [0, parts) — in parallel when
-// a pool is available — and must touch only state its partition owns
-// (disjoint destination ranges), so partitions never race and no ordering
-// between them is observable. `merge(p)` then runs once per partition in
-// ascending partition order on the calling thread; order-sensitive side
-// channels the partition workers buffered (counters, deferred records) fold
-// deterministically there. With no pool / one thread / one partition the
-// drains run inline in ascending order — the exact serial pass.
-template <typename DrainFn, typename MergeFn>
-void PartitionedDrain(ThreadPool* pool, uint32_t threads, uint32_t parts,
-                      const DrainFn& drain, const MergeFn& merge) {
-  if (parts == 0) {
-    return;
-  }
-  if (pool == nullptr || threads <= 1 || parts == 1) {
-    for (uint32_t p = 0; p < parts; ++p) {
-      drain(p);
-    }
-  } else {
-    pool->ParallelFor(0, parts, 1, threads, [&](const ParallelChunk& c) {
-      for (size_t p = c.begin; p < c.end; ++p) {
-        drain(static_cast<uint32_t>(p));
-      }
-    });
-  }
-  for (uint32_t p = 0; p < parts; ++p) {
-    merge(p);
   }
 }
 

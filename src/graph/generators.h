@@ -59,9 +59,10 @@ EdgeList GenerateBinaryTree(uint32_t levels);                  // rooted at 0
 
 // Funnel: root 0 -> `sources` spokes, every spoke -> each of `hubs` hub
 // vertices (ids 1..hubs), every hub -> one shared tail. One push iteration
-// converges sources*hubs records on `hubs` destinations — the worst case
-// for destination partitioning and the showcase for pre-combining (the
-// contention tests and push_replay's fold-ratio gate share this shape).
+// converges sources*hubs records on `hubs` destinations — long
+// per-destination apply chains over many collect chunks, and the showcase
+// for pre-combining (the contention tests and push_replay's fold-ratio
+// gate share this shape).
 // `park_weights` makes the spoke->hub weights straddle SSSP's default
 // delta bucket so delta-stepping parks from inside the replay.
 EdgeList GenerateFunnel(uint32_t sources, uint32_t hubs,

@@ -92,7 +92,6 @@ TEST(PprTest, DeterministicAcrossHostThreads) {
   serial.host_threads = 1;
   EngineOptions parallel = TestOptions();
   parallel.host_threads = 3;
-  parallel.parallel_replay_min_records = 0;
   const auto a = RunPpr(g, source, MakeK40(), serial, 1e-12);
   const auto b = RunPpr(g, source, MakeK40(), parallel, 1e-12);
   ASSERT_TRUE(a.stats.ok());

@@ -215,7 +215,6 @@ TEST(SemanticOptionsDigestTest, HostRuntimeKnobsDoNot) {
   const EngineOptions base;
   EngineOptions o = base;
   o.host_threads = 8;
-  o.parallel_replay_min_records = 0;
   o.profile_push_replay = true;
   o.keep_iteration_log = false;
   EXPECT_EQ(SemanticOptionsDigest(base), SemanticOptionsDigest(o));

@@ -83,6 +83,49 @@ TEST(ControlTest, MidRunCancelStopsAtNextIterationBoundary) {
   EXPECT_EQ(r.stats.iterations, 3u);
 }
 
+// BfsProgram whose push Apply raises `cancel` at every record for a funnel
+// hub (ids 1..hubs) and counts those records.
+struct CancelAtHubBfs : BfsProgram {
+  CancelToken* cancel = nullptr;
+  uint32_t hubs = 0;
+  std::atomic<uint64_t>* hub_applies = nullptr;
+
+  Value Apply(VertexId v, const Value& combined, const Value& old,
+              Direction dir) const {
+    if (dir == Direction::kPush && v >= 1 && v <= hubs) {
+      hub_applies->fetch_add(1, std::memory_order_relaxed);
+      cancel->Cancel();
+    }
+    return BfsProgram::Apply(v, combined, old, dir);
+  }
+};
+
+TEST(ControlTest, CancelStopsTheDrainAtItsNextPollAtAnyThreadCount) {
+  // 30,000 spokes x 3 hubs: one push iteration drains 90,000 spoke->hub
+  // records. The first of them raises the cancel, and the drain's next
+  // poll (at slot kCancelPollSlots) stops it, at every thread count.
+  const uint32_t kHubs = 3;
+  const Graph g =
+      Graph::FromEdges(GenerateFunnel(30000, kHubs), /*directed=*/true);
+  for (uint32_t threads : {1u, 4u}) {
+    CancelToken cancel;
+    RunControl control;
+    control.cancel = &cancel;
+    std::atomic<uint64_t> hub_applies{0};
+    CancelAtHubBfs program;
+    program.cancel = &cancel;
+    program.hubs = kHubs;
+    program.hub_applies = &hub_applies;
+    EngineOptions o = DefaultOptions();
+    o.host_threads = threads;
+    o.force_push = true;
+    Engine<CancelAtHubBfs> engine(g, MakeK40(), o);
+    const auto r = engine.Run(program, control);
+    EXPECT_EQ(r.stats.outcome, RunOutcome::kCancelled) << threads;
+    EXPECT_EQ(hub_applies.load(), kCancelPollSlots) << threads;
+  }
+}
+
 TEST(ControlTest, TinyDeadlineYieldsDeadlineExceeded) {
   const Graph g = ChainGraph();
   RunControl control;
@@ -328,13 +371,16 @@ TEST(ControlTest, CheckpointSinkRefusalYieldsDistinctOutcome) {
 
 TEST(ControlTest, ConcurrentCancelFromNonWorkerThreadThenPureRerun) {
   // Cancel raised from a thread that is NOT one of the engine's workers,
-  // landing mid-drain at an arbitrary moment, across every replay mode. The
+  // landing mid-drain at an arbitrary moment, across every push mode. The
   // interrupted run may end kCancelled or kCompleted (the race is real and
   // both are legal); what is pinned is that the SAME engine object then
   // reruns to a fingerprint bit-identical to an undisturbed run — a torn
   // cancellation must leave no residue in the engine's reusable scratch.
   const Graph g = Graph::FromEdges(GenerateRmat(10, 8, 3), false);
 
+  // Every mode drains on the Run thread and polls there, so the cancel can
+  // land mid-drain in all three; the 3-thread modes also split the collect
+  // over chunks on pool workers.
   struct Mode {
     const char* name;
     uint32_t host_threads;
@@ -342,13 +388,12 @@ TEST(ControlTest, ConcurrentCancelFromNonWorkerThreadThenPureRerun) {
   };
   const Mode kModes[] = {
       {"serial-drain", 1, false},
-      {"partitioned-drain", 3, false},
+      {"three-thread-collect", 3, false},
       {"pre-combined-drain", 3, true},
   };
   for (const Mode& mode : kModes) {
     EngineOptions o = DefaultOptions();
     o.host_threads = mode.host_threads;
-    o.parallel_replay_min_records = 0;
     o.pre_combine_replay = mode.pre_combine;
     o.force_push = true;  // keep the run in the push drains under test
 
@@ -446,12 +491,11 @@ TEST(ControlTest, RobustRunConvenienceOverloadCompletesWithoutFaults) {
 }
 
 TEST(ControlTest, ZeroEdgeGraphRunsAndCheckpointsCleanly) {
-  // Five isolated vertices: the degenerate graph the zero-total
-  // BalancedRangeBoundaries fix exists for.
+  // Five isolated vertices: every push iteration buffers zero records and
+  // every in-degree sum is zero.
   const Graph g = Graph::FromEdges(EdgeList{}, false, /*vertex_count=*/5);
   EngineOptions o = DefaultOptions();
   o.host_threads = 3;
-  o.parallel_replay_min_records = 0;
   BfsProgram program;
   program.source = 2;
   RunControl control;

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <mutex>
+#include <thread>
+#include <vector>
+
 #include "algos/bfs.h"
 #include "algos/sssp.h"
 #include "baselines/cpu_reference.h"
@@ -191,21 +196,58 @@ TEST(EngineTest, MaxIterationsGuardReportsNotConverged) {
   EXPECT_EQ(result.stats.iterations, 3u);
 }
 
-// BfsProgram with per-vertex push-Apply counters. Thread-safe under the
-// partitioned drains: concurrent workers apply to DISTINCT vertices, so the
-// per-vertex slots never race.
+// One push Apply as CountingBfsProgram saw it.
+struct PushApply {
+  VertexId v;
+  uint32_t combined;
+  bool off_run_thread;  // called from a thread other than the one in Run
+  bool operator==(const PushApply&) const = default;
+};
+
+// Log of the push Applies of one run. The mutex keeps the log well defined
+// even for an engine that applied from several threads at once.
+struct PushApplyLog {
+  std::mutex mu;
+  std::thread::id run_thread = std::this_thread::get_id();
+  std::vector<PushApply> applies;
+
+  uint32_t CountFor(VertexId v) const {
+    return static_cast<uint32_t>(
+        std::count_if(applies.begin(), applies.end(),
+                      [v](const PushApply& a) { return a.v == v; }));
+  }
+  uint32_t OffRunThread() const {
+    return static_cast<uint32_t>(
+        std::count_if(applies.begin(), applies.end(),
+                      [](const PushApply& a) { return a.off_run_thread; }));
+  }
+};
+
+// BfsProgram that logs every push Apply: its vertex, its candidate and
+// whether it ran off the Run thread.
 struct CountingBfsProgram : BfsProgram {
-  std::vector<uint32_t>* push_applies = nullptr;
+  PushApplyLog* log = nullptr;
 
   Value Apply(VertexId v, const Value& combined, const Value& old,
               Direction dir) const {
     if (dir == Direction::kPush) {
-      (*push_applies)[v] += 1;
+      std::lock_guard<std::mutex> lock(log->mu);
+      log->applies.push_back(PushApply{
+          v, combined, std::this_thread::get_id() != log->run_thread});
     }
     return BfsProgram::Apply(v, combined, old, dir);
   }
 };
 static_assert(AccProgram<CountingBfsProgram>);
+
+RunResult<uint32_t> RunLogged(const Graph& g, const EngineOptions& o,
+                              PushApplyLog& log) {
+  CountingBfsProgram program;
+  program.source = 0;
+  program.log = &log;
+  Engine<CountingBfsProgram> engine(g, MakeK40(), o);
+  return engine.Run(program);
+}
 
 // The kPerDestination contract's headline guarantee, asserted directly: with
 // pre_combine_replay on, the replay issues EXACTLY ONE Apply per touched
@@ -218,30 +260,24 @@ TEST(PreCombinedApplyCountTest, ExactlyOneApplyPerTouchedDestination) {
       Graph::FromEdges(GenerateFunnel(kSources, kHubs), /*directed=*/true);
 
   const auto run = [&](bool pre_combine, uint32_t threads,
-                       std::vector<uint32_t>& counts) {
-    counts.assign(g.vertex_count(), 0);
+                       PushApplyLog& log) {
     EngineOptions o = DefaultOptions();
     o.host_threads = threads;
     o.force_push = true;
-    o.parallel_replay_min_records = 0;
     o.pre_combine_replay = pre_combine;
-    CountingBfsProgram program;
-    program.source = 0;
-    program.push_applies = &counts;
-    Engine<CountingBfsProgram> engine(g, MakeK40(), o);
-    return engine.Run(program);
+    return RunLogged(g, o, log);
   };
 
-  std::vector<uint32_t> per_record;
+  PushApplyLog per_record;
   const auto r_record = run(false, 3, per_record);
   ASSERT_TRUE(r_record.stats.ok());
   // Per-record drain: each hub receives one Apply per in-record.
   for (uint32_t h = 0; h < kHubs; ++h) {
-    EXPECT_EQ(per_record[1 + h], kSources) << "hub " << h;
+    EXPECT_EQ(per_record.CountFor(1 + h), kSources) << "hub " << h;
   }
 
   for (uint32_t threads : {1u, 2u, 3u, 8u}) {
-    std::vector<uint32_t> pre_combined;
+    PushApplyLog pre_combined;
     const auto r_pre = run(true, threads, pre_combined);
     ASSERT_TRUE(r_pre.stats.ok());
     EXPECT_EQ(r_pre.stats.contract, StatsContract::kPerDestination);
@@ -249,10 +285,41 @@ TEST(PreCombinedApplyCountTest, ExactlyOneApplyPerTouchedDestination) {
     // one-Apply-per-touched-destination-per-iteration means exactly one
     // Apply per reached vertex (the source receives no records).
     for (VertexId v = 1; v < g.vertex_count(); ++v) {
-      EXPECT_EQ(pre_combined[v], 1u) << "vertex " << v << " t=" << threads;
+      EXPECT_EQ(pre_combined.CountFor(v), 1u)
+          << "vertex " << v << " t=" << threads;
     }
     // And the fold changes no BFS value: min over a fold == min per record.
     EXPECT_EQ(r_pre.values, r_record.values);
+  }
+}
+
+// The ACC contract (core/acc.h): push Apply runs on the thread that called
+// Run, in serial record order, so Apply may touch program state. A 4-thread
+// run must call Apply in exactly the 1-thread sequence, with and without
+// the pre-combined fold, on a contended funnel and on a skewed R-MAT graph.
+TEST(PushApplyOrderTest, AppliesRunOnTheRunThreadInSerialRecordOrder) {
+  const Graph funnel =
+      Graph::FromEdges(GenerateFunnel(2000, 3), /*directed=*/true);
+  const Graph rmat =
+      Graph::FromEdges(GenerateRmat(12, 8, 7), /*directed=*/false);
+  for (const Graph* g : {&funnel, &rmat}) {
+    for (bool pre_combine : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << (g == &funnel ? "funnel" : "rmat")
+                   << " pre_combine=" << pre_combine);
+      EngineOptions o = DefaultOptions();
+      o.force_push = true;
+      o.pre_combine_replay = pre_combine;
+      o.host_threads = 1;
+      PushApplyLog serial;
+      ASSERT_TRUE(RunLogged(*g, o, serial).stats.ok());
+      o.host_threads = 4;
+      PushApplyLog parallel;
+      ASSERT_TRUE(RunLogged(*g, o, parallel).stats.ok());
+      ASSERT_GT(serial.applies.size(), 1000u);
+      EXPECT_TRUE(serial.applies == parallel.applies);
+      EXPECT_EQ(parallel.OffRunThread(), 0u);
+    }
   }
 }
 

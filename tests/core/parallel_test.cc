@@ -207,7 +207,7 @@ TEST(EngineHostThreadsDeterminismTest, AutoThreadsMatchesSerial) {
 // Skewed R-MAT graphs make the Thread/Warp/CTA lists all non-empty, putting
 // chunks of every kernel class into the replay order. ---
 
-EngineOptions PushOptions(uint32_t host_threads) {
+EngineOptions ForcedPushOptions(uint32_t host_threads) {
   EngineOptions o;
   o.host_threads = host_threads;
   o.force_push = true;
@@ -216,10 +216,10 @@ EngineOptions PushOptions(uint32_t host_threads) {
 
 template <typename RunFn>
 void SweepPushThreads(const RunFn& run) {
-  const auto serial = run(PushOptions(1));
+  const auto serial = run(ForcedPushOptions(1));
   ASSERT_TRUE(serial.stats.ok());
   for (uint32_t threads : {2u, 3u, 8u}) {
-    const auto parallel = run(PushOptions(threads));
+    const auto parallel = run(ForcedPushOptions(threads));
     ExpectIdenticalRuns(serial, parallel);
     // Counters also compare wholesale (CostCounters::operator==) so a new
     // counter field added later cannot silently escape the gate.
@@ -263,7 +263,7 @@ TEST(EnginePushDeterminismTest, PageRankResidualPushConservesMass) {
   // Undirected grid without isolated vertices: no dangling mass, ranks sum
   // to 1 at the fixpoint — catches any activity lost to consume/apply
   // reordering even when the run is internally consistent.
-  const auto result = run(PushOptions(3));
+  const auto result = run(ForcedPushOptions(3));
   double sum = 0.0;
   for (const auto& value : result.values) {
     sum += value.rank;
@@ -292,135 +292,78 @@ TEST(EnginePushDeterminismTest, UnclassifiedFrontierPathMatches) {
   });
 }
 
-// --- Partitioned push replay (owner-computes drain) ---
+// --- Push contention: many records per destination ---
 
 // The shared funnel shape (graph/generators.h GenerateFunnel): root ->
 // `sources` spokes, every spoke -> each of `hubs` hub vertices. One push
-// iteration converges sources*hubs records on `hubs` destinations — the
-// worst case for destination partitioning (nearly all ranges empty, massive
-// per-destination record chains whose apply order must stay serial).
+// iteration converges sources*hubs records on `hubs` destinations: a
+// multi-chunk collect feeding very long per-destination apply chains whose
+// order must stay serial.
 Graph MakeFunnelGraph(uint32_t sources, uint32_t hubs, bool park_weights) {
   return Graph::FromEdges(GenerateFunnel(sources, hubs, park_weights),
                           /*directed=*/true);
 }
 
-EngineOptions PartitionedPushOptions(uint32_t host_threads) {
-  EngineOptions o;
-  o.host_threads = host_threads;
-  o.force_push = true;
-  // Engage the partitioned drain even for tiny iterations; the tests below
-  // are exactly about its boundary behaviour.
-  o.parallel_replay_min_records = 0;
-  return o;
-}
-
-template <typename RunFn>
-void SweepPartitionedThreads(const RunFn& run) {
-  const auto serial = run(PartitionedPushOptions(1));
-  ASSERT_TRUE(serial.stats.ok());
-  for (uint32_t threads : {2u, 3u, 8u}) {
-    const auto parallel = run(PartitionedPushOptions(threads));
-    ExpectIdenticalRuns(serial, parallel);
-    EXPECT_TRUE(serial.stats.counters == parallel.stats.counters) << threads;
-  }
-}
-
-TEST(PartitionedReplayTest, HighContentionBfsDeterministic) {
-  // Thousands of records, three destinations: almost every range a worker
-  // owns is empty, and the owned ones carry very long apply chains.
+TEST(PushContentionTest, HighContentionBfsDeterministic) {
+  // Thousands of records, three destinations: very long apply chains
+  // collected by several chunks.
   const Graph g = MakeFunnelGraph(2000, 3, /*park_weights=*/false);
-  SweepPartitionedThreads(
+  SweepPushThreads(
       [&](const EngineOptions& o) { return RunBfs(g, 0, MakeK40(), o); });
 }
 
-TEST(PartitionedReplayTest, HighContentionSsspParksDeterministically) {
-  // Spoke->hub weights straddle the delta bucket, so Apply parks from
-  // concurrent range workers; the deferred-effect merge must reproduce the
-  // serial pending-list order (RefillFrontier drains it in order, so any
-  // reordering changes the released frontier and trips the gate).
+TEST(PushContentionTest, HighContentionSsspParksDeterministically) {
+  // Spoke->hub weights straddle the delta bucket, so Apply parks during
+  // the drain; the pending list must come out in the serial order
+  // (RefillFrontier drains it in order, so any reordering changes the
+  // released frontier and trips the gate).
   const Graph g = MakeFunnelGraph(1500, 3, /*park_weights=*/true);
-  SweepPartitionedThreads(
+  SweepPushThreads(
       [&](const EngineOptions& o) { return RunSssp(g, 0, MakeK40(), o); });
 }
 
-TEST(PartitionedReplayTest, HighContentionPageRankConsumeInterleaves) {
+TEST(PushContentionTest, HighContentionPageRankConsumeInterleaves) {
   // All-push PageRank on the funnel: hubs are sources AND heavily-contended
-  // destinations of the same phase, so their ConsumeActivity must land at
-  // its serial span position between owned applies (FP addition does not
-  // commute — any reordering shows up bit-for-bit).
+  // destinations of the same phase, so their ConsumeActivity must land
+  // right after their last slot, between the applies around it (FP
+  // addition does not commute — any reordering shows up bit-for-bit).
   const Graph g = MakeFunnelGraph(800, 4, /*park_weights=*/false);
-  SweepPartitionedThreads([&](const EngineOptions& o) {
+  SweepPushThreads([&](const EngineOptions& o) {
     return RunPageRank(g, MakeK40(), o, /*epsilon=*/1e-10);
   });
 }
 
-TEST(PartitionedReplayTest, KCorePartitionedPushDeterministic) {
-  // k-Core's push frontiers are tiny (< n/50 vertices), so with the default
-  // min-records threshold its partitioned drain never engages in the other
-  // sweeps; min_records=0 forces it. Also guards the KCoreValue byte
-  // representation: the gates hash raw value bytes, so the value type must
-  // stay padding-free (see kcore.h).
+TEST(PushContentionTest, KCorePushDeterministic) {
+  // k-Core's mid-stream freeze depends on where in the record stream the
+  // threshold is crossed, so its drain order must be the serial one. Also
+  // guards the KCoreValue byte representation: the gates hash raw value
+  // bytes, so the value type must stay padding-free (see kcore.h).
   const Graph g = Graph::FromEdges(GenerateRmat(11, 8, 43), /*directed=*/false);
-  SweepPartitionedThreads(
+  SweepPushThreads(
       [&](const EngineOptions& o) { return RunKCore(g, 8, MakeK40(), o); });
 }
 
-TEST(PartitionedReplayTest, HighContentionAtomicConflictsDeterministic) {
+TEST(PushContentionTest, HighContentionAtomicConflictsDeterministic) {
   const Graph g = MakeFunnelGraph(1200, 2, /*park_weights=*/false);
-  SweepPartitionedThreads([&](EngineOptions o) {
+  SweepPushThreads([&](EngineOptions o) {
     o.use_atomic_updates = true;
     o.enable_vote_early_exit = false;
     return RunBfs(g, 0, MakeK40(), o);
   });
 }
 
-TEST(PartitionedReplayTest, MoreRangesThanTouchedDestinations) {
-  // A 5-vertex chain at 8 threads: P = min(8, 5) ranges, at most one
-  // destination touched per iteration — single-dst ranges and empty ranges
-  // in the same drain.
+TEST(PushContentionTest, TinyChainAtEightThreads) {
+  // A 5-vertex chain at 8 threads: one record per iteration, so every
+  // collect is one chunk and every drain replays a single record.
   EdgeList e;
   for (VertexId v = 0; v < 4; ++v) {
     e.Add(v, v + 1, 1);
   }
   const Graph g = Graph::FromEdges(e, /*directed=*/true);
-  SweepPartitionedThreads(
+  SweepPushThreads(
       [&](const EngineOptions& o) { return RunBfs(g, 0, MakeK40(), o); });
-  SweepPartitionedThreads(
+  SweepPushThreads(
       [&](const EngineOptions& o) { return RunSssp(g, 0, MakeK40(), o); });
-}
-
-// Drains every iteration as one inline range even on a multi-thread engine.
-EngineOptions OneRange(EngineOptions o) {
-  o.parallel_replay_min_records = SIZE_MAX;
-  return o;
-}
-
-TEST(PartitionedReplayTest, OneRangeDrainOnManyThreadsMatchesSerial) {
-  const Graph g = Graph::FromEdges(GenerateRmat(11, 8, 37), /*directed=*/false);
-  const auto run = [&](EngineOptions o) { return RunWcc(g, MakeK40(), o); };
-  ExpectIdenticalRuns(run(PartitionedPushOptions(1)),
-                      run(OneRange(PartitionedPushOptions(8))));
-}
-
-TEST(PartitionedReplayTest, ProfileShowsPartitionedDrainOnRangeWorkers) {
-  const Graph g = MakeFunnelGraph(1000, 3, /*park_weights=*/false);
-  EngineOptions o = PartitionedPushOptions(4);
-  o.profile_push_replay = true;
-  BfsProgram program;
-  program.source = 0;
-  Engine<BfsProgram> engine(g, MakeK40(), o);
-  const auto result = engine.Run(program);
-  ASSERT_TRUE(result.stats.ok());
-  const PushReplayProfile& prof = engine.push_profile();
-  EXPECT_GT(prof.ranges, 1u);
-  EXPECT_GT(prof.partitioned_replays, 0u);
-  ASSERT_EQ(prof.range_ms.size(), prof.ranges);
-  EXPECT_EQ(prof.iterations.size(),
-            prof.partitioned_replays + prof.serial_replays);
-  for (const PushReplayIterationSplit& it : prof.iterations) {
-    EXPECT_GE(it.collect_ms, 0.0);
-    EXPECT_GE(it.replay_ms, 0.0);
-  }
 }
 
 // The record lanes outlive a Run and only grow: after the root run they
@@ -434,7 +377,7 @@ TEST(EngineReuseTest, LargePushVolumeThenSmallMatchesFreshEngine) {
   const VertexId root = 0;
   const VertexId spoke = 4;  // the first spoke: vertices 1..3 are the hubs
   for (uint32_t threads : {1u, 4u}) {
-    EngineOptions o = PartitionedPushOptions(threads);
+    EngineOptions o = ForcedPushOptions(threads);
     o.use_atomic_updates = true;
     Engine<BfsProgram> bfs(g, MakeK40(), o);
     Engine<PprProgram> ppr(g, MakeK40(), o);
@@ -467,38 +410,31 @@ TEST(EngineReuseTest, LargePushVolumeThenSmallMatchesFreshEngine) {
 // For kAssociativeOnly programs with pre_combine_replay set, the drain folds
 // each destination's records with Combine and issues one Apply per touched
 // destination. The contract: values, stats and touch sets bit-identical
-// across host_threads (including 1, where one inline range drains
-// everything) and across range counts at a fixed thread count — not to the
-// per-record drain, which stays byte-for-byte untouched.
+// across host_threads — not to the per-record drain, which stays
+// byte-for-byte untouched.
 
 EngineOptions PreCombineOptions(uint32_t host_threads) {
-  EngineOptions o = PartitionedPushOptions(host_threads);
+  EngineOptions o = ForcedPushOptions(host_threads);
   o.pre_combine_replay = true;
   return o;
 }
 
-// Every thread count drains both over several ranges and as one inline
-// range; each cell must match the 1-thread run.
+// Each thread count must match the 1-thread run.
 template <typename RunFn>
 void SweepPreCombinedThreads(const RunFn& run) {
   const auto serial = run(PreCombineOptions(1));
   ASSERT_TRUE(serial.stats.ok());
   for (uint32_t threads : {2u, 3u, 8u}) {
-    for (bool partitioned : {true, false}) {
-      SCOPED_TRACE(::testing::Message() << "threads=" << threads
-                                        << " partitioned=" << partitioned);
-      const EngineOptions o = PreCombineOptions(threads);
-      const auto parallel = run(partitioned ? o : OneRange(o));
-      ExpectIdenticalRuns(serial, parallel);
-      EXPECT_TRUE(serial.stats.counters == parallel.stats.counters);
-    }
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    const auto parallel = run(PreCombineOptions(threads));
+    ExpectIdenticalRuns(serial, parallel);
+    EXPECT_TRUE(serial.stats.counters == parallel.stats.counters);
   }
 }
 
 TEST(PreCombinedReplayTest, AllRecordsOneDestinationFunnel) {
   // hubs=1: every record of the big iteration funnels into ONE destination —
-  // a single fold chain spanning many collect chunks, drained by whichever
-  // worker owns that vertex while all others fold nothing.
+  // a single fold chain spanning many collect chunks.
   const Graph g = MakeFunnelGraph(2000, 1, /*park_weights=*/false);
   SweepPreCombinedThreads(
       [&](const EngineOptions& o) { return RunBfs(g, 0, MakeK40(), o); });
@@ -585,15 +521,14 @@ TEST(PreCombinedReplayTest, SingleRecordDestinationsOnChain) {
   const Graph g = Graph::FromEdges(e, /*directed=*/true);
   SweepPreCombinedThreads(
       [&](const EngineOptions& o) { return RunBfs(g, 0, MakeK40(), o); });
-  const auto per_record = RunBfs(g, 0, MakeK40(), PartitionedPushOptions(3));
+  const auto per_record = RunBfs(g, 0, MakeK40(), ForcedPushOptions(3));
   const auto pre_combined = RunBfs(g, 0, MakeK40(), PreCombineOptions(3));
   EXPECT_EQ(per_record.values, pre_combined.values);
 }
 
-TEST(PreCombinedReplayTest, MoreRangesThanTouchedDestinations) {
-  // 5-vertex chain at 8 threads: P = min(8, 5) ranges, at most one touched
-  // destination per iteration — single-entry touched lists next to empty
-  // ones, and empty range buckets in every drain.
+TEST(PreCombinedReplayTest, TinyChainAtEightThreads) {
+  // 5-vertex chain at 8 threads: at most one touched destination per
+  // iteration, so every touched list holds a single entry.
   EdgeList e;
   for (VertexId v = 0; v < 4; ++v) {
     e.Add(v, v + 1, 1);
@@ -611,7 +546,7 @@ TEST(PreCombinedReplayTest, EmptyPushIterationsViaRefill) {
   // under the per-record contract, byte-identical to the flag-off run.
   const Graph g = MakeFunnelGraph(1500, 3, /*park_weights=*/true);
   const auto with_flag = RunSssp(g, 0, MakeK40(), PreCombineOptions(3));
-  const auto without = RunSssp(g, 0, MakeK40(), PartitionedPushOptions(3));
+  const auto without = RunSssp(g, 0, MakeK40(), ForcedPushOptions(3));
   ExpectIdenticalRuns(without, with_flag);
   EXPECT_EQ(with_flag.stats.contract, StatsContract::kPerRecord);
 }
@@ -626,7 +561,7 @@ TEST(PreCombinedReplayTest, KCoreIgnoresTheFlag) {
     const auto with_flag =
         RunKCore(g, 8, MakeK40(), PreCombineOptions(threads));
     ExpectIdenticalRuns(
-        RunKCore(g, 8, MakeK40(), PartitionedPushOptions(threads)), with_flag);
+        RunKCore(g, 8, MakeK40(), ForcedPushOptions(threads)), with_flag);
     EXPECT_EQ(with_flag.stats.contract, StatsContract::kPerRecord) << threads;
   }
 }
@@ -643,7 +578,7 @@ TEST(PreCombinedReplayTest, AtomicChargesCollapseToPerDestination) {
   };
   SweepPreCombinedThreads(run);
   const auto pre = run(PreCombineOptions(3));
-  const auto per_record = run(PartitionedPushOptions(3));
+  const auto per_record = run(ForcedPushOptions(3));
   EXPECT_EQ(pre.stats.counters.atomic_conflicts, 0u);
   EXPECT_GT(per_record.stats.counters.atomic_conflicts, 0u);
   EXPECT_LT(pre.stats.counters.atomic_ops, per_record.stats.counters.atomic_ops);
@@ -655,8 +590,8 @@ TEST(PreCombinedReplayTest, PerRecordStatsUntouchedWhenFlagOff) {
   // run at every thread count, for a capable and an order-sensitive program.
   const Graph g = Graph::FromEdges(GenerateRmat(10, 8, 53), /*directed=*/false);
   for (uint32_t threads : {1u, 2u, 3u, 8u}) {
-    EngineOptions defaults = PushOptions(threads);
-    EngineOptions off = PushOptions(threads);
+    EngineOptions defaults = ForcedPushOptions(threads);
+    EngineOptions off = ForcedPushOptions(threads);
     off.pre_combine_replay = false;
     const auto d_bfs = RunBfs(g, 0, MakeK40(), defaults);
     const auto o_bfs = RunBfs(g, 0, MakeK40(), off);
@@ -678,7 +613,9 @@ TEST(PreCombinedReplayTest, ProfileReportsFoldRatio) {
   ASSERT_TRUE(result.stats.ok());
   const PushReplayProfile& prof = engine.push_profile();
   EXPECT_GT(prof.precombined_replays, 0u);
-  EXPECT_GT(prof.partitioned_replays, 0u);
+  // One serial drain per push iteration, at any host_threads.
+  EXPECT_EQ(prof.iterations.size(), prof.serial_replays);
+  EXPECT_EQ(prof.partitioned_replays, 0u);
   ASSERT_GT(prof.fold_applies, 0u);
   // Run-wide the fold must have removed work (more records than applies)...
   EXPECT_GT(prof.fold_records, prof.fold_applies);
@@ -686,6 +623,8 @@ TEST(PreCombinedReplayTest, ProfileReportsFoldRatio) {
   // per-iteration fold ratio.
   uint64_t best_ratio = 0;
   for (const PushReplayIterationSplit& it : prof.iterations) {
+    EXPECT_GE(it.collect_ms, 0.0);
+    EXPECT_GE(it.replay_ms, 0.0);
     EXPECT_TRUE(it.pre_combined);
     EXPECT_LE(it.applies, it.records);
     if (it.applies > 0) {
@@ -734,89 +673,6 @@ TEST(CollectAndDrainTest, DrainOrderIsChunkOrderForAnyThreadCount) {
   for (uint32_t threads : {2u, 4u}) {
     EXPECT_EQ(run(threads), serial) << threads;
   }
-}
-
-TEST(PartitionedDrainTest, DrainsEachPartitionOnceMergesInOrder) {
-  ThreadPool pool(4);
-  for (uint32_t threads : {1u, 2u, 4u}) {
-    for (uint32_t parts : {1u, 5u, 16u}) {
-      std::vector<int> drained(parts, 0);
-      std::vector<uint32_t> merge_order;
-      PartitionedDrain(
-          &pool, threads, parts, [&](uint32_t p) { drained[p] += 1; },
-          [&](uint32_t p) { merge_order.push_back(p); });
-      for (uint32_t p = 0; p < parts; ++p) {
-        EXPECT_EQ(drained[p], 1) << threads << " " << parts;
-        ASSERT_LT(p, merge_order.size());
-        EXPECT_EQ(merge_order[p], p);  // ascending partition order, always
-      }
-    }
-  }
-  int calls = 0;
-  PartitionedDrain(
-      &pool, 4, 0, [&](uint32_t) { ++calls; }, [&](uint32_t) { ++calls; });
-  EXPECT_EQ(calls, 0);
-}
-
-TEST(PartitionedDrainTest, NullPoolRunsInline) {
-  std::vector<uint32_t> order;
-  PartitionedDrain(
-      nullptr, 8, 4, [&](uint32_t p) { order.push_back(p); },
-      [&](uint32_t p) { order.push_back(100 + p); });
-  const std::vector<uint32_t> expect = {0, 1, 2, 3, 100, 101, 102, 103};
-  EXPECT_EQ(order, expect);
-}
-
-TEST(BalancedRangeBoundariesTest, UniformWeightsSplitEvenly) {
-  const auto b =
-      BalancedRangeBoundaries(100, 4, [](size_t i) { return uint64_t{i}; });
-  const std::vector<size_t> expect = {0, 25, 50, 75, 100};
-  EXPECT_EQ(b, expect);
-}
-
-TEST(BalancedRangeBoundariesTest, SkewedMassShrinksHeavyRanges) {
-  // Vertex 0 carries half the total mass: the first range must be just it.
-  const uint64_t heavy = 99;
-  const auto cum = [&](size_t i) {
-    return i == 0 ? uint64_t{0} : heavy + (i - 1);
-  };
-  const auto b = BalancedRangeBoundaries(100, 4, cum);
-  ASSERT_EQ(b.size(), 5u);
-  EXPECT_EQ(b.front(), 0u);
-  EXPECT_EQ(b.back(), 100u);
-  EXPECT_EQ(b[1], 1u);  // the heavy vertex alone reaches the 1/4 target
-  for (size_t k = 1; k < b.size(); ++k) {
-    EXPECT_GE(b[k], b[k - 1]);
-  }
-}
-
-TEST(BalancedRangeBoundariesTest, MorePartsThanElements) {
-  const auto b =
-      BalancedRangeBoundaries(3, 8, [](size_t i) { return uint64_t{i}; });
-  ASSERT_EQ(b.size(), 9u);
-  EXPECT_EQ(b.front(), 0u);
-  EXPECT_EQ(b.back(), 3u);
-  for (size_t k = 1; k < b.size(); ++k) {
-    EXPECT_GE(b[k], b[k - 1]);  // empty trailing ranges are legal
-  }
-}
-
-TEST(BalancedRangeBoundariesTest, ZeroTotalMassSplitsElementsEvenly) {
-  // Zero-edge graph / empty frontier: every cum() is 0, so the binary-search
-  // targets are all 0. The old behavior collapsed every interior boundary to
-  // 0, leaving the LAST range owning all n elements; the fix falls back to
-  // an even element split.
-  const auto b =
-      BalancedRangeBoundaries(100, 4, [](size_t) { return uint64_t{0}; });
-  const std::vector<size_t> expect = {0, 25, 50, 75, 100};
-  EXPECT_EQ(b, expect);
-}
-
-TEST(BalancedRangeBoundariesTest, ZeroElements) {
-  const auto b =
-      BalancedRangeBoundaries(0, 4, [](size_t) { return uint64_t{0}; });
-  const std::vector<size_t> expect = {0, 0, 0, 0, 0};
-  EXPECT_EQ(b, expect);
 }
 
 TEST(PlanChunksTest, ZeroElementsProducesNoChunks) {

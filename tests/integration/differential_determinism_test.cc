@@ -145,7 +145,6 @@ EngineOptions Options(uint32_t threads, Dir dir, Mode mode) {
   o.force_push = dir == Dir::kForcePush;
   o.force_pull = dir == Dir::kForcePull;
   o.pre_combine_replay = mode == Mode::kPreCombine;
-  o.parallel_replay_min_records = 0;  // tiny graphs must still partition
   return o;
 }
 

@@ -56,7 +56,6 @@ EngineOptions BaseOptions(uint32_t threads, bool pre_combine) {
   EngineOptions o;
   o.sim_worker_threads = 64;
   o.host_threads = threads;
-  o.parallel_replay_min_records = 0;  // tiny graphs must still partition
   o.pre_combine_replay = pre_combine;
   return o;
 }

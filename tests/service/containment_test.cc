@@ -27,8 +27,7 @@ namespace {
 EngineOptions SweepEngineOptions() {
   EngineOptions o;
   o.sim_worker_threads = 64;
-  o.host_threads = 2;
-  o.parallel_replay_min_records = 0;  // exercise the partitioned drain
+  o.host_threads = 2;  // multi-chunk collects and pull gathers
   return o;
 }
 
