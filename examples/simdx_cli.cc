@@ -151,6 +151,7 @@ int main(int argc, char** argv) {
   }
 
   EngineOptions options;
+  options.keep_iteration_log = args.verbose;  // PrintStats prints it
   if (args.filter == "online") {
     options.filter = FilterPolicy::kOnlineOnly;
   } else if (args.filter == "ballot") {

@@ -39,7 +39,9 @@ int main(int argc, char** argv) {
   }
 
   // Detail run at the chosen k: workload shape + filter choices.
-  const auto result = RunKCore(g, chosen_k, device, EngineOptions{});
+  EngineOptions logged;
+  logged.keep_iteration_log = true;
+  const auto result = RunKCore(g, chosen_k, device, logged);
   std::printf("\nk=%u in detail (filter per iteration: %s)\n", chosen_k,
               result.stats.filter_pattern.c_str());
   for (const auto& log : result.stats.iteration_logs) {

@@ -93,11 +93,12 @@ struct IterationInfo {
 // templated on the program so Compute/Combine inline into the edge loops,
 // mirroring how nvcc specializes the paper's device lambdas.
 //
-// Optional hooks an engine detects with `requires`:
-//   Value InitPrev(VertexId)                   — seed prev != curr at start
+// Optional hooks an engine detects with `requires` (InitValue seeds both
+// metadata buffers: prev == curr when the first iteration starts):
 //   Value ConsumeActivity(curr, prev, dir)     — hand pending activity
 //                                                (e.g. residuals) to the
-//                                                neighbors and clear it
+//                                                neighbors and clear it;
+//                                                writes only the frontier
 //   bool StaticFrontierAfterFirst()            — frontier provably constant
 //   bool PullSaturated(v_value, combined)     — the accumulated gather value
 //                                                already determines Apply's

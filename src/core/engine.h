@@ -17,7 +17,12 @@
 // (engine_push.h).
 // prev is synchronized to curr at every frontier commit, so
 // Active(curr, prev) during an iteration means exactly "changed since the
-// last commit" — the predicate the ballot filter scans.
+// last commit" — the predicate the ballot filter scans. The real kernels get
+// the commit free from the metadata ping-pong swap; here it is a copy, and a
+// thin push iteration copies only the vertices it could have written
+// (CommitPrev), so a ~1,000-iteration road-graph BFS pays no O(V) pass per
+// iteration. That rests on prev == curr at every iteration boundary
+// (metadata.h).
 //
 // The member definitions live in one file per seam, included at the end:
 // engine_control.h (cancellation, faults, checkpoints), engine_push.h
@@ -61,6 +66,10 @@ inline constexpr double kOccupancySaturation = 0.4;
 inline double EffectiveOccupancy(double occupancy) {
   return std::clamp(occupancy / kOccupancySaturation, 0.05, 1.0);
 }
+
+// Engine::CommitPrev copies prev vertex by vertex while a push iteration's
+// possible writes number at most |V| / this, and all of curr above it.
+inline constexpr uint64_t kSparseCommitDivisor = 16;
 
 // Host wall-clock split of the push phase, recorded when
 // EngineOptions::profile_push_replay is set (consumed by bench/push_replay
@@ -332,7 +341,7 @@ class Engine {
       if (static_frontier) {
         // Frontier provably unchanged (e.g. belief propagation: every vertex
         // stays active); reuse it without running any filter.
-        meta.SyncPrev(pool_, host_threads_);
+        CommitPrev(meta, frontier, dir, edges_processed);
         loop.pending_filter = '=';
       } else {
         const auto active = [&](VertexId v) {
@@ -343,9 +352,8 @@ class Engine {
         if (jit.failed()) {
           result.stats.failed = true;
         }
-        // Frontier committed: "changed" restarts from this snapshot. The
-        // real kernels get this for free from the metadata ping-pong swap.
-        meta.SyncPrev(pool_, host_threads_);
+        // Frontier committed: "changed" restarts from this snapshot.
+        CommitPrev(meta, frontier, dir, edges_processed);
         loop.frontier_sorted = loop.pending_filter == 'B';
         // Swap instead of move: the displaced buffer becomes next
         // iteration's output scratch, so the steady state allocates nothing.
@@ -401,29 +409,41 @@ class Engine {
   const PushReplayProfile& push_profile() const { return profile_; }
 
  private:
+  // Seeds curr and prev with InitValue — the one place prev is seeded, so
+  // prev == curr holds from the first iteration on. First-touch: the arrays
+  // are written through ParallelFor (same values as the serial loop) so
+  // their pages fault in on pool threads.
   VertexMeta<Value> MakeMetadata(const Program& program) const {
-    const auto n = static_cast<VertexId>(graph_.vertex_count());
-    // First-touch: the metadata arrays are written through ParallelFor (same
-    // values as the serial loop) so their pages fault in on pool threads.
-    // Programs whose pull contributors must be visible on the very first
-    // iteration seed prev differently from curr via InitPrev.
-    if constexpr (requires(const Program& p, VertexId v) { p.InitPrev(v); }) {
-      VertexMeta<Value> meta(
-          n, [&](VertexId v) { return program.InitPrev(v); }, pool_,
-          host_threads_);
-      ParallelRange(n, pool_, host_threads_, 8192,
-                    [&](size_t begin, size_t end) {
-                      for (size_t v = begin; v < end; ++v) {
-                        meta.curr(static_cast<VertexId>(v)) = program.InitValue(
-                            static_cast<VertexId>(v));  // prev keeps InitPrev
-                      }
-                    });
-      return meta;
-    } else {
-      return VertexMeta<Value>(
-          n, [&](VertexId v) { return program.InitValue(v); }, pool_,
-          host_threads_);
+    return VertexMeta<Value>(
+        static_cast<VertexId>(graph_.vertex_count()),
+        [&](VertexId v) { return program.InitValue(v); }, pool_,
+        host_threads_);
+  }
+
+  // The frontier commit: prev catches up with curr. A push iteration writes
+  // curr only at the destinations of its `records` records (the pre-combined
+  // apply writes a subset of them) and, for a program with ConsumeActivity,
+  // at its frontier's sources; when those number at most
+  // |V| / kSparseCommitDivisor, the commit copies just them (a vertex listed
+  // twice is copied twice, harmlessly). Every other iteration — pull, a wide
+  // push — copies all of curr. Given prev == curr at the iteration's start,
+  // both leave prev == curr, and neither keeps state across iterations.
+  void CommitPrev(VertexMeta<Value>& meta, const std::vector<VertexId>& frontier,
+                  Direction dir, uint64_t records) {
+    const uint64_t consumed = kHasConsume ? frontier.size() : 0;
+    if (dir == Direction::kPush &&
+        records + consumed <= meta.size() / kSparseCommitDivisor) {
+      for (uint64_t i = 0; i < records; ++i) {
+        meta.SyncPrev(push_dst_[i]);
+      }
+      if constexpr (kHasConsume) {
+        for (const VertexId v : frontier) {
+          meta.SyncPrev(v);
+        }
+      }
+      return;
     }
+    meta.SyncPrev(pool_, host_threads_);
   }
 
   static bool StaticFrontierAfterFirst(const Program& program) {
@@ -601,7 +621,7 @@ class Engine {
                        CostCounters& cost);
   uint64_t CollectPush(const Program& program, const VertexMeta<Value>& meta,
                        const WorkListView& view, bool frontier_sorted,
-                       uint64_t slot, CostCounters& cost);
+                       bool parallel, uint64_t slot, CostCounters& cost);
   CostCounters CollectPushRange(const Program& program,
                                 const VertexMeta<Value>& meta,
                                 const WorkListView& view, bool frontier_sorted,
@@ -644,10 +664,13 @@ class Engine {
   std::vector<PullScratch> pull_scratch_;
   // The push record stream (engine_push.h): struct-of-arrays lanes holding
   // one record per frontier out-edge, where a record's index is its slot in
-  // the serial order. The lanes only grow, so they are sized by the largest
-  // push iteration this engine has run. NumaVector growth writes nothing
-  // into a trivial lane (dst, worker, and cand for a trivial Value), so the
-  // collecting pool threads first-touch their slices.
+  // the serial order. The lanes only grow, at least doubling (GrowLane), so
+  // they hold the largest push iteration this engine has run and less than
+  // twice that; entries past an iteration's record count are stale. The
+  // frontier commit (CommitPrev) reads push_dst_ as the iteration's write
+  // set. NumaVector growth writes nothing into a trivial lane (dst, worker,
+  // and cand for a trivial Value), so the collecting pool threads
+  // first-touch their slices.
   NumaVector<VertexId> push_dst_;
   NumaVector<Value> push_cand_;
   NumaVector<uint32_t> push_worker_;

@@ -4,6 +4,8 @@
 #ifndef SIMDX_CORE_ENGINE_CONTROL_H_
 #define SIMDX_CORE_ENGINE_CONTROL_H_
 
+#include <cstring>
+
 #include "core/engine.h"
 
 namespace simdx {
@@ -246,19 +248,22 @@ bool Engine<Program>::RestoreCheckpoint(const Checkpoint& cp,
     if (!rc.Pod(&curr_count) || curr_count != n) {
       return false;
     }
-    const uint8_t* curr_bytes =
-        rc.Raw(static_cast<size_t>(curr_count) * sizeof(Value));
+    const size_t value_bytes = static_cast<size_t>(n) * sizeof(Value);
+    const uint8_t* curr_bytes = rc.Raw(value_bytes);
     ByteReader rp(prev->bytes);
     uint64_t prev_count = 0;
     if (curr_bytes == nullptr || !rp.Pod(&prev_count) || prev_count != n) {
       return false;
     }
-    const uint8_t* prev_bytes =
-        rp.Raw(static_cast<size_t>(prev_count) * sizeof(Value));
-    if (prev_bytes == nullptr) {
+    const uint8_t* prev_bytes = rp.Raw(value_bytes);
+    // The engine checkpoints only at iteration boundaries, where prev ==
+    // curr (metadata.h); a snapshot that says otherwise would silently skew
+    // the sparse commit (CommitPrev), so it is refused.
+    if (prev_bytes == nullptr ||
+        std::memcmp(prev_bytes, curr_bytes, value_bytes) != 0) {
       return false;
     }
-    meta.RestoreSnapshot(curr_bytes, prev_bytes);
+    meta.RestoreSnapshot(curr_bytes);
   }
   {
     ByteReader r(front->bytes);

@@ -18,7 +18,10 @@
 //   costs to a chunk-local CostCounters, and writes its records into its
 //   own disjoint slice of the stream. A list split over several chunks
 //   first sums each chunk's out-degrees over the same chunk boundaries; a
-//   serial prefix over those sums gives every chunk its first slot.
+//   serial prefix over those sums gives every chunk its first slot. An
+//   iteration below kParallelCollectMinRecords records — the one collect
+//   cut-off — collects every list as one chunk on the Run thread, with no
+//   out-degree pass and no pool dispatch.
 //
 //   DRAIN (serial, on the Run thread): one pass replays the slots in
 //   order, so every Apply, curr write, touch/record stamp, online-filter
@@ -59,13 +62,28 @@ namespace simdx {
 // many slots.
 inline constexpr uint64_t kCancelPollSlots = 65536;
 
-// Grows a record lane to at least n entries. A lane never shrinks, and its
-// old contents are dead, so growth reallocates without copying them.
+// A push iteration with fewer records collects every list as one chunk on
+// the Run thread: no out-degree pass and no pool dispatch. Measured with
+// push_replay --threads 1,4 --repeats 3 on R-MAT scales 12-15 (three seeds
+// each, this cut-off at 0, one 4-vCPU box), the 4-thread collect of an
+// iteration took 1.8-2.6x the 1-thread time below 16,384 records and
+// 1.05-1.46x above it, losing in every band. Those processes did not check
+// where the pool's threads ran, so the runs give a floor for the cut-off,
+// not a crossover.
+inline constexpr uint64_t kParallelCollectMinRecords = 16384;
+
+// Grows a record lane to at least n entries, at least doubling it, so a
+// widening wavefront reallocates a logarithmic number of times rather than
+// at almost every iteration. A lane never shrinks, and its old contents are
+// dead, so growth reallocates without copying them; for a trivial element
+// type the default-initialising NumaVector writes nothing into the unused
+// tail.
 template <typename Lane>
 void GrowLane(Lane& lane, uint64_t n) {
   if (lane.size() < n) {
+    const uint64_t grown = std::max<uint64_t>(n, 2 * lane.size());
     lane.clear();
-    lane.resize(n);
+    lane.resize(grown);
   }
 }
 
@@ -87,9 +105,12 @@ uint64_t Engine<Program>::ProcessPush(const Program& program,
   GrowLane(push_worker_, records);
   const bool profile = options_.profile_push_replay;
   const double t_collect = profile ? NowMs() : 0.0;
+  const bool parallel =
+      pool_ != nullptr && records >= kParallelCollectMinRecords;
   uint64_t slot = 0;
   for (const WorkListView& view : views) {
-    slot = CollectPush(program, meta, view, frontier_sorted, slot, cost);
+    slot = CollectPush(program, meta, view, frontier_sorted, parallel, slot,
+                       cost);
   }
   assert(slot == records && "frontier_out_edges must equal the record count");
   if (StageBreak(FaultPoint::kReplay)) {
@@ -123,14 +144,14 @@ uint64_t Engine<Program>::ProcessPush(const Program& program,
 // the slot after its last record. Grain floors shrink with kernel class — a
 // CTA-class vertex carries at least medium_degree_limit edges, so far fewer
 // of them make a worthwhile chunk. Chunk boundaries never affect results
-// (every record lands at its serial slot regardless), so the serial path
-// uses a single chunk and skips the out-degree pass.
+// (every record lands at its serial slot regardless), so a collect that is
+// not `parallel` uses a single chunk and skips the out-degree pass.
 template <AccProgram Program>
 uint64_t Engine<Program>::CollectPush(const Program& program,
                                       const VertexMeta<Value>& meta,
                                       const WorkListView& view,
-                                      bool frontier_sorted, uint64_t slot,
-                                      CostCounters& cost) {
+                                      bool frontier_sorted, bool parallel,
+                                      uint64_t slot, CostCounters& cost) {
   if (view.empty()) {
     return slot;
   }
@@ -141,7 +162,7 @@ uint64_t Engine<Program>::CollectPush(const Program& program,
     min_grain = 4;
   }
   const ChunkPlan plan = PlanChunks(view.size, host_threads_, min_grain,
-                                    /*serial_below=*/512, pool_ != nullptr);
+                                    /*serial_below=*/0, parallel);
   if (plan.chunks == 1) {
     cost += CollectPushRange(program, meta, view, frontier_sorted, 0,
                              view.size, slot);

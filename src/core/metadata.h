@@ -3,12 +3,18 @@
 // Active(curr, prev) — the ballot filter's scan predicate — can detect
 // vertices updated since then (paper Figure 4(a), SSSP's Active).
 //
-// Snapshot invariant the parallel runtime leans on: between SyncPrev (the
-// frontier commit) and the next iteration's first Apply, nothing writes
-// `curr` — the push collect pass and the pull gather both run in that
-// window, so they may read `curr`/`prev` concurrently from any number of
-// host threads with every write deferred to the ordered replay that
-// follows, which runs on the Run thread alone.
+// Snapshot invariants the engine leans on:
+//   * Between SyncPrev (the frontier commit) and the next iteration's first
+//     Apply, nothing writes `curr` — the push collect pass and the pull
+//     gather both run in that window, so they may read `curr`/`prev`
+//     concurrently from any number of host threads with every write
+//     deferred to the ordered replay that follows, which runs on the Run
+//     thread alone.
+//   * At every iteration boundary prev == curr: construction seeds both
+//     from one value, and every commit copies at least each vertex the
+//     iteration wrote. So a commit may copy only those vertices
+//     (Engine::CommitPrev), and a checkpoint restore refuses a snapshot
+//     whose two arrays differ.
 //
 // Storage uses NumaVector (default-init allocator): for trivial Values the
 // arrays' pages stay unmapped through resize and are faulted in by whichever
@@ -68,19 +74,20 @@ class VertexMeta {
   const NumaVector<Value>& values() const { return curr_; }
   const NumaVector<Value>& prev_values() const { return prev_; }
 
-  // Checkpoint restore: overwrite both buffers from snapshot bytes. The
-  // caller has size-checked both spans against size() elements; memcpy
-  // because checkpoint section payloads carry no alignment guarantee.
-  void RestoreSnapshot(const void* curr, const void* prev) {
+  // Checkpoint restore at an iteration boundary: overwrite both buffers
+  // from one snapshot of size() values (prev == curr there). memcpy because
+  // checkpoint section payloads carry no alignment guarantee.
+  void RestoreSnapshot(const void* values) {
     if (curr_.empty()) {
       return;
     }
-    std::memcpy(curr_.data(), curr, curr_.size() * sizeof(Value));
-    std::memcpy(prev_.data(), prev, prev_.size() * sizeof(Value));
+    std::memcpy(curr_.data(), values, curr_.size() * sizeof(Value));
+    std::memcpy(prev_.data(), values, prev_.size() * sizeof(Value));
   }
 
   // Frontier generation committed: from now on "changed" means changed
-  // relative to this instant.
+  // relative to this instant. The one-vertex form is the sparse commit's
+  // step.
   void SyncPrev() { prev_ = curr_; }
   void SyncPrev(VertexId v) { prev_[v] = curr_[v]; }
 

@@ -82,9 +82,13 @@ struct EngineOptions {
   // preset scale factor so the paper's OOM rows reproduce.
   size_t memory_budget_bytes = 0;
 
-  // Record a per-iteration log in the result (frontier size, filter chosen,
-  // direction, time). Cheap; on by default.
-  bool keep_iteration_log = true;
+  // Record a per-iteration log in the result (frontier size, edges, filter
+  // chosen, direction, time). Off by default: the log costs 40 B per
+  // iteration in every result (~30 KB for a BFS on a 512x512 road grid),
+  // and a caller that keeps many results — the query service's cache, the
+  // benchmark's job records — would carry it unread. Readers opt in
+  // (simdx_cli --verbose).
+  bool keep_iteration_log = false;
 
   // Baselines model frameworks that do not re-tune their launch geometry per
   // device ("runtime tuning" in Section 7.3): caps the SMs the cost model

@@ -3,11 +3,14 @@
 // resume path's rejection of corrupted/incompatible snapshots. The
 // exhaustive crash-at-every-iteration sweep lives in
 // tests/integration/resume_determinism_test; this file pins the individual
-// control-plane behaviors on small fixed graphs.
+// control-plane behaviors on small fixed graphs, plus the prev == curr
+// iteration-boundary invariant that every checkpoint records and the
+// sparse frontier commit rests on.
 #include "core/control.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -16,7 +19,11 @@
 #include <vector>
 
 #include "algos/bfs.h"
+#include "algos/kcore.h"
+#include "algos/pagerank.h"
+#include "algos/ppr.h"
 #include "algos/sssp.h"
+#include "algos/wcc.h"
 #include "bench/common.h"
 #include "core/checkpoint.h"
 #include "core/engine.h"
@@ -376,7 +383,9 @@ TEST(ControlTest, ConcurrentCancelFromNonWorkerThreadThenPureRerun) {
   // both are legal); what is pinned is that the SAME engine object then
   // reruns to a fingerprint bit-identical to an undisturbed run — a torn
   // cancellation must leave no residue in the engine's reusable scratch.
-  const Graph g = Graph::FromEdges(GenerateRmat(10, 8, 3), false);
+  // R-MAT scale 12: its widest push iteration carries ~40,000 records, so
+  // the 3-thread modes reach the multi-chunk collect.
+  const Graph g = Graph::FromEdges(GenerateRmat(12, 8, 3), false);
 
   // Every mode drains on the Run thread and polls there, so the cancel can
   // land mid-drain in all three; the 3-thread modes also split the collect
@@ -398,9 +407,17 @@ TEST(ControlTest, ConcurrentCancelFromNonWorkerThreadThenPureRerun) {
     o.force_push = true;  // keep the run in the push drains under test
 
     BfsProgram program;
-    Engine<BfsProgram> plain_engine(g, MakeK40(), o);
+    EngineOptions profiled = o;
+    profiled.profile_push_replay = true;
+    Engine<BfsProgram> plain_engine(g, MakeK40(), profiled);
     const auto plain = plain_engine.Run(program);
     ASSERT_TRUE(plain.stats.ok()) << mode.name;
+    uint64_t widest = 0;
+    for (const PushReplayIterationSplit& it :
+         plain_engine.push_profile().iterations) {
+      widest = std::max(widest, it.records);
+    }
+    EXPECT_GE(widest, kParallelCollectMinRecords) << mode.name;
 
     Engine<BfsProgram> engine(g, MakeK40(), o);
     for (int trial = 0; trial < 4; ++trial) {
@@ -599,6 +616,59 @@ RunResult<uint32_t> ResumeSsspWithFirstPendingId(VertexId id) {
   return {};
 }
 
+TEST(ControlTest, SnapshotWithPrevUnlikeCurrFaultsResume) {
+  // The engine checkpoints only at iteration boundaries, where prev ==
+  // curr. A CRC-valid snapshot whose prev differs would skew the sparse
+  // frontier commit, so the resume refuses it; the untouched snapshot
+  // still resumes bit-identically.
+  const Graph g = Graph::FromEdges(GenerateGridRoad(16, 16, 3), false);
+  const auto plain = PlainBfs(g, DefaultOptions());
+  ASSERT_TRUE(plain.stats.ok());
+  std::vector<Checkpoint> snaps;
+  RunControl writer;
+  writer.checkpoint_every = 1;
+  writer.on_checkpoint = [&](const Checkpoint& cp) {
+    snaps.push_back(cp);
+    return true;
+  };
+  {
+    BfsProgram program;
+    Engine<BfsProgram> engine(g, MakeK40(), DefaultOptions());
+    ASSERT_TRUE(engine.Run(program, writer).stats.ok());
+  }
+  ASSERT_GE(snaps.size(), 3u);
+  const Checkpoint& snap = snaps[snaps.size() / 2];
+  {
+    RunControl resume;
+    resume.resume = &snap;
+    BfsProgram program;
+    Engine<BfsProgram> engine(g, MakeK40(), DefaultOptions());
+    const auto resumed = engine.Run(program, resume);
+    EXPECT_EQ(resumed.stats.outcome, RunOutcome::kResumed);
+    EXPECT_EQ(bench::StatsFingerprint(resumed), bench::StatsFingerprint(plain));
+    EXPECT_EQ(resumed.values, plain.values);
+  }
+  Checkpoint bad = snap;
+  bool flipped = false;
+  for (CheckpointSection& section : bad.sections()) {
+    if (section.id == static_cast<uint32_t>(CheckpointSectionId::kValuesPrev)) {
+      // Past the section's 8-byte value count: the first value's low byte.
+      section.bytes.at(sizeof(uint64_t)) ^= 0x01;
+      flipped = true;
+    }
+  }
+  ASSERT_TRUE(flipped);
+  bad.Seal();
+  ASSERT_TRUE(bad.Validate(nullptr));
+  RunControl resume;
+  resume.resume = &bad;
+  BfsProgram program;
+  Engine<BfsProgram> engine(g, MakeK40(), DefaultOptions());
+  const auto r = engine.Run(program, resume);
+  EXPECT_EQ(r.stats.outcome, RunOutcome::kFaulted);
+  EXPECT_EQ(r.stats.resumes, 0u);
+}
+
 TEST(ControlTest, SsspPendingVertexAtVertexCountFaultsResume) {
   // One past the last vertex: must not resume and release it into the
   // frontier.
@@ -613,6 +683,79 @@ TEST(ControlTest, SsspHugePendingVertexFaultsResume) {
   const auto r = ResumeSsspWithFirstPendingId(100'000'000);
   EXPECT_EQ(r.stats.outcome, RunOutcome::kFaulted);
   EXPECT_EQ(r.stats.resumes, 0u);
+}
+
+// --- The boundary invariant: prev == curr at every iteration boundary ---
+//
+// A thin push iteration commits prev by copying only the vertices it could
+// have written: its records' destinations and its consumed sources
+// (Engine::CommitPrev). Every checkpoint is taken at a boundary and carries
+// both arrays, so checkpointing every iteration checks the invariant at
+// each one. The 64x64 grid keeps pushes thin (the sparse commit); R-MAT
+// floods (wide pushes and pulls, the full copy).
+
+template <typename Program>
+void ExpectPrevEqualsCurrAtEveryBoundary(const Graph& g,
+                                         const Program& program) {
+  for (const uint32_t threads : {1u, 4u}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    EngineOptions o = DefaultOptions();
+    o.host_threads = threads;
+    RunControl control;
+    control.checkpoint_every = 1;
+    // A mismatched snapshot is refused, which ends the run at the first
+    // one: once prev lags curr, a run need not converge.
+    control.on_checkpoint = [](const Checkpoint& cp) {
+      return cp.Find(CheckpointSectionId::kValuesCurr)->bytes ==
+             cp.Find(CheckpointSectionId::kValuesPrev)->bytes;
+    };
+    Engine<Program> engine(g, MakeK40(), o);
+    const auto r = engine.Run(program, control);
+    EXPECT_EQ(r.stats.outcome, RunOutcome::kCompleted)
+        << "prev != curr at iteration " << r.stats.iterations;
+    EXPECT_GE(r.stats.checkpoints_written, r.stats.iterations);
+    EXPECT_GE(r.stats.iterations, 2u);
+  }
+}
+
+void ExpectInvariantForEveryProgram(const Graph& g) {
+  BfsProgram bfs;
+  ExpectPrevEqualsCurrAtEveryBoundary(g, bfs);
+  SsspProgram sssp;
+  ExpectPrevEqualsCurrAtEveryBoundary(g, sssp);
+  WccProgram wcc;
+  wcc.graph = &g;
+  ExpectPrevEqualsCurrAtEveryBoundary(g, wcc);
+  KCoreProgram kcore;
+  kcore.graph = &g;
+  kcore.k = 3;
+  ExpectPrevEqualsCurrAtEveryBoundary(g, kcore);
+  PageRankProgram pagerank;
+  pagerank.graph = &g;
+  ExpectPrevEqualsCurrAtEveryBoundary(g, pagerank);
+  PprProgram ppr;
+  ppr.graph = &g;
+  ExpectPrevEqualsCurrAtEveryBoundary(g, ppr);
+}
+
+TEST(CommitInvariantTest, PrevEqualsCurrOnThinGrid) {
+  ExpectInvariantForEveryProgram(
+      Graph::FromEdges(GenerateGridRoad(64, 64, 5), false));
+}
+
+TEST(CommitInvariantTest, PrevEqualsCurrOnRmat) {
+  ExpectInvariantForEveryProgram(
+      Graph::FromEdges(GenerateRmat(12, 8, 9), false));
+}
+
+TEST(CommitInvariantTest, ConsumedSourceThatReceivesNoRecord) {
+  // PPR down a directed chain: each push consumes its source, whose only
+  // edge points away, so no record ever lands on it — only the commit's
+  // frontier walk brings its prev up to date.
+  const Graph g = Graph::FromEdges(GenerateChain(4096), /*directed=*/true);
+  PprProgram ppr;
+  ppr.graph = &g;
+  ExpectPrevEqualsCurrAtEveryBoundary(g, ppr);
 }
 
 }  // namespace

@@ -170,7 +170,13 @@ TEST(EngineTest, AtomicModeProducesSameResultsWithAtomicCharges) {
 TEST(EngineTest, IterationLogsRecorded) {
   const Graph g = Graph::FromEdges(GenerateChain(10), false);
   BfsProgram program;
-  const auto result = Engine<BfsProgram>(g, MakeK40(), DefaultOptions()).Run(program);
+  EXPECT_TRUE(Engine<BfsProgram>(g, MakeK40(), DefaultOptions())
+                  .Run(program)
+                  .stats.iteration_logs.empty())
+      << "the log is opt-in";
+  EngineOptions logged = DefaultOptions();
+  logged.keep_iteration_log = true;
+  const auto result = Engine<BfsProgram>(g, MakeK40(), logged).Run(program);
   ASSERT_EQ(result.stats.iteration_logs.size(), result.stats.iterations);
   EXPECT_EQ(result.stats.iteration_logs.front().frontier_size, 1u);
   EXPECT_EQ(result.stats.filter_pattern.size(), result.stats.iterations);
@@ -297,9 +303,11 @@ TEST(PreCombinedApplyCountTest, ExactlyOneApplyPerTouchedDestination) {
 // Run, in serial record order, so Apply may touch program state. A 4-thread
 // run must call Apply in exactly the 1-thread sequence, with and without
 // the pre-combined fold, on a contended funnel and on a skewed R-MAT graph.
+// Both graphs have a push iteration of at least kParallelCollectMinRecords
+// records, so the 4-thread runs split a collect over pool chunks.
 TEST(PushApplyOrderTest, AppliesRunOnTheRunThreadInSerialRecordOrder) {
   const Graph funnel =
-      Graph::FromEdges(GenerateFunnel(2000, 3), /*directed=*/true);
+      Graph::FromEdges(GenerateFunnel(6000, 3), /*directed=*/true);
   const Graph rmat =
       Graph::FromEdges(GenerateRmat(12, 8, 7), /*directed=*/false);
   for (const Graph* g : {&funnel, &rmat}) {
@@ -311,8 +319,15 @@ TEST(PushApplyOrderTest, AppliesRunOnTheRunThreadInSerialRecordOrder) {
       o.force_push = true;
       o.pre_combine_replay = pre_combine;
       o.host_threads = 1;
+      o.keep_iteration_log = true;
       PushApplyLog serial;
-      ASSERT_TRUE(RunLogged(*g, o, serial).stats.ok());
+      const auto serial_run = RunLogged(*g, o, serial);
+      ASSERT_TRUE(serial_run.stats.ok());
+      uint64_t widest = 0;  // forced push: edges_processed is the records
+      for (const IterationLog& log : serial_run.stats.iteration_logs) {
+        widest = std::max(widest, log.edges_processed);
+      }
+      EXPECT_GE(widest, kParallelCollectMinRecords);
       o.host_threads = 4;
       PushApplyLog parallel;
       ASSERT_TRUE(RunLogged(*g, o, parallel).stats.ok());

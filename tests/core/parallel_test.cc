@@ -134,6 +134,9 @@ void ExpectIdenticalRuns(const RunResult<Value>& a, const RunResult<Value>& b) {
   EXPECT_EQ(a.stats.filter_pattern, b.stats.filter_pattern);
   EXPECT_EQ(a.stats.direction_pattern, b.stats.direction_pattern);
   EXPECT_EQ(a.stats.device_bytes_needed, b.stats.device_bytes_needed);
+  // The option builders below turn the log on; with it off this comparison
+  // would pass with nothing compared.
+  EXPECT_FALSE(a.stats.iterations > 0 && a.stats.iteration_logs.empty());
   ASSERT_EQ(a.stats.iteration_logs.size(), b.stats.iteration_logs.size());
   for (size_t i = 0; i < a.stats.iteration_logs.size(); ++i) {
     EXPECT_EQ(a.stats.iteration_logs[i].frontier_size,
@@ -148,9 +151,24 @@ void ExpectIdenticalRuns(const RunResult<Value>& a, const RunResult<Value>& b) {
   EXPECT_EQ(a.stats.push_records_buffered, b.stats.push_records_buffered);
 }
 
+// The records of the run's largest push iteration. A push iteration logs
+// its record count as edges_processed — the push profile's `records`
+// (PreCombinedReplayTest.ProfileReportsFoldRatio pins that they agree).
+template <typename Value>
+uint64_t LargestPushIteration(const RunResult<Value>& r) {
+  uint64_t most = 0;
+  for (const IterationLog& log : r.stats.iteration_logs) {
+    if (log.direction == 'p') {
+      most = std::max(most, log.edges_processed);
+    }
+  }
+  return most;
+}
+
 EngineOptions OptionsWithThreads(uint32_t host_threads) {
   EngineOptions o;
   o.host_threads = host_threads;
+  o.keep_iteration_log = true;  // ExpectIdenticalRuns compares the logs
   return o;
 }
 
@@ -158,8 +176,10 @@ TEST(EngineHostThreadsDeterminismTest, PageRankOnRmat) {
   const Graph g = Graph::FromEdges(GenerateRmat(12, 8, 7), /*directed=*/true);
   const auto serial = RunPageRank(g, MakeK40(), OptionsWithThreads(1));
   ASSERT_TRUE(serial.stats.ok());
-  // Pull-heavy workload: the frontier stays wide for most iterations.
+  // Pull-heavy workload: the frontier stays wide for most iterations, and
+  // its push iterations reach the multi-chunk collect.
   ASSERT_NE(serial.stats.direction_pattern.find('P'), std::string::npos);
+  EXPECT_GE(LargestPushIteration(serial), kParallelCollectMinRecords);
   for (int rep = 0; rep < 3; ++rep) {
     const auto parallel = RunPageRank(g, MakeK40(), OptionsWithThreads(8));
     ExpectIdenticalRuns(serial, parallel);
@@ -208,16 +228,20 @@ TEST(EngineHostThreadsDeterminismTest, AutoThreadsMatchesSerial) {
 // chunks of every kernel class into the replay order. ---
 
 EngineOptions ForcedPushOptions(uint32_t host_threads) {
-  EngineOptions o;
-  o.host_threads = host_threads;
+  EngineOptions o = OptionsWithThreads(host_threads);
   o.force_push = true;
   return o;
 }
 
+// A sweep that must cover the multi-chunk collect passes
+// kParallelCollectMinRecords as `min_records`: below that many records a
+// push iteration collects on the Run thread at any host_threads, so only
+// an iteration at or above it splits the collect over pool chunks.
 template <typename RunFn>
-void SweepPushThreads(const RunFn& run) {
+void SweepPushThreads(const RunFn& run, uint64_t min_records = 0) {
   const auto serial = run(ForcedPushOptions(1));
   ASSERT_TRUE(serial.stats.ok());
+  EXPECT_GE(LargestPushIteration(serial), min_records);
   for (uint32_t threads : {2u, 3u, 8u}) {
     const auto parallel = run(ForcedPushOptions(threads));
     ExpectIdenticalRuns(serial, parallel);
@@ -230,36 +254,43 @@ void SweepPushThreads(const RunFn& run) {
 TEST(EnginePushDeterminismTest, BfsAllPushOnSkewedRmat) {
   const Graph g = Graph::FromEdges(GenerateRmat(11, 8, 13), /*directed=*/false);
   SweepPushThreads(
-      [&](const EngineOptions& o) { return RunBfs(g, 0, MakeK40(), o); });
+      [&](const EngineOptions& o) { return RunBfs(g, 0, MakeK40(), o); },
+      kParallelCollectMinRecords);
 }
 
 TEST(EnginePushDeterminismTest, SsspAllPushOnSkewedRmat) {
   const Graph g = Graph::FromEdges(GenerateRmat(11, 8, 17), /*directed=*/false);
   SweepPushThreads(
-      [&](const EngineOptions& o) { return RunSssp(g, 0, MakeK40(), o); });
+      [&](const EngineOptions& o) { return RunSssp(g, 0, MakeK40(), o); },
+      kParallelCollectMinRecords);
 }
 
 TEST(EnginePushDeterminismTest, WccAllPushOnSkewedRmat) {
-  const Graph g = Graph::FromEdges(GenerateRmat(10, 8, 19), /*directed=*/false);
+  const Graph g = Graph::FromEdges(GenerateRmat(11, 8, 19), /*directed=*/false);
   SweepPushThreads(
-      [&](const EngineOptions& o) { return RunWcc(g, MakeK40(), o); });
+      [&](const EngineOptions& o) { return RunWcc(g, MakeK40(), o); },
+      kParallelCollectMinRecords);
 }
 
 TEST(EnginePushDeterminismTest, KCoreAllPushOnSkewedRmat) {
-  const Graph g = Graph::FromEdges(GenerateRmat(10, 8, 23), /*directed=*/false);
+  const Graph g = Graph::FromEdges(GenerateRmat(14, 8, 23), /*directed=*/false);
   SweepPushThreads(
-      [&](const EngineOptions& o) { return RunKCore(g, 8, MakeK40(), o); });
+      [&](const EngineOptions& o) { return RunKCore(g, 8, MakeK40(), o); },
+      kParallelCollectMinRecords);
 }
 
 TEST(EnginePushDeterminismTest, PageRankResidualPushConservesMass) {
   // All-push PageRank: every vertex is a source AND a destination of the
   // same phase, so this is the hardest case for the snapshot semantics —
   // residual arriving during replay must survive ConsumeActivity.
-  const Graph g = Graph::FromEdges(GenerateGridRoad(30, 30, 2), /*directed=*/false);
+  // 70x70: the all-vertex first push carries ~19,400 records. Each vertex
+  // may keep up to epsilon of residual unpushed, so epsilon shrinks with
+  // the vertex count to keep the unconverged mass under the 1e-6 check.
+  const Graph g = Graph::FromEdges(GenerateGridRoad(70, 70, 2), /*directed=*/false);
   const auto run = [&](const EngineOptions& o) {
-    return RunPageRank(g, MakeK40(), o, /*epsilon=*/1e-10);
+    return RunPageRank(g, MakeK40(), o, /*epsilon=*/1e-11);
   };
-  SweepPushThreads(run);
+  SweepPushThreads(run, kParallelCollectMinRecords);
   // Undirected grid without isolated vertices: no dangling mass, ranks sum
   // to 1 at the fixpoint — catches any activity lost to consume/apply
   // reordering even when the run is internally consistent.
@@ -305,11 +336,12 @@ Graph MakeFunnelGraph(uint32_t sources, uint32_t hubs, bool park_weights) {
 }
 
 TEST(PushContentionTest, HighContentionBfsDeterministic) {
-  // Thousands of records, three destinations: very long apply chains
-  // collected by several chunks.
-  const Graph g = MakeFunnelGraph(2000, 3, /*park_weights=*/false);
+  // 18,000 records, three destinations: very long apply chains collected
+  // by several chunks.
+  const Graph g = MakeFunnelGraph(6000, 3, /*park_weights=*/false);
   SweepPushThreads(
-      [&](const EngineOptions& o) { return RunBfs(g, 0, MakeK40(), o); });
+      [&](const EngineOptions& o) { return RunBfs(g, 0, MakeK40(), o); },
+      kParallelCollectMinRecords);
 }
 
 TEST(PushContentionTest, HighContentionSsspParksDeterministically) {
@@ -317,9 +349,10 @@ TEST(PushContentionTest, HighContentionSsspParksDeterministically) {
   // the drain; the pending list must come out in the serial order
   // (RefillFrontier drains it in order, so any reordering changes the
   // released frontier and trips the gate).
-  const Graph g = MakeFunnelGraph(1500, 3, /*park_weights=*/true);
+  const Graph g = MakeFunnelGraph(6000, 3, /*park_weights=*/true);
   SweepPushThreads(
-      [&](const EngineOptions& o) { return RunSssp(g, 0, MakeK40(), o); });
+      [&](const EngineOptions& o) { return RunSssp(g, 0, MakeK40(), o); },
+      kParallelCollectMinRecords);
 }
 
 TEST(PushContentionTest, HighContentionPageRankConsumeInterleaves) {
@@ -327,10 +360,12 @@ TEST(PushContentionTest, HighContentionPageRankConsumeInterleaves) {
   // destinations of the same phase, so their ConsumeActivity must land
   // right after their last slot, between the applies around it (FP
   // addition does not commute — any reordering shows up bit-for-bit).
-  const Graph g = MakeFunnelGraph(800, 4, /*park_weights=*/false);
-  SweepPushThreads([&](const EngineOptions& o) {
-    return RunPageRank(g, MakeK40(), o, /*epsilon=*/1e-10);
-  });
+  const Graph g = MakeFunnelGraph(4000, 4, /*park_weights=*/false);
+  SweepPushThreads(
+      [&](const EngineOptions& o) {
+        return RunPageRank(g, MakeK40(), o, /*epsilon=*/1e-10);
+      },
+      kParallelCollectMinRecords);
 }
 
 TEST(PushContentionTest, KCorePushDeterministic) {
@@ -338,18 +373,21 @@ TEST(PushContentionTest, KCorePushDeterministic) {
   // threshold is crossed, so its drain order must be the serial one. Also
   // guards the KCoreValue byte representation: the gates hash raw value
   // bytes, so the value type must stay padding-free (see kcore.h).
-  const Graph g = Graph::FromEdges(GenerateRmat(11, 8, 43), /*directed=*/false);
+  const Graph g = Graph::FromEdges(GenerateRmat(14, 8, 43), /*directed=*/false);
   SweepPushThreads(
-      [&](const EngineOptions& o) { return RunKCore(g, 8, MakeK40(), o); });
+      [&](const EngineOptions& o) { return RunKCore(g, 8, MakeK40(), o); },
+      kParallelCollectMinRecords);
 }
 
 TEST(PushContentionTest, HighContentionAtomicConflictsDeterministic) {
-  const Graph g = MakeFunnelGraph(1200, 2, /*park_weights=*/false);
-  SweepPushThreads([&](EngineOptions o) {
-    o.use_atomic_updates = true;
-    o.enable_vote_early_exit = false;
-    return RunBfs(g, 0, MakeK40(), o);
-  });
+  const Graph g = MakeFunnelGraph(9000, 2, /*park_weights=*/false);
+  SweepPushThreads(
+      [&](EngineOptions o) {
+        o.use_atomic_updates = true;
+        o.enable_vote_early_exit = false;
+        return RunBfs(g, 0, MakeK40(), o);
+      },
+      kParallelCollectMinRecords);
 }
 
 TEST(PushContentionTest, TinyChainAtEightThreads) {
@@ -373,7 +411,7 @@ TEST(PushContentionTest, TinyChainAtEightThreads) {
 // per replayed record, so such a replay shows in the counters even where it
 // changes no value. PPR walks the consume path (the list cursor).
 TEST(EngineReuseTest, LargePushVolumeThenSmallMatchesFreshEngine) {
-  const Graph g = MakeFunnelGraph(2000, 3, /*park_weights=*/false);
+  const Graph g = MakeFunnelGraph(6000, 3, /*park_weights=*/false);
   const VertexId root = 0;
   const VertexId spoke = 4;  // the first spoke: vertices 1..3 are the hubs
   for (uint32_t threads : {1u, 4u}) {
@@ -388,10 +426,10 @@ TEST(EngineReuseTest, LargePushVolumeThenSmallMatchesFreshEngine) {
       bfs_program.source = source;
       const auto reused = bfs.Run(bfs_program);
       ASSERT_TRUE(reused.stats.ok());
-      // The premise: thousands of records from the root, a handful from the
-      // spoke.
+      // The premise: thousands of records from the root, in an iteration
+      // that reaches the multi-chunk collect, and a handful from the spoke.
       if (source == root) {
-        EXPECT_GT(reused.stats.push_records_buffered, 6000u);
+        EXPECT_GE(LargestPushIteration(reused), kParallelCollectMinRecords);
       } else {
         EXPECT_LT(reused.stats.push_records_buffered, 10u);
       }
@@ -421,9 +459,10 @@ EngineOptions PreCombineOptions(uint32_t host_threads) {
 
 // Each thread count must match the 1-thread run.
 template <typename RunFn>
-void SweepPreCombinedThreads(const RunFn& run) {
+void SweepPreCombinedThreads(const RunFn& run, uint64_t min_records = 0) {
   const auto serial = run(PreCombineOptions(1));
   ASSERT_TRUE(serial.stats.ok());
+  EXPECT_GE(LargestPushIteration(serial), min_records);
   for (uint32_t threads : {2u, 3u, 8u}) {
     SCOPED_TRACE(::testing::Message() << "threads=" << threads);
     const auto parallel = run(PreCombineOptions(threads));
@@ -435,44 +474,50 @@ void SweepPreCombinedThreads(const RunFn& run) {
 TEST(PreCombinedReplayTest, AllRecordsOneDestinationFunnel) {
   // hubs=1: every record of the big iteration funnels into ONE destination —
   // a single fold chain spanning many collect chunks.
-  const Graph g = MakeFunnelGraph(2000, 1, /*park_weights=*/false);
+  const Graph g = MakeFunnelGraph(17000, 1, /*park_weights=*/false);
   SweepPreCombinedThreads(
-      [&](const EngineOptions& o) { return RunBfs(g, 0, MakeK40(), o); });
+      [&](const EngineOptions& o) { return RunBfs(g, 0, MakeK40(), o); },
+      kParallelCollectMinRecords);
 }
 
 TEST(PreCombinedReplayTest, HighContentionBfsDeterministic) {
-  const Graph g = MakeFunnelGraph(2000, 3, /*park_weights=*/false);
+  const Graph g = MakeFunnelGraph(6000, 3, /*park_weights=*/false);
   SweepPreCombinedThreads(
-      [&](const EngineOptions& o) { return RunBfs(g, 0, MakeK40(), o); });
+      [&](const EngineOptions& o) { return RunBfs(g, 0, MakeK40(), o); },
+      kParallelCollectMinRecords);
 }
 
 TEST(PreCombinedReplayTest, BallotOnlyPolicyDeterministic) {
   // kBallotOnly never consults the worker lane the online bins are keyed
   // by; the fold drain must stay deterministic under it all the same.
-  const Graph g = MakeFunnelGraph(1000, 3, /*park_weights=*/false);
-  SweepPreCombinedThreads([&](EngineOptions o) {
-    o.filter = FilterPolicy::kBallotOnly;
-    return RunBfs(g, 0, MakeK40(), o);
-  });
+  const Graph g = MakeFunnelGraph(6000, 3, /*park_weights=*/false);
+  SweepPreCombinedThreads(
+      [&](EngineOptions o) {
+        o.filter = FilterPolicy::kBallotOnly;
+        return RunBfs(g, 0, MakeK40(), o);
+      },
+      kParallelCollectMinRecords);
 }
 
 TEST(PreCombinedReplayTest, WccOnSkewedRmatDeterministic) {
-  const Graph g = Graph::FromEdges(GenerateRmat(10, 8, 47), /*directed=*/false);
+  const Graph g = Graph::FromEdges(GenerateRmat(11, 8, 47), /*directed=*/false);
   SweepPreCombinedThreads(
-      [&](const EngineOptions& o) { return RunWcc(g, MakeK40(), o); });
+      [&](const EngineOptions& o) { return RunWcc(g, MakeK40(), o); },
+      kParallelCollectMinRecords);
 }
 
 TEST(PreCombinedReplayTest, SpmvForcedPushDeterministicAndMatchesPull) {
   // SpMV's replace-style Apply needs the full fold: the pre-combined forced
   // push must be thread-count deterministic AND agree with the natural pull
   // computation of y = A x (up to record-order reassociation of the sum).
-  const Graph g = Graph::FromEdges(GenerateRmat(10, 8, 59), /*directed=*/false);
+  const Graph g = Graph::FromEdges(GenerateRmat(11, 8, 59), /*directed=*/false);
   std::vector<double> x(g.vertex_count());
   for (VertexId v = 0; v < g.vertex_count(); ++v) {
     x[v] = 1.0 / (1.0 + v);
   }
   SweepPreCombinedThreads(
-      [&](const EngineOptions& o) { return RunSpmv(g, x, MakeK40(), o); });
+      [&](const EngineOptions& o) { return RunSpmv(g, x, MakeK40(), o); },
+      kParallelCollectMinRecords);
   EngineOptions pull;
   pull.host_threads = 1;
   const auto expected = RunSpmv(g, x, MakeK40(), pull);
@@ -487,21 +532,23 @@ TEST(PreCombinedReplayTest, PageRankFoldAndConsumeDeterministic) {
   // FP residual sums make every fold grouping bit-visible: the funnel's hubs
   // are sources AND heavily-contended destinations, so this pins the
   // fold-apply-consume per-vertex order across thread counts.
-  const Graph g = MakeFunnelGraph(800, 4, /*park_weights=*/false);
-  SweepPreCombinedThreads([&](const EngineOptions& o) {
-    return RunPageRank(g, MakeK40(), o, /*epsilon=*/1e-10);
-  });
+  const Graph g = MakeFunnelGraph(4000, 4, /*park_weights=*/false);
+  SweepPreCombinedThreads(
+      [&](const EngineOptions& o) {
+        return RunPageRank(g, MakeK40(), o, /*epsilon=*/1e-10);
+      },
+      kParallelCollectMinRecords);
 }
 
 TEST(PreCombinedReplayTest, PageRankResidualPushConservesMass) {
   // Same invariant as the per-record drain's mass test: apply-then-consume
   // hands every same-phase arrival to the consume, so no activity is lost.
   const Graph g =
-      Graph::FromEdges(GenerateGridRoad(30, 30, 2), /*directed=*/false);
+      Graph::FromEdges(GenerateGridRoad(70, 70, 2), /*directed=*/false);
   const auto run = [&](const EngineOptions& o) {
-    return RunPageRank(g, MakeK40(), o, /*epsilon=*/1e-10);
+    return RunPageRank(g, MakeK40(), o, /*epsilon=*/1e-11);
   };
-  SweepPreCombinedThreads(run);
+  SweepPreCombinedThreads(run, kParallelCollectMinRecords);
   const auto result = run(PreCombineOptions(3));
   double sum = 0.0;
   for (const auto& value : result.values) {
@@ -570,13 +617,13 @@ TEST(PreCombinedReplayTest, AtomicChargesCollapseToPerDestination) {
   // Under atomics + pre-combining, each touched destination charges exactly
   // one atomic per iteration, so same-destination conflicts vanish — the
   // ACC pre-aggregation argument of Figure 5, now visible in the contract.
-  const Graph g = MakeFunnelGraph(1200, 2, /*park_weights=*/false);
+  const Graph g = MakeFunnelGraph(9000, 2, /*park_weights=*/false);
   const auto run = [&](EngineOptions o) {
     o.use_atomic_updates = true;
     o.enable_vote_early_exit = false;
     return RunBfs(g, 0, MakeK40(), o);
   };
-  SweepPreCombinedThreads(run);
+  SweepPreCombinedThreads(run, kParallelCollectMinRecords);
   const auto pre = run(PreCombineOptions(3));
   const auto per_record = run(ForcedPushOptions(3));
   EXPECT_EQ(pre.stats.counters.atomic_conflicts, 0u);
@@ -627,6 +674,11 @@ TEST(PreCombinedReplayTest, ProfileReportsFoldRatio) {
     EXPECT_GE(it.replay_ms, 0.0);
     EXPECT_TRUE(it.pre_combined);
     EXPECT_LE(it.applies, it.records);
+    // The iteration log carries the same record count, which is what
+    // LargestPushIteration reads.
+    ASSERT_LT(it.iteration, result.stats.iteration_logs.size());
+    EXPECT_EQ(result.stats.iteration_logs[it.iteration].edges_processed,
+              it.records);
     if (it.applies > 0) {
       best_ratio = std::max(best_ratio, it.records / it.applies);
     }

@@ -29,7 +29,9 @@ TEST(PaperWalkthrough, Figure1SsspNarrative) {
   const Graph g = Graph::FromEdges(PaperFigure1Graph(), false);
   SsspProgram program;
   program.source = 0;
-  Engine<SsspProgram> engine(g, MakeK40(), WalkthroughOptions());
+  EngineOptions o = WalkthroughOptions();
+  o.keep_iteration_log = true;  // read below
+  Engine<SsspProgram> engine(g, MakeK40(), o);
   const auto result = engine.Run(program);
   ASSERT_TRUE(result.stats.ok());
 

@@ -116,7 +116,9 @@ TEST_P(RandomGraphProperties, KCoreFixpoint) {
 // Engine telemetry invariants: pattern strings and logs are always the same
 // length as the iteration count, and edge totals are conserved.
 TEST_P(RandomGraphProperties, TelemetryShapeInvariants) {
-  const auto result = RunSssp(graph_, 0, MakeK40(), options_);
+  EngineOptions logged = options_;
+  logged.keep_iteration_log = true;
+  const auto result = RunSssp(graph_, 0, MakeK40(), logged);
   ASSERT_TRUE(result.stats.ok());
   EXPECT_EQ(result.stats.filter_pattern.size(), result.stats.iterations);
   EXPECT_EQ(result.stats.direction_pattern.size(), result.stats.iterations);
