@@ -4,8 +4,7 @@
 // shed, not silently queue), mixing all four query kinds from random
 // sources, with an optional fraction of queries armed with per-query fault
 // specs. Emits JSON: latency percentiles, throughput, shed/fault/retry
-// rates, the full service ledger and the shared ThreadPool submission
-// telemetry.
+// rates and the full service ledger.
 //
 // Besides the open-loop phase (whose service takes --batch / --cache /
 // --hot-fraction), the harness always runs a closed A/B probe: the same
@@ -37,7 +36,6 @@
 #include "algos/algos.h"
 #include "common.h"
 #include "core/fingerprint.h"
-#include "core/parallel.h"
 #include "graph/generators.h"
 #include "service/client.h"
 #include "service/server.h"
@@ -184,7 +182,6 @@ Args Parse(int argc, char** argv) {
              " batching: {probe_queries, unbatched_wall_ms, batched_wall_ms,\n"
              "  unbatched_qps, batched_qps, speedup, batched_runs},\n"
              " cache: {open_loop_hit_rate, replay_hits, replay_wall_ms},\n"
-             " pool: {submits, contended_submits, inline_runs},\n"
              " remote (with --remote): {clients, responses, mismatches,\n"
              "  wall_ms, direct_ms, loopback_ms, codec_ms, codec_overhead,\n"
              "  server: {accepted, requests, responses, rejects,\n"
@@ -209,10 +206,6 @@ Args Parse(int argc, char** argv) {
 EngineOptions ServiceEngineOptions() {
   EngineOptions o;
   o.sim_worker_threads = 64;
-  // Per-query host parallelism: every service worker submits to the shared
-  // ThreadPool::Global(), which is what makes the pool telemetry (and the
-  // contended-submit path) meaningful under concurrent load.
-  o.host_threads = 2;
   return o;
 }
 
@@ -552,7 +545,6 @@ int Main(int argc, char** argv) {
 
   // ---- drive the load ----
   GraphService svc(g, so);
-  const auto pool_before = ThreadPool::Global().telemetry();
   std::vector<GraphService::Ticket> tickets(plan.size());
   const auto start = std::chrono::steady_clock::now();
   for (size_t i = 0; i < plan.size(); ++i) {
@@ -567,7 +559,6 @@ int Main(int argc, char** argv) {
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
                                                 start)
           .count();
-  const auto pool_after = ThreadPool::Global().telemetry();
   const ServiceStats stats = svc.stats();
 
   // ---- collect results ----
@@ -797,12 +788,6 @@ int Main(int argc, char** argv) {
                : 0.0)
        << ", \"replay_hits\": " << replay_hits
        << ", \"replay_wall_ms\": " << replay_ms
-       << "},\n  \"pool\": {\"submits\": "
-       << (pool_after.submits - pool_before.submits)
-       << ", \"contended_submits\": "
-       << (pool_after.contended_submits - pool_before.contended_submits)
-       << ", \"inline_runs\": "
-       << (pool_after.inline_runs - pool_before.inline_runs)
        << "},\n";
   if (remote.ran) {
     json << "  \"remote\": {\"clients\": " << args.clients

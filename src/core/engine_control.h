@@ -252,14 +252,15 @@ bool Engine<Program>::RestoreCheckpoint(const Checkpoint& cp,
     const uint8_t* curr_bytes = rc.Raw(value_bytes);
     ByteReader rp(prev->bytes);
     uint64_t prev_count = 0;
-    if (curr_bytes == nullptr || !rp.Pod(&prev_count) || prev_count != n) {
+    if (curr_bytes == nullptr || !rc.AtEnd() || !rp.Pod(&prev_count) ||
+        prev_count != n) {
       return false;
     }
     const uint8_t* prev_bytes = rp.Raw(value_bytes);
     // The engine checkpoints only at iteration boundaries, where prev ==
     // curr (metadata.h); a snapshot that says otherwise would silently skew
     // the sparse commit (CommitPrev), so it is refused.
-    if (prev_bytes == nullptr ||
+    if (prev_bytes == nullptr || !rp.AtEnd() ||
         std::memcmp(prev_bytes, curr_bytes, value_bytes) != 0) {
       return false;
     }

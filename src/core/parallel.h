@@ -79,12 +79,11 @@ class ThreadPool {
   // static teardown).
   static ThreadPool& Global();
 
-  // Submission-path telemetry for callers sharing the pool (the resident
-  // query service runs many engines against Global() concurrently; the qps
-  // bench reports these to show whether the single submission lock is a
-  // bottleneck at a given worker count). Counters are relaxed and bumped
-  // once per ParallelFor call — never per chunk — so the hot path cost is
-  // three loads/adds per stage.
+  // Submission-path telemetry: how often jobs reached the workers, found the
+  // submission lock held by another caller, or ran inline (the e2e engine
+  // jobs report these per job). Counters are relaxed and bumped once per
+  // ParallelFor call — never per chunk — so the hot path cost is three
+  // loads/adds per stage.
   struct SubmitTelemetry {
     uint64_t submits = 0;            // jobs dispatched to the worker pool
     uint64_t contended_submits = 0;  // submits that found the lock held

@@ -44,9 +44,10 @@ inline const char* ToString(RunOutcome o) {
   return "?";
 }
 
-// One transition of the query service's overload-shedding ladder
+// One transition of the query service's one-rung overload ladder
 // (ServiceStats::ladder): `iteration` carries the rung after the
-// transition, `action` what the rung does.
+// transition (1 = strict deadline admission, 0 = stepped down), `action`
+// names it.
 struct DowngradeEvent {
   uint32_t iteration = 0;
   std::string action;

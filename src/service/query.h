@@ -188,8 +188,8 @@ struct ServiceStats {
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;       // lookups that went on to admission
   uint64_t cache_evictions = 0;    // LRU evictions (capacity pressure)
-  // Overload-shedding ladder transitions, in order (`iteration` carries
-  // the ladder rung after the transition).
+  // Overload-rung transitions, in order: strict admission engaging
+  // (`iteration` 1) and stepping down (`iteration` 0).
   std::vector<DowngradeEvent> ladder;
 };
 

@@ -24,6 +24,11 @@ double NowMs() {
 // ride out a single outlier, fresh enough to track a shifting mix.
 constexpr double kEwmaAlpha = 0.2;
 
+// Overload rung 1 (strict deadline admission) engages at this queue
+// occupancy and steps back down below kLowWater.
+constexpr double kHighWater = 0.75;
+constexpr double kLowWater = 0.5;
+
 }  // namespace
 
 // One admitted query, owned by the queue until a worker retires it.
@@ -41,21 +46,19 @@ struct GraphService::Task {
   uint32_t max_attempts = 1;
 };
 
-// Per-worker engine arenas: one lazily built engine per (kind, serial) so a
+// Per-worker engine arenas: one lazily built engine per query kind so a
 // query reuses warmed scratch from its predecessors on this worker — the
 // zero-steady-state-allocation property the engine already guarantees across
-// Run() calls — while never sharing mutable state with another worker. The
-// serial variants exist because rung 2 of the overload ladder pins queries
-// to host_threads = 1, and host_threads is fixed at engine construction.
+// Run() calls — while never sharing mutable state with another worker.
 struct GraphService::WorkerArena {
-  std::unique_ptr<Engine<BfsProgram>> bfs[2];
-  std::unique_ptr<Engine<SsspProgram>> sssp[2];
-  std::unique_ptr<Engine<PprProgram>> ppr[2];
-  std::unique_ptr<Engine<KCoreProgram>> kcore[2];
+  std::unique_ptr<Engine<BfsProgram>> bfs;
+  std::unique_ptr<Engine<SsspProgram>> sssp;
+  std::unique_ptr<Engine<PprProgram>> ppr;
+  std::unique_ptr<Engine<KCoreProgram>> kcore;
   // Coalesced-dispatch lane: the multi-source engine plus its reusable
   // level-table state (one allocation amortized across every batch this
   // worker runs).
-  std::unique_ptr<Engine<MsBfsProgram>> msbfs[2];
+  std::unique_ptr<Engine<MsBfsProgram>> msbfs;
   MsBfsState msbfs_state;
 };
 
@@ -98,6 +101,8 @@ GraphService::GraphService(const Graph& graph, ServiceOptions options)
         o.queue_capacity = std::max(1u, o.queue_capacity);
         // One machine word of lanes bounds a batch.
         o.batch_max = std::clamp(o.batch_max, 1u, 64u);
+        // One host thread per query (see the header).
+        o.engine.host_threads = 1;
         return o;
       }()),
       paused_(options_.start_paused),
@@ -194,7 +199,7 @@ GraphService::Ticket GraphService::Submit(const Query& query) {
 
   // --- Predictive deadline shedding: if the backlog alone is already
   // expected to eat the deadline, say no NOW instead of returning a
-  // guaranteed kDeadlineExceeded later. Rung 1 doubles the margin.
+  // guaranteed kDeadlineExceeded later. Strict admission doubles the margin.
   if (query.deadline_ms > 0.0) {
     const double ewma = EwmaMsLocked(query.kind);
     if (ewma > 0.0) {
@@ -212,7 +217,7 @@ GraphService::Ticket GraphService::Submit(const Query& query) {
       const double waves =
           static_cast<double>(backlog_runs / options_.workers + 1);
       const double est_wait_ms = ewma * waves;
-      const double margin = rung_ >= 1 ? 2.0 : 1.0;
+      const double margin = strict_admission_ ? 2.0 : 1.0;
       if (est_wait_ms * margin > query.deadline_ms) {
         ++stats_.shed_deadline;
         ticket.verdict = AdmissionVerdict::kShedDeadline;
@@ -306,11 +311,6 @@ ServiceStats GraphService::stats() const {
   return s;
 }
 
-uint32_t GraphService::ladder_rung() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return rung_;
-}
-
 double GraphService::EwmaMsLocked(QueryKind kind) const {
   return ewma_ms_[static_cast<uint8_t>(kind)];
 }
@@ -318,28 +318,16 @@ double GraphService::EwmaMsLocked(QueryKind kind) const {
 void GraphService::StepLadderLocked() {
   const double occupancy = static_cast<double>(queue_.size()) /
                            static_cast<double>(options_.queue_capacity);
-  uint32_t target = rung_;
-  if (occupancy >= options_.rung2_water) {
-    target = 2;
-  } else if (occupancy >= options_.high_water) {
-    target = std::max(rung_, 1u);
-  } else if (occupancy < options_.low_water) {
-    target = 0;
+  const bool strict = occupancy >= kHighWater ||
+                      (strict_admission_ && occupancy >= kLowWater);
+  if (strict == strict_admission_) {
+    return;
   }
-  while (rung_ < target) {
-    ++rung_;
-    DowngradeEvent e;
-    e.iteration = rung_;
-    e.action = rung_ == 1 ? "shed:admission-strict" : "shed:serial-queries";
-    stats_.ladder.push_back(std::move(e));
-  }
-  while (rung_ > target) {
-    --rung_;
-    DowngradeEvent e;
-    e.iteration = rung_;
-    e.action = "shed:step-down";
-    stats_.ladder.push_back(std::move(e));
-  }
+  strict_admission_ = strict;
+  DowngradeEvent e;
+  e.iteration = strict ? 1 : 0;
+  e.action = strict ? "shed:admission-strict" : "shed:step-down";
+  stats_.ladder.push_back(std::move(e));
 }
 
 void GraphService::CountOutcomeLocked(const QueryResult& result, bool ran) {
@@ -420,16 +408,6 @@ void GraphService::RunTask(Task& task, WorkerArena& arena) {
       run_options.attempt_time_budget_ms = task.deadline_abs_ms - start_ms;
     }
 
-    bool serial;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      serial = rung_ >= 2;
-    }
-    EngineOptions engine_options = options_.engine;
-    if (serial) {
-      engine_options.host_threads = 1;
-    }
-    const int slot = serial ? 1 : 0;
     // Keep the output bytes around when this answer may fill the cache,
     // even if the client only wants the digest (stripped again below).
     const bool keep_values =
@@ -440,14 +418,14 @@ void GraphService::RunTask(Task& task, WorkerArena& arena) {
       case QueryKind::kBfs: {
         BfsProgram program;
         program.source = task.query.source;
-        RunInArena(arena.bfs[slot], graph_, options_.device, engine_options,
+        RunInArena(arena.bfs, graph_, options_.device, options_.engine,
                    program, run_options, keep_values, &result);
         break;
       }
       case QueryKind::kSssp: {
         SsspProgram program;
         program.source = task.query.source;
-        RunInArena(arena.sssp[slot], graph_, options_.device, engine_options,
+        RunInArena(arena.sssp, graph_, options_.device, options_.engine,
                    program, run_options, keep_values, &result);
         break;
       }
@@ -455,7 +433,7 @@ void GraphService::RunTask(Task& task, WorkerArena& arena) {
         PprProgram program;
         program.graph = &graph_;
         program.source = task.query.source;
-        RunInArena(arena.ppr[slot], graph_, options_.device, engine_options,
+        RunInArena(arena.ppr, graph_, options_.device, options_.engine,
                    program, run_options, keep_values, &result);
         break;
       }
@@ -463,7 +441,7 @@ void GraphService::RunTask(Task& task, WorkerArena& arena) {
         KCoreProgram program;
         program.graph = &graph_;
         program.k = task.query.k;
-        RunInArena(arena.kcore[slot], graph_, options_.device, engine_options,
+        RunInArena(arena.kcore, graph_, options_.device, options_.engine,
                    program, run_options, keep_values, &result);
         break;
       }
@@ -552,16 +530,6 @@ void GraphService::RunBatch(std::vector<std::unique_ptr<Task>>& batch,
   for (const auto& task : live) {
     sources.push_back(task->query.source);  // duplicates share a lane
   }
-  bool serial;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    serial = rung_ >= 2;
-  }
-  EngineOptions engine_options = options_.engine;
-  if (serial) {
-    engine_options.host_threads = 1;
-  }
-  const int slot = serial ? 1 : 0;
 
   RobustRunOptions run_options;
   run_options.checkpoint_every = options_.checkpoint_every;
@@ -591,10 +559,10 @@ void GraphService::RunBatch(std::vector<std::unique_ptr<Task>>& batch,
   MsBfsProgram program;
   program.state = &arena.msbfs_state;
   program.graph = &graph_;  // settled-census direction policy on
-  auto& engine = arena.msbfs[slot];
+  auto& engine = arena.msbfs;
   if (!engine) {
     engine = std::make_unique<Engine<MsBfsProgram>>(graph_, options_.device,
-                                                    engine_options);
+                                                    options_.engine);
   }
   const auto r = RobustRun(*engine, program, run_options);
   const double end_ms = NowMs();

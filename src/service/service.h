@@ -20,10 +20,7 @@
 //   * CONTAINMENT — each query runs under its own RunControl with a bounded
 //     RobustRun retry loop. A query armed with faults (its own spec, or the
 //     process-wide SIMDX_FAULTS registry) returns kFaulted or succeeds via
-//     retry; every other in-flight query completes clean. Worker threads
-//     share the persistent ThreadPool::Global() — nested ParallelFor calls
-//     degrade to the inline serial path, so N workers never deadlock the
-//     pool (see core/parallel.h).
+//     retry; every other in-flight query completes clean.
 //   * THROUGHPUT — two opt-in layers make service throughput scale with
 //     USERS rather than cores. Dispatch-side batching (batch_max > 1):
 //     a worker coalesces queued fault-free BFS queries into one bit-parallel
@@ -33,12 +30,24 @@
 //     same RobustRun loop), and every demuxed answer is value-bit-equal to
 //     its one-shot oracle. A result cache (cache_capacity > 0, cache.h)
 //     answers repeat questions inside Submit without touching an arena.
-//   * OVERLOAD — a two-rung shedding ladder keyed on queue occupancy,
-//     each transition recorded as a DowngradeEvent (core/result.h):
-//     rung 1 (>= high_water) halves the deadline-admission margin; rung 2
-//     (>= rung2_water) forces admitted queries onto the serial drain
-//     (host_threads = 1) — legal precisely because every simulated stat is
-//     host-thread-invariant. Hysteresis: rungs step down below low_water.
+//   * OVERLOAD — a one-rung shedding ladder keyed on queue occupancy: at
+//     75% the deadline-admission estimate must fit the deadline twice over
+//     (strict admission), and below 50% admission steps back down. Each
+//     transition is recorded as a DowngradeEvent (core/result.h).
+//
+// One host thread per query. The workers are the service's parallelism, so
+// the constructor pins engine.host_threads to 1: a query runs on the worker
+// thread that dequeued it and never submits to the shared ThreadPool, whose
+// one submission lock would otherwise make concurrent queries take turns.
+// Measured on a 4-vCPU host with the e2e serve workloads (R-MAT scale 14,
+// 2 workers, medians of 6 runs per setting), one thread was never slower
+// under load: serve-mixed's heavy-rate p90 was 9.6 ms at 1 host thread and
+// 11.6-13.8 ms at 2 or 4, serve-hot's saturation throughput 17.5k ops/s
+// against 13.0k-13.7k, and at 2 or 4 threads 10-34% of saturation-phase
+// pool submits found the lock held. What one thread gives up is latency on
+// an idle service: with one query outstanding, SSSP took 6.2-6.8 ms at 4
+// threads against 8.8-9.7 ms at 1, and BFS, PPR and k-Core were 10-20%
+// faster at 4. No serve workload is idle.
 #ifndef SIMDX_SERVICE_SERVICE_H_
 #define SIMDX_SERVICE_SERVICE_H_
 
@@ -64,16 +73,13 @@ namespace simdx::service {
 struct ServiceOptions {
   uint32_t workers = 2;          // query worker threads (>= 1)
   uint32_t queue_capacity = 64;  // bounded admission queue (>= 1)
-  // Engine configuration shared by every per-worker arena. Faults arrive per
-  // query (Query::fault_spec) or via the SIMDX_FAULTS env registry.
+  // Engine configuration shared by every per-worker arena; host_threads is
+  // pinned to 1 (one host thread per query, above). Faults arrive per query
+  // (Query::fault_spec) or via the SIMDX_FAULTS env registry.
   EngineOptions engine;
   DeviceSpec device = MakeK40();
   uint32_t checkpoint_every = 4;     // RobustRun snapshot cadence (0 = never)
   uint32_t default_max_attempts = 2; // when Query::max_attempts == 0
-  // Ladder thresholds as queue-occupancy fractions.
-  double high_water = 0.75;   // rung 1: strict deadline admission
-  double rung2_water = 0.95;  // rung 2: serial queries
-  double low_water = 0.5;     // hysteresis: step back down below this
   // Dispatch-side batching: a worker popping a fault-free BFS query also
   // claims up to batch_max - 1 more fault-free BFS queries from the queue
   // and answers them all with ONE bit-parallel multi-source run (MS-BFS
@@ -139,7 +145,6 @@ class GraphService {
   void Shutdown();
 
   ServiceStats stats() const;
-  uint32_t ladder_rung() const;  // current overload rung (0, 1, 2)
   const Graph& graph() const { return graph_; }
 
  private:
@@ -155,7 +160,7 @@ class GraphService {
   // Ledger bookkeeping for one retired result; caller holds mu_.
   void CountOutcomeLocked(const QueryResult& result, bool ran);
   void MaybeCacheFillLocked(const Task& task, const QueryResult& result);
-  // Ladder transitions; callers hold mu_.
+  // Overload-rung transition; callers hold mu_.
   void StepLadderLocked();
   double EwmaMsLocked(QueryKind kind) const;
 
@@ -173,7 +178,7 @@ class GraphService {
   uint32_t in_flight_ = 0;  // dequeued, not yet retired
   bool stopping_ = false;
   bool paused_ = false;
-  uint32_t rung_ = 0;
+  bool strict_admission_ = false;  // overload rung 1 engaged
   ServiceStats stats_;
   // Per-kind EWMA of run_ms (0 = no sample yet), feeding predictive
   // deadline shedding. One sample per engine RUN, not per query: a batch

@@ -616,6 +616,31 @@ RunResult<uint32_t> ResumeSsspWithFirstPendingId(VertexId id) {
   return {};
 }
 
+// A snapshot from the middle of a BFS run on `g`, checkpointed every
+// iteration.
+Checkpoint MidRunBfsSnapshot(const Graph& g) {
+  std::vector<Checkpoint> snaps;
+  RunControl writer;
+  writer.checkpoint_every = 1;
+  writer.on_checkpoint = [&](const Checkpoint& cp) {
+    snaps.push_back(cp);
+    return true;
+  };
+  BfsProgram program;
+  Engine<BfsProgram> engine(g, MakeK40(), DefaultOptions());
+  EXPECT_TRUE(engine.Run(program, writer).stats.ok());
+  EXPECT_GE(snaps.size(), 3u);
+  return snaps.at(snaps.size() / 2);
+}
+
+RunResult<uint32_t> ResumeBfs(const Graph& g, const Checkpoint& snap) {
+  RunControl resume;
+  resume.resume = &snap;
+  BfsProgram program;
+  Engine<BfsProgram> engine(g, MakeK40(), DefaultOptions());
+  return engine.Run(program, resume);
+}
+
 TEST(ControlTest, SnapshotWithPrevUnlikeCurrFaultsResume) {
   // The engine checkpoints only at iteration boundaries, where prev ==
   // curr. A CRC-valid snapshot whose prev differs would skew the sparse
@@ -624,26 +649,9 @@ TEST(ControlTest, SnapshotWithPrevUnlikeCurrFaultsResume) {
   const Graph g = Graph::FromEdges(GenerateGridRoad(16, 16, 3), false);
   const auto plain = PlainBfs(g, DefaultOptions());
   ASSERT_TRUE(plain.stats.ok());
-  std::vector<Checkpoint> snaps;
-  RunControl writer;
-  writer.checkpoint_every = 1;
-  writer.on_checkpoint = [&](const Checkpoint& cp) {
-    snaps.push_back(cp);
-    return true;
-  };
+  const Checkpoint snap = MidRunBfsSnapshot(g);
   {
-    BfsProgram program;
-    Engine<BfsProgram> engine(g, MakeK40(), DefaultOptions());
-    ASSERT_TRUE(engine.Run(program, writer).stats.ok());
-  }
-  ASSERT_GE(snaps.size(), 3u);
-  const Checkpoint& snap = snaps[snaps.size() / 2];
-  {
-    RunControl resume;
-    resume.resume = &snap;
-    BfsProgram program;
-    Engine<BfsProgram> engine(g, MakeK40(), DefaultOptions());
-    const auto resumed = engine.Run(program, resume);
+    const auto resumed = ResumeBfs(g, snap);
     EXPECT_EQ(resumed.stats.outcome, RunOutcome::kResumed);
     EXPECT_EQ(bench::StatsFingerprint(resumed), bench::StatsFingerprint(plain));
     EXPECT_EQ(resumed.values, plain.values);
@@ -660,11 +668,30 @@ TEST(ControlTest, SnapshotWithPrevUnlikeCurrFaultsResume) {
   ASSERT_TRUE(flipped);
   bad.Seal();
   ASSERT_TRUE(bad.Validate(nullptr));
-  RunControl resume;
-  resume.resume = &bad;
-  BfsProgram program;
-  Engine<BfsProgram> engine(g, MakeK40(), DefaultOptions());
-  const auto r = engine.Run(program, resume);
+  const auto r = ResumeBfs(g, bad);
+  EXPECT_EQ(r.stats.outcome, RunOutcome::kFaulted);
+  EXPECT_EQ(r.stats.resumes, 0u);
+}
+
+TEST(ControlTest, SnapshotWithTrailingValueBytesFaultsResume) {
+  // Each values section holds its count and exactly that many values, as
+  // the loop, frontier and stats sections hold exactly their fields. One
+  // extra byte at the end of both (equal, so prev == curr still holds)
+  // with a re-sealed CRC must be refused, not resumed.
+  const Graph g = Graph::FromEdges(GenerateGridRoad(16, 16, 3), false);
+  Checkpoint bad = MidRunBfsSnapshot(g);
+  int extended = 0;
+  for (CheckpointSection& section : bad.sections()) {
+    if (section.id == static_cast<uint32_t>(CheckpointSectionId::kValuesCurr) ||
+        section.id == static_cast<uint32_t>(CheckpointSectionId::kValuesPrev)) {
+      section.bytes.push_back(0);
+      ++extended;
+    }
+  }
+  ASSERT_EQ(extended, 2);
+  bad.Seal();
+  ASSERT_TRUE(bad.Validate(nullptr));
+  const auto r = ResumeBfs(g, bad);
   EXPECT_EQ(r.stats.outcome, RunOutcome::kFaulted);
   EXPECT_EQ(r.stats.resumes, 0u);
 }

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <thread>
 #include <vector>
 
 #include "algos/algos.h"
@@ -97,6 +98,51 @@ TEST(ThreadPoolTest, ReusableAcrossManyJobs) {
     });
     EXPECT_EQ(sum.load(), 999L * 1000 / 2);
   }
+}
+
+TEST(ThreadPoolTest, ConcurrentSubmittersEachRunTheirOwnJob) {
+  // Callers on different threads queue on the pool's submission lock, so the
+  // workers see back-to-back jobs from different submitters; a worker still
+  // finishing one job must never claim a chunk of the next (the claims are
+  // epoch-tagged). Each job writes its own plain array, so a chunk run twice
+  // or after its job returned shows as a wrong count and, under TSan, as a
+  // race. Rounds repeat until some submit found the lock held, which proves
+  // the test reached the contended branch.
+  ThreadPool pool(8);
+  constexpr uint32_t kSubmitters = 4;
+  constexpr int kJobsPerRound = 300;
+  constexpr int kMaxRounds = 20;
+  int rounds = 0;
+  while (pool.telemetry().contended_submits == 0 && rounds < kMaxRounds) {
+    ++rounds;
+    std::atomic<int> bad_jobs{0};
+    std::vector<std::thread> submitters;
+    for (uint32_t t = 0; t < kSubmitters; ++t) {
+      submitters.emplace_back([&pool, &bad_jobs, t] {
+        // A different range, grain and thread cap per submitter.
+        std::vector<uint32_t> hits(1000 + 97 * t);
+        for (int job = 0; job < kJobsPerRound; ++job) {
+          std::fill(hits.begin(), hits.end(), 0u);
+          pool.ParallelFor(0, hits.size(), 16 + t, 2 + t,
+                           [&hits](const ParallelChunk& c) {
+                             for (size_t i = c.begin; i < c.end; ++i) {
+                               ++hits[i];
+                             }
+                           });
+          if (std::any_of(hits.begin(), hits.end(),
+                          [](uint32_t h) { return h != 1; })) {
+            bad_jobs.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      });
+    }
+    for (std::thread& s : submitters) {
+      s.join();
+    }
+    EXPECT_EQ(bad_jobs.load(), 0) << "round " << rounds;
+  }
+  EXPECT_GT(pool.telemetry().contended_submits, 0u)
+      << "no submit found the lock held in " << kMaxRounds << " rounds";
 }
 
 // --- Engine determinism: the contract the whole runtime is built around.

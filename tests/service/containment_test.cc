@@ -27,7 +27,6 @@ namespace {
 EngineOptions SweepEngineOptions() {
   EngineOptions o;
   o.sim_worker_threads = 64;
-  o.host_threads = 2;  // multi-chunk collects and pull gathers
   return o;
 }
 

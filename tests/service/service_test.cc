@@ -1,8 +1,9 @@
 // GraphService unit tests: admission verdicts (queue-full / deadline /
 // invalid), end-to-end deadlines, cancellation of pending and running
-// queries, the overload-shedding ladder, and the ledger identities. The
-// fault-containment sweep (faults in a concurrent mixed workload, oracle
-// fingerprints) lives in tests/service/containment_test.cc.
+// queries, the overload-shedding ladder, one host thread per query, and the
+// ledger identities. The fault-containment sweep (faults in a concurrent
+// mixed workload, oracle fingerprints) lives in
+// tests/service/containment_test.cc.
 #include "service/service.h"
 
 #include <gtest/gtest.h>
@@ -12,6 +13,8 @@
 
 #include "algos/algos.h"
 #include "bench/common.h"
+#include "core/fingerprint.h"
+#include "core/parallel.h"
 #include "graph/generators.h"
 
 namespace simdx::service {
@@ -161,36 +164,107 @@ TEST(ServiceTest, QueueFullSheds) {
 TEST(ServiceTest, LadderEngagesUnderFloodAndStepsDown) {
   const Graph g = TestGraph();
   ServiceOptions o = SmallService(1, 8);
-  o.high_water = 0.5;
-  o.rung2_water = 0.75;
-  o.low_water = 0.25;
+  o.start_paused = true;  // the flood fills the queue before any dispatch
   GraphService svc(g, o);
   for (int i = 0; i < 32; ++i) {
     Query q;
     q.source = static_cast<VertexId>(i % g.vertex_count());
     svc.Submit(q);
   }
+  svc.Resume();
   svc.Drain();
   const ServiceStats s = svc.stats();
-  // The flood must have pushed the ladder up to rung 2 and the drain back
-  // down to 0, each transition recorded.
-  ASSERT_GE(s.ladder.size(), 2u);
-  bool saw_rung1 = false;
-  bool saw_rung2 = false;
-  for (const DowngradeEvent& e : s.ladder) {
-    if (e.action == "shed:admission-strict") {
-      saw_rung1 = true;
+  // One rung: strict admission engages at 75% occupancy (6 of 8 queued) and
+  // steps down below 50% as the worker drains the queue, each transition
+  // recorded.
+  ASSERT_EQ(s.ladder.size(), 2u);
+  EXPECT_EQ(s.ladder[0].action, "shed:admission-strict");
+  EXPECT_EQ(s.ladder[0].iteration, 1u);
+  EXPECT_EQ(s.ladder[1].action, "shed:step-down");
+  EXPECT_EQ(s.ladder[1].iteration, 0u) << "drained service must be back at rung 0";
+  EXPECT_EQ(s.shed_queue_full, 24u);
+  EXPECT_EQ(s.completed + s.deadline_exceeded + s.cancelled, s.admitted);
+}
+
+TEST(ServiceTest, QueriesRunOnTheirWorkerThreadNotThePool) {
+  // However many host threads the engine options ask for, a query runs on
+  // the worker that dequeued it and never submits to the shared pool, and
+  // its answer still equals the one-shot oracle at the requested count.
+  // R-MAT 12 is large enough that those oracles do submit.
+  const Graph g = Graph::FromEdges(GenerateRmat(12, 8, 3), false);
+  ServiceOptions o = SmallService(2, 32);
+  o.engine.host_threads = 4;
+  o.batch_max = 64;
+  o.start_paused = true;
+  std::vector<Query> queries;
+  std::vector<GraphService::Ticket> tickets;
+  const uint64_t before = ThreadPool::Global().telemetry().submits;
+  {
+    GraphService svc(g, o);
+    auto ask = [&](QueryKind kind, VertexId source) {
+      Query q;
+      q.kind = kind;
+      q.source = source;
+      q.k = 3;
+      auto t = svc.Submit(q);
+      ASSERT_EQ(t.verdict, AdmissionVerdict::kAdmitted);
+      queries.push_back(q);
+      tickets.push_back(std::move(t));
+    };
+    // The paused burst: one query of every other kind and eight BFS
+    // queries, which coalesce into one multi-source run.
+    ask(QueryKind::kSssp, 3);
+    ask(QueryKind::kPpr, 3);
+    ask(QueryKind::kKCore, 0);
+    for (VertexId s = 0; s < 8; ++s) {
+      ask(QueryKind::kBfs, s * 5);
     }
-    if (e.action == "shed:serial-queries") {
-      saw_rung2 = true;
+    svc.Resume();
+    svc.Drain();
+    ask(QueryKind::kBfs, 7);  // alone in the queue: a solo BFS run
+    svc.Drain();
+    EXPECT_EQ(svc.stats().batches, 1u);
+    EXPECT_EQ(svc.stats().batched_queries, 8u);
+  }
+  const uint64_t after = ThreadPool::Global().telemetry().submits;
+  EXPECT_EQ(after, before);
+
+  // The oracles run after the read: at 4 host threads they submit.
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const Query& q = queries[i];
+    SCOPED_TRACE(std::string(ToString(q.kind)) + " from " +
+                 std::to_string(q.source));
+    const QueryResult r = tickets[i].result.get();
+    ASSERT_TRUE(r.ok());
+    auto expect_oracle = [&](const auto& oracle) {
+      const size_t bytes = oracle.values.size() * sizeof(oracle.values[0]);
+      EXPECT_EQ(r.value_fingerprint,
+                ValueBytesFingerprint(oracle.values.data(), bytes));
+      if (r.served == ServedBy::kSolo) {
+        EXPECT_EQ(r.fingerprint, bench::StatsFingerprint(oracle));
+      }
+    };
+    switch (q.kind) {
+      case QueryKind::kBfs:
+        EXPECT_EQ(r.served, i + 1 == queries.size() ? ServedBy::kSolo
+                                                    : ServedBy::kBatched);
+        expect_oracle(RunBfs(g, q.source, o.device, o.engine));
+        break;
+      case QueryKind::kSssp:
+        expect_oracle(RunSssp(g, q.source, o.device, o.engine));
+        break;
+      case QueryKind::kPpr:
+        expect_oracle(RunPpr(g, q.source, o.device, o.engine));
+        break;
+      case QueryKind::kKCore:
+        expect_oracle(RunKCore(g, q.k, o.device, o.engine));
+        break;
+      case QueryKind::kCount:
+        break;  // sentinel, never submitted
     }
   }
-  EXPECT_TRUE(saw_rung1);
-  EXPECT_TRUE(saw_rung2);
-  EXPECT_EQ(svc.ladder_rung(), 0u) << "drained service must be back at rung 0";
-  // Rung-2 queries ran the serial drain — still fingerprint-pure, so they
-  // all completed (verdict identity holds).
-  EXPECT_EQ(s.completed + s.deadline_exceeded + s.cancelled, s.admitted);
+  EXPECT_GT(ThreadPool::Global().telemetry().submits, after)
+      << "the one-shot runs at 4 host threads never reached the pool";
 }
 
 TEST(ServiceTest, CancelPendingQueryResolvesCancelled) {
