@@ -35,8 +35,8 @@ RunResult<uint32_t> RunBfs(const Graph& g, VertexId source, const DeviceSpec& de
                            const EngineOptions& options);
 // One bit-parallel traversal for <= 64 distinct sources (extras are dropped
 // by MsBfsInit): `run.values` holds the final lane masks, `state` the
-// settle-time level table (ExtractLaneLevels(state, lane) is bit-comparable
-// to RunBfs(g, state.sources[lane], ...).values).
+// settle-time level table (DemuxLanes(state, ...).bytes[lane] is
+// bit-comparable to the bytes of RunBfs(g, state.sources[lane], ...).values).
 struct MsBfsRunResult {
   RunResult<uint64_t> run;
   MsBfsState state;

@@ -35,11 +35,13 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 #include <vector>
 
 #include "core/acc.h"
 #include "core/checkpoint.h"
 #include "core/engine.h"
+#include "core/fingerprint.h"
 #include "graph/graph.h"
 
 namespace simdx {
@@ -105,15 +107,48 @@ inline void MsBfsInit(MsBfsState* state, const std::vector<VertexId>& sources,
   state->unsettled_in_edges = 0;
 }
 
-// Lane `lane`'s level array — bit-comparable against the single-source
-// BfsProgram's RunResult::values for the same source.
-inline std::vector<uint32_t> ExtractLaneLevels(const MsBfsState& state,
-                                               uint32_t lane) {
+// A finished batch's per-lane answers, demuxed by DemuxLanes.
+struct MsBfsLaneAnswers {
+  // Lane i's FNV-1a digest: ValueBytesFingerprint of its level array.
+  std::vector<uint64_t> digests;
+  // Lane i's level array as raw bytes — bit-comparable against the
+  // single-source BfsProgram's RunResult::values for the same source —
+  // for the lanes asked for; empty for the others.
+  std::vector<std::vector<uint8_t>> bytes;
+};
+
+// Demuxes every lane in ONE row-major sweep over the level table: each
+// vertex's row is read once and advances all lane digests, and only the
+// lanes set in `wanted` (bit i = lane i) are written out. Extracting lane by
+// lane would stride through the table once per lane and hash each lane in
+// its own serial FNV chain; here the lanes' chains interleave.
+inline MsBfsLaneAnswers DemuxLanes(const MsBfsState& state, uint64_t wanted) {
   const uint32_t lanes = state.lanes();
-  std::vector<uint32_t> out(state.vertex_count, kInfinity);
-  for (uint64_t v = 0; v < state.vertex_count; ++v) {
-    out[v] = state.levels[v * lanes + lane];
+  MsBfsLaneAnswers out;
+  out.bytes.resize(lanes);
+  uint64_t digest[64];
+  uint32_t written[64];  // lanes to write out, in lane order
+  uint8_t* dst[64];
+  uint32_t write_count = 0;
+  for (uint32_t lane = 0; lane < lanes; ++lane) {
+    digest[lane] = kFnvOffsetBasis;
+    if ((wanted >> lane) & 1u) {
+      out.bytes[lane].resize(state.vertex_count * sizeof(uint32_t));
+      dst[write_count] = out.bytes[lane].data();
+      written[write_count++] = lane;
+    }
   }
+  const uint32_t* row = state.levels.data();
+  for (uint64_t v = 0; v < state.vertex_count; ++v, row += lanes) {
+    for (uint32_t lane = 0; lane < lanes; ++lane) {
+      digest[lane] = Fnv1a(&row[lane], sizeof(uint32_t), digest[lane]);
+    }
+    for (uint32_t i = 0; i < write_count; ++i) {
+      std::memcpy(dst[i] + v * sizeof(uint32_t), &row[written[i]],
+                  sizeof(uint32_t));
+    }
+  }
+  out.digests.assign(digest, digest + lanes);
   return out;
 }
 
@@ -257,15 +292,15 @@ struct MsBfsProgram {
 
   // Checkpoint hooks (engine.h kHasProgramState): the level table is
   // loop-carried state a resumed run must restore bit-identically; `depth`
-  // is re-derived by Converged before the first post-resume Apply. Restore
-  // refuses a state sized for a different graph than the engine's.
+  // is re-derived by Converged before the first post-resume Apply. The
+  // table moves as one byte span each way. Restore refuses a state sized for
+  // a different graph or lane count than the engine's, and any byte beyond
+  // the table.
   void SaveSchedulerState(std::vector<uint8_t>& out) const {
     ByteWriter w(&out);
     w.Pod(static_cast<uint32_t>(state->lanes()));
     w.Pod(static_cast<uint64_t>(state->levels.size()));
-    for (uint32_t level : state->levels) {
-      w.Pod(level);
-    }
+    w.Bytes(state->levels.data(), state->levels.size() * sizeof(uint32_t));
   }
   bool RestoreSchedulerState(const uint8_t* data, size_t size,
                              uint64_t vertex_count) const {
@@ -278,14 +313,14 @@ struct MsBfsProgram {
         count > r.remaining() / sizeof(uint32_t)) {
       return false;
     }
-    state->levels.resize(static_cast<size_t>(count));
-    for (uint64_t i = 0; i < count; ++i) {
-      if (!r.Pod(&state->levels[i])) {
-        return false;
-      }
-    }
-    if (!r.AtEnd()) {
+    const size_t bytes = static_cast<size_t>(count) * sizeof(uint32_t);
+    const uint8_t* levels = r.Raw(bytes);
+    if (levels == nullptr || !r.AtEnd()) {
       return false;
+    }
+    state->levels.resize(static_cast<size_t>(count));
+    if (bytes != 0) {
+      std::memcpy(state->levels.data(), levels, bytes);
     }
     // lanes_set is derived state: rebuild the settled census instead of
     // checkpointing it (a resumed run must see the same direction policy

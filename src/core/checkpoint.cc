@@ -4,6 +4,8 @@
 #include <cstring>
 #include <fstream>
 
+#include "core/fingerprint.h"
+
 namespace simdx {
 namespace {
 
@@ -31,14 +33,6 @@ std::array<std::array<uint32_t, 256>, 8> BuildCrcTables() {
     }
   }
   return tables;
-}
-
-uint64_t Fnv1a(const void* data, size_t size, uint64_t h) {
-  const auto* p = static_cast<const uint8_t*>(data);
-  for (size_t i = 0; i < size; ++i) {
-    h = (h ^ p[i]) * 1099511628211ull;
-  }
-  return h;
 }
 
 template <typename T>
@@ -77,7 +71,7 @@ uint32_t Crc32(const void* data, size_t size, uint32_t seed) {
 }
 
 uint64_t SemanticOptionsDigest(const EngineOptions& o) {
-  uint64_t h = 1469598103934665603ull;
+  uint64_t h = kFnvOffsetBasis;
   h = FnvField(static_cast<uint8_t>(o.fusion), h);
   h = FnvField(static_cast<uint8_t>(o.filter), h);
   h = FnvField(o.overflow_threshold, h);

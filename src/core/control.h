@@ -39,13 +39,15 @@ struct RunControl {
   double time_budget_ms = 0.0;
 
   // Write a checkpoint every N iterations (0 = never). Checkpoints are
-  // handed to `on_checkpoint` already sealed; the sink owns persistence and
-  // reports it: returning false means the snapshot could not be persisted
-  // (disk full, closed pipe, ...) and ends the run with
-  // RunOutcome::kCheckpointSinkFailed — a caller asking for durability and
-  // not getting it must be able to tell that apart from a clean run.
+  // handed to `on_checkpoint` already sealed, as an rvalue the engine never
+  // touches again: a sink that keeps the snapshot may move it instead of
+  // copying it, and a sink taking `const Checkpoint&` still binds. The sink
+  // owns persistence and reports it: returning false means the snapshot
+  // could not be persisted (disk full, closed pipe, ...) and ends the run
+  // with RunOutcome::kCheckpointSinkFailed — a caller asking for durability
+  // and not getting it must be able to tell that apart from a clean run.
   uint32_t checkpoint_every = 0;
-  std::function<bool(const Checkpoint&)> on_checkpoint;
+  std::function<bool(Checkpoint&&)> on_checkpoint;
 
   // When non-null, Run restores this snapshot and continues from its
   // iteration instead of starting fresh. An invalid or incompatible

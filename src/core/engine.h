@@ -112,11 +112,15 @@ class Engine {
   using Value = typename Program::Value;
 
   Engine(const Graph& graph, DeviceSpec device, EngineOptions options)
-      : graph_(graph), device_(std::move(device)), options_(options) {
-    host_threads_ = options_.host_threads != 0
-                        ? options_.host_threads
-                        : std::max(1u, std::thread::hardware_concurrency());
-    pool_ = host_threads_ > 1 ? &ThreadPool::Global() : nullptr;
+      : graph_(graph),
+        device_(std::move(device)),
+        options_(options),
+        host_threads_(options_.host_threads != 0
+                          ? options_.host_threads
+                          : std::max(1u, std::thread::hardware_concurrency())),
+        pool_(host_threads_ > 1 ? &ThreadPool::Global() : nullptr),
+        jit_(options_.filter, options_.sim_worker_threads,
+             options_.overflow_threshold, pool_, host_threads_) {
     if (options_.fixed_sm_budget > 0 && options_.fixed_sm_budget < device_.sm_count) {
       // A launch geometry tuned for an older part drives only a fraction of
       // a newer device's memory system — the Section 7.3 reason Gunrock
@@ -170,8 +174,7 @@ class Engine {
                                          : StatsContract::kPerRecord;
     VertexMeta<Value> meta = MakeMetadata(program);
     std::vector<VertexId> frontier = program.InitialFrontier();
-    JitController jit(options_.filter, options_.sim_worker_threads,
-                      options_.overflow_threshold, pool_, host_threads_);
+    jit_.Reset();
     FusionAccountant fusion(options_.fusion, options_.threads_per_cta);
     // The fused kernels synchronize iterations with the software global
     // barrier; the grid must be sized by Eq. 1 or the barrier deadlocks.
@@ -221,8 +224,8 @@ class Engine {
       // so the snapshot overwrites exactly the loop-carried state and
       // nothing else — the invariant that makes a resumed run bit-identical
       // to an uninterrupted one.
-      if (!RestoreCheckpoint(*control.resume, program, meta, frontier, jit,
-                             fusion, result.stats, &loop)) {
+      if (!RestoreCheckpoint(*control.resume, program, meta, frontier, fusion,
+                             result.stats, &loop)) {
         result.stats.outcome = RunOutcome::kFaulted;
         result.values.assign(meta.values().begin(), meta.values().end());
         DisarmControl();
@@ -232,7 +235,7 @@ class Engine {
       result.stats.resume_iteration = loop.iter;
     }
     for (; loop.iter < options_.max_iterations; ++loop.iter) {
-      if (IterationControl(program, meta, frontier, jit, fusion, result.stats,
+      if (IterationControl(program, meta, frontier, fusion, result.stats,
                            loop)) {
         break;
       }
@@ -305,7 +308,7 @@ class Engine {
           const WorkLists& lists = classifier_.result();
           edges_processed =
               ProcessPush(program, meta, lists.Views(), loop.frontier_sorted,
-                          info.frontier_out_edges, jit, it_cost);
+                          info.frontier_out_edges, it_cost);
           last_stage_count_ = (lists.small.empty() ? 0u : 1u) +
                               (lists.medium.empty() ? 0u : 1u) +
                               (lists.large.empty() ? 0u : 1u);
@@ -317,11 +320,11 @@ class Engine {
               ViewOf(frontier, KernelClass::kThread)};
           edges_processed =
               ProcessPush(program, meta, whole, loop.frontier_sorted,
-                          info.frontier_out_edges, jit, it_cost);
+                          info.frontier_out_edges, it_cost);
           last_stage_count_ = frontier.empty() ? 0u : 1u;
         }
       } else {
-        edges_processed = ProcessPull(program, meta, jit, it_cost);
+        edges_processed = ProcessPull(program, meta, it_cost);
         // Every contributor's pending activity has now been read by all of
         // its out-neighbors: consume it (residual-carrying programs subtract
         // the consumed amount; others are no-ops). Frontiers are duplicate-
@@ -347,9 +350,9 @@ class Engine {
         const auto active = [&](VertexId v) {
           return program.Active(meta.curr(v), meta.prev(v));
         };
-        jit.BuildNextFrontierInto(n, active, it_cost, next_frontier_);
-        loop.pending_filter = jit.pattern().back();
-        if (jit.failed()) {
+        jit_.BuildNextFrontierInto(n, active, it_cost, next_frontier_);
+        loop.pending_filter = jit_.pattern().back();
+        if (jit_.failed()) {
           result.stats.failed = true;
         }
         // Frontier committed: "changed" restarts from this snapshot.
@@ -523,14 +526,13 @@ class Engine {
   // iteration (at most once per iteration — the thread that performed the
   // activating update owns the record).
   void MaybeRecord(const Program& program, const VertexMeta<Value>& meta,
-                   VertexId v, uint32_t worker, JitController& jit,
-                   CostCounters& cost) {
+                   VertexId v, uint32_t worker, CostCounters& cost) {
     if (recorded_stamp_[v] == stamp_) {
       return;
     }
     if (program.Active(meta.curr(v), meta.prev(v))) {
       recorded_stamp_[v] = stamp_;
-      jit.RecordActivation(worker, v, cost);
+      jit_.RecordActivation(worker, v, cost);
     }
   }
 
@@ -600,25 +602,22 @@ class Engine {
   bool StageBreak(FaultPoint point);
   bool IterationControl(const Program& program, const VertexMeta<Value>& meta,
                         const std::vector<VertexId>& frontier,
-                        const JitController& jit,
                         const FusionAccountant& fusion, RunStats& stats,
                         const LoopState& loop);
   bool WriteCheckpoint(const Program& program, const VertexMeta<Value>& meta,
                        const std::vector<VertexId>& frontier,
-                       const JitController& jit,
                        const FusionAccountant& fusion, RunStats& stats,
                        const LoopState& loop);
   bool RestoreCheckpoint(const Checkpoint& cp, const Program& program,
                          VertexMeta<Value>& meta,
-                         std::vector<VertexId>& frontier, JitController& jit,
+                         std::vector<VertexId>& frontier,
                          FusionAccountant& fusion, RunStats& stats,
                          LoopState* state);
 
   // --- push (engine_push.h) ---
   uint64_t ProcessPush(const Program& program, VertexMeta<Value>& meta,
                        std::span<const WorkListView> views, bool frontier_sorted,
-                       uint64_t frontier_out_edges, JitController& jit,
-                       CostCounters& cost);
+                       uint64_t frontier_out_edges, CostCounters& cost);
   uint64_t CollectPush(const Program& program, const VertexMeta<Value>& meta,
                        const WorkListView& view, bool frontier_sorted,
                        bool parallel, uint64_t slot, CostCounters& cost);
@@ -628,37 +627,38 @@ class Engine {
                                 size_t begin, size_t end, uint64_t& slot);
   uint64_t Drain(const Program& program, VertexMeta<Value>& meta,
                  std::span<const WorkListView> views, uint64_t records,
-                 JitController& jit, CostCounters& cost);
+                 CostCounters& cost);
   void FoldRecord(const Program& program, VertexId u, uint32_t worker,
                   const Value& cand);
   // Forced inline: left to the compiler, the drain pays a call per record
   // and runs up to ~1.5x slower (push_replay, 1 thread).
   [[gnu::always_inline]] inline void ReplayRecord(
       const Program& program, VertexMeta<Value>& meta, VertexId u,
-      uint32_t worker, const Value& cand, JitController& jit,
-      CostCounters& cost);
+      uint32_t worker, const Value& cand, CostCounters& cost);
   static uint32_t WorkerFor(size_t list_idx, uint32_t edge_idx,
                             KernelClass klass, uint32_t workers);
 
   // --- pull (engine_pull.h) ---
   uint64_t ProcessPull(const Program& program, VertexMeta<Value>& meta,
-                       JitController& jit, CostCounters& cost);
+                       CostCounters& cost);
   template <typename OnUpdate>
   void PullRange(const Program& program, const VertexMeta<Value>& meta,
                  VertexId vbegin, VertexId vend, CostCounters& cost,
                  uint64_t& edges, OnUpdate&& on_update) const;
   void ApplyPullUpdate(const Program& program, VertexMeta<Value>& meta,
-                       VertexId v, const Value& combined, JitController& jit,
-                       CostCounters& cost);
+                       VertexId v, const Value& combined, CostCounters& cost);
   void ConsumeFrontier(const Program& program, VertexMeta<Value>& meta,
                        const std::vector<VertexId>& frontier);
   const Graph& graph_;
   DeviceSpec device_;
   EngineOptions options_;
-  ThreadPool* pool_ = nullptr;
   uint32_t host_threads_ = 1;
+  ThreadPool* pool_ = nullptr;
   // Iteration-loop scratch, owned by the engine so the steady state of the
-  // hot loop performs no heap allocation.
+  // hot loop performs no heap allocation — the JIT controller's bins and
+  // ballot scratch included: Run resets it, so a reused engine's runs keep
+  // the bins' capacity instead of regrowing them.
+  JitController jit_;
   FrontierClassifier classifier_;
   std::vector<VertexId> next_frontier_;
   std::vector<PullScratch> pull_scratch_;

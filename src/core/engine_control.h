@@ -5,6 +5,7 @@
 #define SIMDX_CORE_ENGINE_CONTROL_H_
 
 #include <cstring>
+#include <utility>
 
 #include "core/engine.h"
 
@@ -63,7 +64,6 @@ template <AccProgram Program>
 bool Engine<Program>::IterationControl(const Program& program,
                                        const VertexMeta<Value>& meta,
                                        const std::vector<VertexId>& frontier,
-                                       const JitController& jit,
                                        const FusionAccountant& fusion,
                                        RunStats& stats, const LoopState& loop) {
   const uint32_t iter = loop.iter;
@@ -76,7 +76,7 @@ bool Engine<Program>::IterationControl(const Program& program,
   }
   if (control_->checkpoint_every != 0 && control_->on_checkpoint &&
       iter % control_->checkpoint_every == 0) {
-    if (!WriteCheckpoint(program, meta, frontier, jit, fusion, stats, loop)) {
+    if (!WriteCheckpoint(program, meta, frontier, fusion, stats, loop)) {
       // WriteCheckpoint set break_outcome_: kFaulted for an injected write
       // fault, kCheckpointSinkFailed when the caller's sink refused the
       // bytes.
@@ -103,7 +103,6 @@ template <AccProgram Program>
 bool Engine<Program>::WriteCheckpoint(const Program& program,
                                       const VertexMeta<Value>& meta,
                                       const std::vector<VertexId>& frontier,
-                                      const JitController& jit,
                                       const FusionAccountant& fusion,
                                       RunStats& stats, const LoopState& loop) {
   const uint32_t iter = loop.iter;
@@ -124,10 +123,10 @@ bool Engine<Program>::WriteCheckpoint(const Program& program,
     w.Pod(static_cast<uint8_t>(loop.charge_init_scan));
     w.Pod(loop.refill_words);
     w.Pod(run_records_buffered_);
-    w.Pod(static_cast<uint8_t>(jit.failed()));
-    w.Pod(jit.ballot_iterations());
-    w.Pod(jit.online_iterations());
-    w.Str(jit.pattern());
+    w.Pod(static_cast<uint8_t>(jit_.failed()));
+    w.Pod(jit_.ballot_iterations());
+    w.Pod(jit_.online_iterations());
+    w.Str(jit_.pattern());
     w.Pod(static_cast<uint8_t>(fusion.launched_any()));
     w.Pod(static_cast<uint8_t>(fusion.last_direction()));
     w.Pod(fusion.total_launches());
@@ -168,7 +167,7 @@ bool Engine<Program>::WriteCheckpoint(const Program& program,
           corrupt->seed);
     }
   }
-  if (!control_->on_checkpoint(cp)) {
+  if (!control_->on_checkpoint(std::move(cp))) {
     // The sink could not persist the snapshot. The failed write is not
     // counted: checkpoints_written is the number of snapshots the caller
     // actually holds.
@@ -188,7 +187,6 @@ bool Engine<Program>::RestoreCheckpoint(const Checkpoint& cp,
                                         const Program& program,
                                         VertexMeta<Value>& meta,
                                         std::vector<VertexId>& frontier,
-                                        JitController& jit,
                                         FusionAccountant& fusion,
                                         RunStats& stats, LoopState* state) {
   if (!cp.Validate(nullptr)) {
@@ -238,7 +236,7 @@ bool Engine<Program>::RestoreCheckpoint(const Checkpoint& cp,
     state->prev_dir = static_cast<Direction>(dir8);
     state->frontier_sorted = sorted8 != 0;
     state->charge_init_scan = init8 != 0;
-    jit.RestoreHistory(std::move(pattern), ballot, online, jit_failed != 0);
+    jit_.RestoreHistory(std::move(pattern), ballot, online, jit_failed != 0);
     fusion.RestoreHistory(launched8 != 0, static_cast<Direction>(last_dir8),
                           launches, barriers);
   }

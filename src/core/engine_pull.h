@@ -22,13 +22,13 @@ namespace simdx {
 template <AccProgram Program>
 uint64_t Engine<Program>::ProcessPull(const Program& program,
                                       VertexMeta<Value>& meta,
-                                      JitController& jit, CostCounters& cost) {
+                                      CostCounters& cost) {
   const VertexId n = graph_.in().vertex_count();
   if (pool_ == nullptr || host_threads_ <= 1 || n < 1024) {
     uint64_t edges = 0;
     PullRange(program, meta, 0, n, cost, edges,
               [&](VertexId v, const Value& combined) {
-                ApplyPullUpdate(program, meta, v, combined, jit, cost);
+                ApplyPullUpdate(program, meta, v, combined, cost);
               });
     return edges;
   }
@@ -55,7 +55,7 @@ uint64_t Engine<Program>::ProcessPull(const Program& program,
   }
   for (uint32_t i = 0; i < chunks; ++i) {
     for (const auto& [v, combined] : pull_scratch_[i].updates) {
-      ApplyPullUpdate(program, meta, v, combined, jit, cost);
+      ApplyPullUpdate(program, meta, v, combined, cost);
     }
   }
   return edges;
@@ -133,14 +133,14 @@ void Engine<Program>::PullRange(const Program& program,
 template <AccProgram Program>
 void Engine<Program>::ApplyPullUpdate(const Program& program,
                                       VertexMeta<Value>& meta, VertexId v,
-                                      const Value& combined, JitController& jit,
+                                      const Value& combined,
                                       CostCounters& cost) {
   const Value applied =
       program.Apply(v, combined, meta.curr(v), Direction::kPull);
   if (program.ValueChanged(meta.curr(v), applied)) {
     meta.curr(v) = applied;
     cost.coalesced_words += 1;  // own write, sequential over v
-    MaybeRecord(program, meta, v, v % options_.sim_worker_threads, jit, cost);
+    MaybeRecord(program, meta, v, v % options_.sim_worker_threads, cost);
   }
 }
 

@@ -93,7 +93,7 @@ uint64_t Engine<Program>::ProcessPush(const Program& program,
                                       std::span<const WorkListView> views,
                                       bool frontier_sorted,
                                       uint64_t frontier_out_edges,
-                                      JitController& jit, CostCounters& cost) {
+                                      CostCounters& cost) {
   if (StageBreak(FaultPoint::kCollect)) {
     return 0;
   }
@@ -117,7 +117,7 @@ uint64_t Engine<Program>::ProcessPush(const Program& program,
     return 0;
   }
   const double t_replay = profile ? NowMs() : 0.0;
-  const uint64_t touched = Drain(program, meta, views, records, jit, cost);
+  const uint64_t touched = Drain(program, meta, views, records, cost);
   const uint64_t applies = pre_combine_ ? touched : records;
   if (StageBreak(FaultPoint::kApply)) {
     return records;
@@ -265,8 +265,7 @@ CostCounters Engine<Program>::CollectPushRange(const Program& program,
 template <AccProgram Program>
 uint64_t Engine<Program>::Drain(const Program& program, VertexMeta<Value>& meta,
                                 std::span<const WorkListView> views,
-                                uint64_t records, JitController& jit,
-                                CostCounters& cost) {
+                                uint64_t records, CostCounters& cost) {
   uint64_t next_poll = 0;
   const auto cancelled = [&](uint64_t slot) {
     if (!watch_cancel_ || slot < next_poll) {
@@ -290,7 +289,7 @@ uint64_t Engine<Program>::Drain(const Program& program, VertexMeta<Value>& meta,
   };
   const auto replay = [&](uint64_t i) {
     ReplayRecord(program, meta, push_dst_[i], push_worker_[i], push_cand_[i],
-                 jit, cost);
+                 cost);
   };
   if (!pre_combine_) {
     if constexpr (kHasConsume) {
@@ -323,7 +322,7 @@ uint64_t Engine<Program>::Drain(const Program& program, VertexMeta<Value>& meta,
   }
   const double t_apply = profile ? NowMs() : 0.0;
   for (const FoldTouch& t : fold_touched_) {
-    ReplayRecord(program, meta, t.dst, t.worker, fold_acc_[t.dst], jit, cost);
+    ReplayRecord(program, meta, t.dst, t.worker, fold_acc_[t.dst], cost);
   }
   if constexpr (kHasConsume) {
     for (const WorkListView& view : views) {
@@ -386,7 +385,7 @@ template <AccProgram Program>
 void Engine<Program>::ReplayRecord(const Program& program,
                                    VertexMeta<Value>& meta, VertexId u,
                                    uint32_t worker, const Value& cand,
-                                   JitController& jit, CostCounters& cost) {
+                                   CostCounters& cost) {
   const Value applied = program.Apply(u, cand, meta.curr(u), Direction::kPush);
   if (options_.use_atomic_updates) {
     // AFC-style: every candidate lands as a device atomic; concurrent
@@ -403,7 +402,7 @@ void Engine<Program>::ReplayRecord(const Program& program,
     if (!options_.use_atomic_updates) {
       cost.scattered_words += 1;  // single writer, no atomic (ACC)
     }
-    MaybeRecord(program, meta, u, worker, jit, cost);
+    MaybeRecord(program, meta, u, worker, cost);
   }
 }
 

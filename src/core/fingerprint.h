@@ -27,13 +27,15 @@
 
 namespace simdx {
 
-// FNV-1a over raw answer bytes — the value-level half of StatsFingerprint,
-// exposed on its own because the service's BATCHED answers need it: a
-// multi-source run legitimately has different simulated stats than N
-// one-shot runs (one traversal instead of N), so the batched/cached oracle
-// is bit-equality of the PER-SOURCE answer bytes, not of the run stats.
-inline uint64_t ValueBytesFingerprint(const void* data, size_t size) {
-  uint64_t hash = 1469598103934665603ull;
+// FNV-1a, 64-bit: folds `size` bytes into `hash`, so chained calls hash the
+// concatenation of their inputs. The one definition behind every FNV digest
+// in the library: answer bytes, the checkpoint options digest, the result
+// cache's key hash and the MS-BFS lane demux (algos/msbfs.h), which advances
+// up to 64 lane digests four bytes at a time in one sweep.
+inline constexpr uint64_t kFnvOffsetBasis = 1469598103934665603ull;
+
+inline uint64_t Fnv1a(const void* data, size_t size,
+                      uint64_t hash = kFnvOffsetBasis) {
   const auto* bytes = static_cast<const unsigned char*>(data);
   for (size_t i = 0; i < size; ++i) {
     hash = (hash ^ bytes[i]) * 1099511628211ull;
@@ -41,10 +43,20 @@ inline uint64_t ValueBytesFingerprint(const void* data, size_t size) {
   return hash;
 }
 
+// FNV-1a over raw answer bytes — the value-level half of StatsFingerprint,
+// exposed on its own because the service's BATCHED answers need it: a
+// multi-source run legitimately has different simulated stats than N
+// one-shot runs (one traversal instead of N), so the batched/cached oracle
+// is bit-equality of the PER-SOURCE answer bytes, not of the run stats.
+inline uint64_t ValueBytesFingerprint(const void* data, size_t size) {
+  return Fnv1a(data, size);
+}
+
+// `values_hash` must be ValueBytesFingerprint over r.values' bytes: a caller
+// that already digested the answer (the query service) passes it in rather
+// than hashing the values twice.
 template <typename Value>
-std::string StatsFingerprint(const RunResult<Value>& r) {
-  const uint64_t values_hash =
-      ValueBytesFingerprint(r.values.data(), r.values.size() * sizeof(Value));
+std::string StatsFingerprint(const RunResult<Value>& r, uint64_t values_hash) {
   std::ostringstream os;
   const CostCounters& c = r.stats.counters;
   os.precision(17);
@@ -58,6 +70,12 @@ std::string StatsFingerprint(const RunResult<Value>& r) {
      << r.stats.direction_pattern << '|' << r.values.size() << '|'
      << values_hash;
   return os.str();
+}
+
+template <typename Value>
+std::string StatsFingerprint(const RunResult<Value>& r) {
+  return StatsFingerprint(r, ValueBytesFingerprint(r.values.data(),
+                                                   r.values.size() * sizeof(Value)));
 }
 
 }  // namespace simdx

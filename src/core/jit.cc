@@ -17,6 +17,14 @@ JitController::JitController(FilterPolicy policy, uint32_t worker_threads,
       pool_(pool),
       host_threads_(host_threads) {}
 
+void JitController::Reset() {
+  bins_.Reset();
+  failed_ = false;
+  pattern_.clear();
+  ballot_iterations_ = 0;
+  online_iterations_ = 0;
+}
+
 void JitController::RecordActivation(uint32_t worker, VertexId v,
                                      CostCounters& counters) {
   if (policy_ == FilterPolicy::kBallotOnly) {

@@ -59,8 +59,13 @@ class JitController {
   uint32_t ballot_iterations() const { return ballot_iterations_; }
   uint32_t online_iterations() const { return online_iterations_; }
 
-  // Checkpoint restore: the bins are dead at iteration boundaries (Reset at
-  // the end of every BuildNextFrontierInto), so the controller's only
+  // Starts a run: empties the bins (a run broken off mid-iteration leaves
+  // activations in them) and the history, keeping every allocation — the
+  // engine owns one controller and resets it at the top of each Run.
+  void Reset();
+
+  // Checkpoint restore: the bins are dead at iteration boundaries (emptied
+  // at the end of every BuildNextFrontierInto), so the controller's only
   // loop-carried state is this history.
   void RestoreHistory(std::string pattern, uint32_t ballot_iterations,
                       uint32_t online_iterations, bool failed) {

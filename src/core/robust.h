@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cstdint>
 #include <thread>
+#include <utility>
 
 #include "core/checkpoint.h"
 #include "core/control.h"
@@ -56,10 +57,11 @@ RunResult<typename Program::Value> RobustRun(Engine<Program>& engine,
     if (opts.checkpoint_every != 0) {
       // Only VALID snapshots become resume points: a torn write (corrupted
       // section) is rejected here, so the driver falls back to the previous
-      // good checkpoint — never resumes from poison.
-      control.on_checkpoint = [&](const Checkpoint& cp) {
+      // good checkpoint — never resumes from poison. The engine hands the
+      // snapshot over, so a valid one is moved in, not copied.
+      control.on_checkpoint = [&](Checkpoint&& cp) {
         if (cp.Validate(nullptr)) {
-          latest = cp;
+          latest = std::move(cp);
           have_checkpoint = true;
         }
         // An in-memory sink cannot fail; an invalid (torn-write) snapshot is

@@ -29,6 +29,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/fingerprint.h"
 #include "core/result.h"
 #include "graph/types.h"
 
@@ -49,17 +50,9 @@ struct CacheKey {
 struct CacheKeyHash {
   size_t operator()(const CacheKey& k) const {
     // FNV-1a over the four fields; collisions only cost a bucket probe.
-    uint64_t h = 1469598103934665603ull;
-    const auto mix = [&h](uint64_t x) {
-      for (int i = 0; i < 8; ++i) {
-        h = (h ^ ((x >> (8 * i)) & 0xff)) * 1099511628211ull;
-      }
-    };
-    mix(k.kind);
-    mix(k.source);
-    mix(k.params_hash);
-    mix(k.graph_version);
-    return static_cast<size_t>(h);
+    const uint64_t fields[4] = {k.kind, k.source, k.params_hash,
+                                k.graph_version};
+    return static_cast<size_t>(Fnv1a(fields, sizeof(fields)));
   }
 };
 
@@ -82,14 +75,24 @@ class ResultCache {
   size_t size() const { return lru_.size(); }
   uint64_t evictions() const { return evictions_; }
 
-  // Copies the entry into *out and promotes it to most-recently-used.
-  bool Lookup(const CacheKey& key, CachedAnswer* out) {
+  // Copies the entry into *out and promotes it to most-recently-used. The
+  // value bytes are copied only when `want_values`; otherwise
+  // out->value_bytes is left empty, so a digest-only hit copies no answer.
+  bool Lookup(const CacheKey& key, bool want_values, CachedAnswer* out) {
     const auto it = index_.find(key);
     if (it == index_.end()) {
       return false;
     }
     lru_.splice(lru_.begin(), lru_, it->second);
-    *out = lru_.front().second;
+    const CachedAnswer& entry = lru_.front().second;
+    out->fingerprint = entry.fingerprint;
+    out->value_fingerprint = entry.value_fingerprint;
+    out->stats = entry.stats;
+    if (want_values) {
+      out->value_bytes = entry.value_bytes;
+    } else {
+      out->value_bytes.clear();
+    }
     return true;
   }
 

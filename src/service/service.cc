@@ -80,9 +80,9 @@ void RunInArena(std::unique_ptr<Engine<Program>>& slot, const Graph& graph,
   out->attempts = r.stats.attempts;
   out->stats = r.stats;
   if (r.stats.ok()) {
-    out->fingerprint = StatsFingerprint(r);
     const size_t bytes = r.values.size() * sizeof(typename Program::Value);
     out->value_fingerprint = ValueBytesFingerprint(r.values.data(), bytes);
+    out->fingerprint = StatsFingerprint(r, out->value_fingerprint);
     if (keep_values) {
       out->value_bytes.resize(bytes);
       if (bytes > 0) {
@@ -163,7 +163,7 @@ GraphService::Ticket GraphService::Submit(const Query& query) {
     key.params_hash = query.kind == QueryKind::kKCore ? query.k : 0;
     key.graph_version = graph_version_;
     CachedAnswer hit;
-    if (cache_.Lookup(key, &hit)) {
+    if (cache_.Lookup(key, query.want_values, &hit)) {
       ++stats_.cache_hits;
       ++stats_.admitted;   // an answered query is an admitted query
       ++stats_.completed;  // ...and a completed one: the ledger identities
@@ -177,9 +177,7 @@ GraphService::Ticket GraphService::Submit(const Query& query) {
       result.fingerprint = std::move(hit.fingerprint);
       result.value_fingerprint = hit.value_fingerprint;
       result.stats = std::move(hit.stats);
-      if (query.want_values) {
-        result.value_bytes = std::move(hit.value_bytes);
-      }
+      result.value_bytes = std::move(hit.value_bytes);  // want_values only
       ticket.verdict = AdmissionVerdict::kAdmitted;
       ticket.query_id = result.query_id;
       std::promise<QueryResult> promise;
@@ -357,13 +355,18 @@ void GraphService::CountOutcomeLocked(const QueryResult& result, bool ran) {
   }
 }
 
-void GraphService::MaybeCacheFillLocked(const Task& task,
-                                        const QueryResult& result) {
+bool GraphService::FillsCache(const Task& task,
+                              const QueryResult& result) const {
   // Only clean, first-attempt answers fill the cache: no per-query faults
   // armed, no retry or resume in the history — a later hit must be
   // indistinguishable from a fresh untroubled run.
-  if (options_.cache_capacity == 0 || task.faults != nullptr ||
-      result.outcome != RunOutcome::kCompleted || result.attempts > 1) {
+  return options_.cache_capacity > 0 && task.faults == nullptr &&
+         result.outcome == RunOutcome::kCompleted && result.attempts <= 1;
+}
+
+void GraphService::MaybeCacheFillLocked(const Task& task,
+                                        QueryResult& result) {
+  if (!FillsCache(task, result)) {
     return;
   }
   CacheKey key;
@@ -375,7 +378,9 @@ void GraphService::MaybeCacheFillLocked(const Task& task,
   answer.fingerprint = result.fingerprint;
   answer.value_fingerprint = result.value_fingerprint;
   answer.stats = result.stats;
-  answer.value_bytes = result.value_bytes;
+  // Bytes the client did not ask for were kept only for this fill.
+  answer.value_bytes = task.query.want_values ? result.value_bytes
+                                              : std::move(result.value_bytes);
   cache_.Insert(key, std::move(answer));
 }
 
@@ -570,8 +575,13 @@ void GraphService::RunBatch(std::vector<std::unique_ptr<Task>>& batch,
   const bool run_ok = r.stats.ok();
   const std::string batch_fp = run_ok ? StatsFingerprint(r) : std::string();
 
-  // --- Demux: each member's answer is its lane's settle-time level array.
+  // --- Demux: each answered member's answer is its lane's settle-time
+  // level array. One sweep digests every lane and writes out only the lanes
+  // whose bytes a member asked for or the cache will keep.
+  constexpr uint32_t kNoLane = 64;
   std::vector<QueryResult> results(live.size());
+  std::vector<uint32_t> lane_of(live.size(), kNoLane);
+  uint64_t wanted = 0;
   for (size_t i = 0; i < live.size(); ++i) {
     const Task& task = *live[i];
     QueryResult& result = results[i];
@@ -596,15 +606,33 @@ void GraphService::RunBatch(std::vector<std::unique_ptr<Task>>& batch,
     }
     result.outcome = r.stats.outcome;  // kCompleted or kResumed
     result.fingerprint = batch_fp;
-    const uint32_t lane = arena.msbfs_state.LaneOf(task.query.source);
-    const std::vector<uint32_t> levels =
-        ExtractLaneLevels(arena.msbfs_state, lane);
-    const size_t bytes = levels.size() * sizeof(uint32_t);
-    result.value_fingerprint = ValueBytesFingerprint(levels.data(), bytes);
-    if (task.query.want_values || options_.cache_capacity > 0) {
-      result.value_bytes.resize(bytes);
-      if (bytes > 0) {
-        std::memcpy(result.value_bytes.data(), levels.data(), bytes);
+    lane_of[i] = arena.msbfs_state.LaneOf(task.query.source);
+    if (task.query.want_values || FillsCache(task, result)) {
+      wanted |= 1ull << lane_of[i];
+    }
+  }
+  // A lane's bytes move into the first member that needs them, which is
+  // also the member that fills the cache; a later member on the same lane
+  // (a duplicate source) copies them only when it asked for values.
+  std::vector<size_t> taker(kNoLane, live.size());
+  if (run_ok) {
+    MsBfsLaneAnswers answers = DemuxLanes(arena.msbfs_state, wanted);
+    for (size_t i = 0; i < live.size(); ++i) {
+      const uint32_t lane = lane_of[i];
+      if (lane == kNoLane) {
+        continue;
+      }
+      const Task& task = *live[i];
+      QueryResult& result = results[i];
+      result.value_fingerprint = answers.digests[lane];
+      if (!task.query.want_values && !FillsCache(task, result)) {
+        continue;
+      }
+      if (taker[lane] == live.size()) {
+        taker[lane] = i;
+        result.value_bytes = std::move(answers.bytes[lane]);
+      } else if (task.query.want_values) {
+        result.value_bytes = results[taker[lane]].value_bytes;
       }
     }
   }
@@ -623,7 +651,9 @@ void GraphService::RunBatch(std::vector<std::unique_ptr<Task>>& batch,
     }
     for (size_t i = 0; i < live.size(); ++i) {
       CountOutcomeLocked(results[i], /*ran=*/true);
-      MaybeCacheFillLocked(*live[i], results[i]);
+      if (lane_of[i] != kNoLane && taker[lane_of[i]] == i) {
+        MaybeCacheFillLocked(*live[i], results[i]);
+      }
       for (size_t j = 0; j < live_.size(); ++j) {
         if (live_[j].first == results[i].query_id) {
           live_.erase(live_.begin() + static_cast<ptrdiff_t>(j));

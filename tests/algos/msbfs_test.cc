@@ -1,7 +1,7 @@
 // Bit-parallel multi-source BFS: the differential contract is per-lane
-// BIT-EQUALITY — ExtractLaneLevels(state, i) must equal the single-source
-// BfsProgram's value array for source i, for every lane, under every thread
-// count and both stats contracts (per-record and pre-combined). On top of
+// BIT-EQUALITY — lane i's bytes from DemuxLanes must equal the bytes of the
+// single-source BfsProgram's value array for source i, for every lane, under
+// every thread count and both stats contracts (per-record and pre-combined). On top of
 // correctness, the batching economics are gated: one 64-source run must cost
 // less than 2x the edge work of ONE full single-source traversal (vs ~64x
 // for independent runs) — the property that makes service-side coalescing a
@@ -16,12 +16,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <random>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "algos/algos.h"
+#include "core/checkpoint.h"
 #include "core/fault.h"
 #include "core/fingerprint.h"
 #include "core/robust.h"
@@ -64,6 +66,14 @@ EngineOptions TestOptions() {
   EngineOptions o;
   o.sim_worker_threads = 64;
   return o;
+}
+
+std::vector<uint8_t> Bytes(const std::vector<uint32_t>& v) {
+  std::vector<uint8_t> out(v.size() * sizeof(uint32_t));
+  if (!out.empty()) {
+    std::memcpy(out.data(), v.data(), out.size());
+  }
+  return out;
 }
 
 std::vector<VertexId> DistinctRandomSources(const Graph& g, size_t count,
@@ -110,10 +120,10 @@ TEST(MsBfsTest, LanesMatchSoloBfsAcrossThreadsAndContracts) {
         DistinctRandomSources(g, 64, seed * 101);
 
     // Solo oracle per lane, computed once per graph.
-    std::vector<std::vector<uint32_t>> oracle;
+    std::vector<std::vector<uint8_t>> oracle;
     oracle.reserve(sources.size());
     for (VertexId s : sources) {
-      oracle.push_back(RunBfs(g, s, MakeK40(), TestOptions()).values);
+      oracle.push_back(Bytes(RunBfs(g, s, MakeK40(), TestOptions()).values));
     }
 
     std::string reference_fp;
@@ -125,8 +135,9 @@ TEST(MsBfsTest, LanesMatchSoloBfsAcrossThreadsAndContracts) {
         const MsBfsRunResult ms = RunMsBfs(g, sources, MakeK40(), o);
         ASSERT_TRUE(ms.run.stats.ok());
         ASSERT_EQ(ms.state.lanes(), sources.size());
+        const MsBfsLaneAnswers answers = DemuxLanes(ms.state, ms.state.full_mask);
         for (uint32_t lane = 0; lane < ms.state.lanes(); ++lane) {
-          EXPECT_EQ(ExtractLaneLevels(ms.state, lane), oracle[lane])
+          EXPECT_EQ(answers.bytes[lane], oracle[lane])
               << "seed " << seed << " lane " << lane << " threads "
               << host_threads << " pre_combine " << pre_combine;
         }
@@ -187,10 +198,166 @@ TEST(MsBfsTest, SixtyFourSourcesUnderTwiceOneTraversalsEdgeWork) {
   EXPECT_NE(ms.run.stats.direction_pattern.find('P'), std::string::npos)
       << "expected pull iterations, got " << ms.run.stats.direction_pattern;
   // And the cheap run still answers correctly.
+  const MsBfsLaneAnswers answers = DemuxLanes(ms.state, ms.state.full_mask);
   for (uint32_t lane = 0; lane < ms.state.lanes(); ++lane) {
-    ASSERT_EQ(ExtractLaneLevels(ms.state, lane),
-              RunBfs(g, sources[lane], MakeK40(), TestOptions()).values)
+    ASSERT_EQ(answers.bytes[lane],
+              Bytes(RunBfs(g, sources[lane], MakeK40(), TestOptions()).values))
         << "lane " << lane;
+  }
+}
+
+// The one-sweep demux at 1, 17 and 64 lanes, with duplicate sources folded
+// onto their first lane: every lane's bytes equal its solo BfsProgram answer
+// and its digest equals ValueBytesFingerprint of those bytes. A lane left out
+// of `wanted` is still digested, but its bytes are not written.
+TEST(MsBfsTest, DemuxLanesMatchesSoloBfsAndDigests) {
+  const Graph g = Graph::FromEdges(GenerateRmat(9, 8, 4), false);
+  for (const size_t distinct : {1u, 17u, 64u}) {
+    std::vector<VertexId> sources = DistinctRandomSources(g, distinct, distinct);
+    ASSERT_EQ(sources.size(), distinct);
+    for (size_t i = 0; i < std::min<size_t>(distinct, 5); ++i) {
+      sources.push_back(sources[i]);  // duplicates share the first lane
+    }
+    const MsBfsRunResult ms = RunMsBfs(g, sources, MakeK40(), TestOptions());
+    ASSERT_TRUE(ms.run.stats.ok());
+    ASSERT_EQ(ms.state.lanes(), distinct);
+    const MsBfsLaneAnswers all = DemuxLanes(ms.state, ms.state.full_mask);
+    const uint64_t odd_lanes = ms.state.full_mask & 0xAAAAAAAAAAAAAAAAull;
+    const MsBfsLaneAnswers odd = DemuxLanes(ms.state, odd_lanes);
+    ASSERT_EQ(all.digests.size(), distinct);
+    ASSERT_EQ(all.bytes.size(), distinct);
+    for (const VertexId s : sources) {
+      const uint32_t lane = ms.state.LaneOf(s);
+      const std::vector<uint8_t> expected =
+          Bytes(RunBfs(g, s, MakeK40(), TestOptions()).values);
+      EXPECT_EQ(all.bytes[lane], expected)
+          << distinct << " lanes, source " << s << " lane " << lane;
+      EXPECT_EQ(all.digests[lane],
+                ValueBytesFingerprint(expected.data(), expected.size()))
+          << distinct << " lanes, lane " << lane;
+      EXPECT_EQ(odd.digests[lane], all.digests[lane]) << "lane " << lane;
+      if ((odd_lanes >> lane) & 1u) {
+        EXPECT_EQ(odd.bytes[lane], expected) << "lane " << lane;
+      } else {
+        EXPECT_TRUE(odd.bytes[lane].empty()) << "lane " << lane;
+      }
+    }
+  }
+}
+
+// --- Malformed MS-BFS scheduler state. The program-state section is
+// [uint32 lanes][uint64 count][count x uint32 levels], with count = |V| x
+// lanes. Each case below breaks one rule, keeps the rest of the section
+// consistent, re-seals the CRC, and must fault the resume before anything
+// is restored.
+
+Checkpoint MidRunMsBfsSnapshot(const Graph& g,
+                               const std::vector<VertexId>& sources) {
+  std::vector<Checkpoint> snaps;
+  RunControl writer;
+  writer.checkpoint_every = 1;
+  writer.on_checkpoint = [&](const Checkpoint& cp) {
+    snaps.push_back(cp);
+    return true;
+  };
+  MsBfsState state;
+  MsBfsInit(&state, sources, g.vertex_count());
+  MsBfsProgram program;
+  program.state = &state;
+  program.graph = &g;
+  Engine<MsBfsProgram> engine(g, MakeK40(), TestOptions());
+  EXPECT_TRUE(engine.Run(program, writer).stats.ok());
+  EXPECT_GE(snaps.size(), 3u);
+  return snaps.at(snaps.size() / 2);
+}
+
+MsBfsRunResult ResumeMsBfs(const Graph& g, const std::vector<VertexId>& sources,
+                           const Checkpoint& snap) {
+  MsBfsRunResult out;
+  MsBfsInit(&out.state, sources, g.vertex_count());
+  MsBfsProgram program;
+  program.state = &out.state;
+  program.graph = &g;
+  RunControl resume;
+  resume.resume = &snap;
+  Engine<MsBfsProgram> engine(g, MakeK40(), TestOptions());
+  out.run = engine.Run(program, resume);
+  return out;
+}
+
+std::vector<uint8_t>* ProgramStateBytes(Checkpoint* cp) {
+  for (CheckpointSection& section : cp->sections()) {
+    if (section.id ==
+        static_cast<uint32_t>(CheckpointSectionId::kProgramState)) {
+      return &section.bytes;
+    }
+  }
+  return nullptr;
+}
+
+constexpr size_t kLanesOffset = 0;
+constexpr size_t kCountOffset = sizeof(uint32_t);
+constexpr size_t kLevelsOffset = sizeof(uint32_t) + sizeof(uint64_t);
+
+template <typename T>
+void Store(std::vector<uint8_t>& bytes, size_t offset, T value) {
+  ASSERT_LE(offset + sizeof(T), bytes.size());
+  std::memcpy(bytes.data() + offset, &value, sizeof(T));
+}
+
+TEST(MsBfsTest, MalformedSchedulerStateFaultsResume) {
+  const Graph g = Graph::FromEdges(GenerateRmat(8, 8, 5), false);
+  const std::vector<VertexId> sources = DistinctRandomSources(g, 17, 13);
+  const uint64_t n = g.vertex_count();
+  const uint64_t lanes = sources.size();
+  const Checkpoint snap = MidRunMsBfsSnapshot(g, sources);
+  {
+    // The untouched snapshot resumes to the uninterrupted answer.
+    const MsBfsRunResult clean = RunMsBfs(g, sources, MakeK40(), TestOptions());
+    const MsBfsRunResult resumed = ResumeMsBfs(g, sources, snap);
+    EXPECT_EQ(resumed.run.stats.outcome, RunOutcome::kResumed);
+    EXPECT_EQ(resumed.state.levels, clean.state.levels);
+    const CheckpointSection* state =
+        snap.Find(CheckpointSectionId::kProgramState);
+    ASSERT_NE(state, nullptr);
+    ASSERT_EQ(state->bytes.size(),
+              kLevelsOffset + n * lanes * sizeof(uint32_t));
+  }
+  struct Case {
+    const char* name;
+    void (*mangle)(std::vector<uint8_t>&, uint64_t n, uint64_t lanes);
+  };
+  const Case cases[] = {
+      {"truncated level bytes",
+       [](std::vector<uint8_t>& b, uint64_t, uint64_t) {
+         b.resize(b.size() - sizeof(uint32_t));
+       }},
+      {"lane count unlike the engine's",
+       [](std::vector<uint8_t>& b, uint64_t n, uint64_t lanes) {
+         // Self-consistent for lanes - 1: only the lane count is wrong.
+         Store<uint32_t>(b, kLanesOffset, static_cast<uint32_t>(lanes - 1));
+         Store<uint64_t>(b, kCountOffset, n * (lanes - 1));
+         b.resize(kLevelsOffset + n * (lanes - 1) * sizeof(uint32_t));
+       }},
+      {"count other than V x lanes",
+       [](std::vector<uint8_t>& b, uint64_t n, uint64_t lanes) {
+         // Exactly `count` levels follow: only the count's value is wrong.
+         Store<uint64_t>(b, kCountOffset, n * lanes - 1);
+         b.resize(b.size() - sizeof(uint32_t));
+       }},
+      {"one trailing byte",
+       [](std::vector<uint8_t>& b, uint64_t, uint64_t) { b.push_back(0); }},
+  };
+  for (const Case& c : cases) {
+    Checkpoint bad = snap;
+    std::vector<uint8_t>* state = ProgramStateBytes(&bad);
+    ASSERT_NE(state, nullptr);
+    c.mangle(*state, n, lanes);
+    bad.Seal();
+    ASSERT_TRUE(bad.Validate(nullptr)) << c.name;
+    const MsBfsRunResult r = ResumeMsBfs(g, sources, bad);
+    EXPECT_EQ(r.run.stats.outcome, RunOutcome::kFaulted) << c.name;
+    EXPECT_EQ(r.run.stats.resumes, 0u) << c.name;
   }
 }
 

@@ -346,6 +346,85 @@ TEST(BatchCacheTest, BatchedAnswersFillTheCache) {
   EXPECT_EQ(s.cache_hits, 8u);
 }
 
+// Digest-only questions (want_values false, the wire default) still fill
+// the cache with their bytes, from a batch and from a solo run alike: a
+// later want_values hit returns the oracle's bytes, while a digest-only hit
+// carries none. Inside the batch, a duplicate source asked once without and
+// once with values gets its bytes either way round.
+TEST(BatchCacheTest, DigestOnlyAnswersFillTheCache) {
+  const Graph g = TestGraph();
+  ServiceOptions o = BatchingService(64);
+  o.cache_capacity = 32;
+  GraphService svc(g, o);
+  EngineOptions oracle_options;
+  oracle_options.sim_worker_threads = 64;
+  const auto oracle = [&](VertexId s) {
+    return Bytes(RunBfs(g, s, MakeK40(), oracle_options).values);
+  };
+
+  struct Ask {
+    VertexId source;
+    bool want_values;
+  };
+  const std::vector<Ask> batch = {{2, false}, {5, false}, {9, false},
+                                  {5, true},  {14, true}, {14, false},
+                                  {21, false}};
+  std::vector<GraphService::Ticket> tickets;
+  for (const Ask& a : batch) {
+    tickets.push_back(svc.Submit(BfsQuery(a.source, a.want_values)));
+    ASSERT_EQ(tickets.back().verdict, AdmissionVerdict::kAdmitted);
+  }
+  svc.Resume();
+  svc.Drain();
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const QueryResult r = tickets[i].result.get();
+    ASSERT_TRUE(r.ok()) << "member " << i;
+    EXPECT_EQ(r.served, ServedBy::kBatched) << "member " << i;
+    const std::vector<uint8_t> expected = oracle(batch[i].source);
+    EXPECT_EQ(r.value_fingerprint,
+              ValueBytesFingerprint(expected.data(), expected.size()))
+        << "member " << i;
+    if (batch[i].want_values) {
+      EXPECT_EQ(r.value_bytes, expected) << "member " << i;
+    } else {
+      EXPECT_TRUE(r.value_bytes.empty()) << "member " << i;
+    }
+  }
+  const VertexId solo = 40;
+  const QueryResult solo_miss = svc.Submit(BfsQuery(solo, false)).result.get();
+  ASSERT_TRUE(solo_miss.ok());
+  EXPECT_EQ(solo_miss.served, ServedBy::kSolo);
+  EXPECT_TRUE(solo_miss.value_bytes.empty());
+
+  const std::vector<VertexId> asked = {2, 5, 9, 14, 21, solo};
+  for (const VertexId s : asked) {
+    const std::vector<uint8_t> expected = oracle(s);
+    const uint64_t digest =
+        ValueBytesFingerprint(expected.data(), expected.size());
+    const QueryResult with = svc.Submit(BfsQuery(s, true)).result.get();
+    EXPECT_EQ(with.served, ServedBy::kCache) << "source " << s;
+    EXPECT_EQ(with.value_bytes, expected) << "source " << s;
+    EXPECT_EQ(with.value_fingerprint, digest) << "source " << s;
+    const QueryResult without = svc.Submit(BfsQuery(s, false)).result.get();
+    EXPECT_EQ(without.served, ServedBy::kCache) << "source " << s;
+    EXPECT_TRUE(without.value_bytes.empty()) << "source " << s;
+    EXPECT_EQ(without.value_fingerprint, digest) << "source " << s;
+  }
+
+  const ServiceStats st = svc.stats();
+  EXPECT_EQ(st.batches, 1u);
+  EXPECT_EQ(st.batched_queries, batch.size());
+  EXPECT_EQ(st.cache_misses, batch.size() + 1);
+  EXPECT_EQ(st.cache_hits, 2 * asked.size());
+  // The ledger identities: every submission is admitted or turned away, and
+  // every admitted query reaches exactly one outcome.
+  EXPECT_EQ(st.submitted, st.admitted + st.shed_queue_full + st.shed_deadline +
+                              st.rejected_invalid);
+  EXPECT_EQ(st.admitted, st.completed + st.faulted + st.cancelled +
+                             st.deadline_exceeded + st.sink_failed);
+  EXPECT_EQ(st.completed, batch.size() + 1 + 2 * asked.size());
+}
+
 // The ResultCache itself, unit-level: refresh-on-insert, LRU order, and the
 // capacity-zero no-op.
 TEST(BatchCacheTest, ResultCacheUnitBehavior) {
@@ -364,24 +443,48 @@ TEST(BatchCacheTest, ResultCacheUnitBehavior) {
   cache.Insert(key(1), answer(11));
   cache.Insert(key(2), answer(22));
   CachedAnswer out;
-  ASSERT_TRUE(cache.Lookup(key(1), &out));  // touches 1: LRU is now 2
+  ASSERT_TRUE(cache.Lookup(key(1), false, &out));  // touches 1: LRU is now 2
   EXPECT_EQ(out.value_fingerprint, 11u);
   cache.Insert(key(3), answer(33));  // evicts 2
-  EXPECT_FALSE(cache.Lookup(key(2), &out));
-  EXPECT_TRUE(cache.Lookup(key(1), &out));
-  EXPECT_TRUE(cache.Lookup(key(3), &out));
+  EXPECT_FALSE(cache.Lookup(key(2), false, &out));
+  EXPECT_TRUE(cache.Lookup(key(1), false, &out));
+  EXPECT_TRUE(cache.Lookup(key(3), false, &out));
   EXPECT_EQ(cache.evictions(), 1u);
   // Re-inserting an existing key refreshes in place, no eviction.
   cache.Insert(key(1), answer(111));
-  ASSERT_TRUE(cache.Lookup(key(1), &out));
+  ASSERT_TRUE(cache.Lookup(key(1), false, &out));
   EXPECT_EQ(out.value_fingerprint, 111u);
   EXPECT_EQ(cache.evictions(), 1u);
   EXPECT_EQ(cache.size(), 2u);
 
   ResultCache off(0);
   off.Insert(key(1), answer(11));
-  EXPECT_FALSE(off.Lookup(key(1), &out));
+  EXPECT_FALSE(off.Lookup(key(1), false, &out));
   EXPECT_EQ(off.size(), 0u);
+}
+
+// A lookup copies the entry's value bytes only when asked for them: a
+// digest-only lookup leaves out->value_bytes empty, even when *out held
+// bytes from an earlier lookup, and the entry keeps its bytes.
+TEST(BatchCacheTest, ResultCacheLookupCopiesBytesOnlyForWantValues) {
+  ResultCache cache(4);
+  CacheKey key;
+  key.source = 7;
+  CachedAnswer answer;
+  answer.fingerprint = "fp";
+  answer.value_fingerprint = 77;
+  answer.value_bytes = {1, 2, 3, 4};
+  cache.Insert(key, answer);
+
+  CachedAnswer out;
+  ASSERT_TRUE(cache.Lookup(key, true, &out));
+  EXPECT_EQ(out.value_bytes, answer.value_bytes);
+  ASSERT_TRUE(cache.Lookup(key, false, &out));
+  EXPECT_TRUE(out.value_bytes.empty());
+  EXPECT_EQ(out.value_fingerprint, 77u);
+  EXPECT_EQ(out.fingerprint, "fp");
+  ASSERT_TRUE(cache.Lookup(key, true, &out));
+  EXPECT_EQ(out.value_bytes, answer.value_bytes);
 }
 
 }  // namespace
