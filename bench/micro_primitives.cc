@@ -50,21 +50,27 @@ void BM_WarpInclusiveScan(benchmark::State& state) {
 }
 BENCHMARK(BM_WarpInclusiveScan);
 
-void BM_BallotFilterScan(benchmark::State& state) {
+// The serial scan the engine runs at one host thread, with the output
+// buffer and scratch reused across iterations as the JIT controller does.
+void BM_BallotFilterScanInto(benchmark::State& state) {
   const auto n = static_cast<VertexId>(state.range(0));
   std::vector<bool> active(n);
   std::mt19937 rng(2);
   for (VertexId v = 0; v < n; ++v) {
     active[v] = rng() % 10 == 0;
   }
+  std::vector<VertexId> frontier;
+  BallotScratch scratch;
   for (auto _ : state) {
     CostCounters c;
-    benchmark::DoNotOptimize(BallotFilterScan(
-        n, [&](VertexId v) { return static_cast<bool>(active[v]); }, c));
+    BallotFilterScanInto(
+        n, [&](VertexId v) { return static_cast<bool>(active[v]); }, c,
+        frontier, scratch, nullptr, 1);
+    benchmark::DoNotOptimize(frontier.data());
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_BallotFilterScan)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
+BENCHMARK(BM_BallotFilterScanInto)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
 
 void BM_CsrFromEdges(benchmark::State& state) {
   const EdgeList edges = GenerateRmat(static_cast<uint32_t>(state.range(0)), 8, 3);

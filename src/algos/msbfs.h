@@ -84,8 +84,10 @@ struct MsBfsState {
 // Configure `state` for one batch: distinct sources keep their first lane
 // (duplicates collapse — callers demux several queries onto one lane), and
 // anything beyond 64 distinct sources is dropped; check lanes() when the
-// input may overflow. The level table is sized here, reset per run by
-// InitialFrontier().
+// input may overflow. The level table and the settled census are not
+// touched here: InitialFrontier() sizes and resets them at the start of
+// every run, RobustRun's retries included, so they are filled once per
+// batch.
 inline void MsBfsInit(MsBfsState* state, const std::vector<VertexId>& sources,
                       uint64_t vertex_count) {
   state->sources.clear();
@@ -101,8 +103,6 @@ inline void MsBfsInit(MsBfsState* state, const std::vector<VertexId>& sources,
   const uint32_t lanes = state->lanes();
   state->full_mask =
       lanes >= 64 ? ~0ull : ((1ull << lanes) - 1ull);
-  state->levels.assign(vertex_count * lanes, kInfinity);
-  state->lanes_set.assign(vertex_count, 0);
   state->depth = 0;
   state->unsettled_in_edges = 0;
 }

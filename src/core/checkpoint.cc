@@ -141,7 +141,15 @@ bool Checkpoint::Validate(uint32_t* bad_section) const {
 }
 
 void Checkpoint::Serialize(std::vector<uint8_t>* out) const {
+  // Reserving the exact size up front means every append below fits, so
+  // the stream is written without a reallocation.
+  size_t size = kMagic.size() + sizeof(kCheckpointVersion) + sizeof(header) +
+                sizeof(uint32_t);
+  for (const CheckpointSection& s : sections_) {
+    size += sizeof(s.id) + sizeof(uint64_t) + sizeof(s.crc) + s.bytes.size();
+  }
   out->clear();
+  out->reserve(size);
   ByteWriter w(out);
   w.Bytes(kMagic.data(), kMagic.size());
   w.Pod(kCheckpointVersion);

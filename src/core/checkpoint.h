@@ -6,13 +6,16 @@
 // lanes, fold accumulators, classifier bins, online-filter bins) is dead between
 // iterations by construction — the stamp-guarded arrays compare against the
 // current iteration's stamp and the jit bins reset at every frontier build —
-// so a snapshot needs only the loop-carried state: both metadata buffers,
-// the frontier, the filter/direction/fusion history, the accumulated
-// RunStats, and any program scheduler state (delta-stepping SSSP's pending
-// buckets). The engine's restore path re-runs its normal per-run arming for
-// everything else, which is what makes a resumed run bit-identical to an
-// uninterrupted one under both stats contracts (pinned by
-// tests/integration/resume_determinism_test).
+// so a snapshot needs only the loop-carried state, each fact once: the
+// engine's LoopState (the filter that built the frontier and the previous
+// direction are the only history the JIT filter and kernel fusion read), the
+// curr metadata buffer (prev == curr at a boundary, checked when the
+// snapshot is written; a restore seeds both from it), the frontier, the
+// accumulated RunStats, and any program scheduler state (delta-stepping
+// SSSP's pending buckets). The engine's restore path re-runs its normal
+// per-run arming for everything else, which is what makes a resumed run
+// bit-identical to an uninterrupted one under both stats contracts (pinned
+// by tests/integration/resume_determinism_test).
 //
 // Layout: a header (format version, digest of the semantically relevant
 // EngineOptions, graph shape, value width, iteration, stats contract)
@@ -49,12 +52,13 @@ uint64_t SemanticOptionsDigest(const EngineOptions& options);
 
 // Bumped whenever a section's byte layout changes, so a snapshot written by
 // an older layout is refused as kBadVersion instead of misparsed.
-inline constexpr uint32_t kCheckpointVersion = 3;
+inline constexpr uint32_t kCheckpointVersion = 4;
 
+// Sections are written in this order (fault.h's corrupt=N counts in it).
+// Ids are never reused; 3 is retired.
 enum class CheckpointSectionId : uint32_t {
-  kEngineLoop = 1,    // loop-carried flags + jit/fusion history + telemetry
+  kEngineLoop = 1,    // LoopState flags + push records buffered so far
   kValuesCurr = 2,    // metadata curr array, raw value bytes
-  kValuesPrev = 3,    // metadata prev array (the last frontier commit)
   kFrontier = 4,      // the frontier the resumed iteration starts from
   kStats = 5,         // accumulated RunStats
   kProgramState = 6,  // optional program scheduler state (SSSP buckets)

@@ -175,7 +175,7 @@ class Engine {
     VertexMeta<Value> meta = MakeMetadata(program);
     std::vector<VertexId> frontier = program.InitialFrontier();
     jit_.Reset();
-    FusionAccountant fusion(options_.fusion, options_.threads_per_cta);
+    const FusionAccountant fusion(options_.fusion, options_.threads_per_cta);
     // The fused kernels synchronize iterations with the software global
     // barrier; the grid must be sized by Eq. 1 or the barrier deadlocks.
     GlobalBarrier barrier(DeadlockFreeGridSize(
@@ -224,7 +224,7 @@ class Engine {
       // so the snapshot overwrites exactly the loop-carried state and
       // nothing else — the invariant that makes a resumed run bit-identical
       // to an uninterrupted one.
-      if (!RestoreCheckpoint(*control.resume, program, meta, frontier, fusion,
+      if (!RestoreCheckpoint(*control.resume, program, meta, frontier,
                              result.stats, &loop)) {
         result.stats.outcome = RunOutcome::kFaulted;
         result.values.assign(meta.values().begin(), meta.values().end());
@@ -235,8 +235,7 @@ class Engine {
       result.stats.resume_iteration = loop.iter;
     }
     for (; loop.iter < options_.max_iterations; ++loop.iter) {
-      if (IterationControl(program, meta, frontier, fusion, result.stats,
-                           loop)) {
+      if (IterationControl(program, meta, frontier, result.stats, loop)) {
         break;
       }
       if (frontier.empty()) {
@@ -350,8 +349,8 @@ class Engine {
         const auto active = [&](VertexId v) {
           return program.Active(meta.curr(v), meta.prev(v));
         };
-        jit_.BuildNextFrontierInto(n, active, it_cost, next_frontier_);
-        loop.pending_filter = jit_.pattern().back();
+        loop.pending_filter =
+            jit_.BuildNextFrontierInto(n, active, it_cost, next_frontier_);
         if (jit_.failed()) {
           result.stats.failed = true;
         }
@@ -363,8 +362,8 @@ class Engine {
         frontier.swap(next_frontier_);
       }
 
-      const FusionAccountant::IterationCharge charge =
-          fusion.ChargeIteration(device_, dir, loop.iter, last_stage_count_);
+      const FusionAccountant::IterationCharge charge = fusion.ChargeIteration(
+          device_, dir, loop.iter == 0, loop.prev_dir, last_stage_count_);
       it_cost.kernel_launches += charge.launches;
       it_cost.barrier_crossings += charge.barrier_crossings;
       for (uint64_t b = 0; b < charge.barrier_crossings; ++b) {
@@ -562,8 +561,11 @@ class Engine {
         { p.RestoreSchedulerState(d, n, vertex_count) } -> std::same_as<bool>;
       };
 
-  // The iteration loop's carried state besides metadata, frontier, stats
-  // and the jit/fusion history — exactly what a checkpoint must restore.
+  // The iteration loop's carried state besides metadata, frontier and
+  // stats. With RunStats it is the run's only history: the JIT controller
+  // returns each iteration's filter and keeps none, and fusion's launch
+  // charge reads iter and prev_dir. A checkpoint's kEngineLoop section is
+  // these fields (iter travels in its header) and run_records_buffered_.
   struct LoopState {
     uint32_t iter = 0;
     Direction prev_dir = Direction::kPush;
@@ -601,17 +603,14 @@ class Engine {
   bool CancelOrDeadline();
   bool StageBreak(FaultPoint point);
   bool IterationControl(const Program& program, const VertexMeta<Value>& meta,
-                        const std::vector<VertexId>& frontier,
-                        const FusionAccountant& fusion, RunStats& stats,
+                        const std::vector<VertexId>& frontier, RunStats& stats,
                         const LoopState& loop);
   bool WriteCheckpoint(const Program& program, const VertexMeta<Value>& meta,
-                       const std::vector<VertexId>& frontier,
-                       const FusionAccountant& fusion, RunStats& stats,
+                       const std::vector<VertexId>& frontier, RunStats& stats,
                        const LoopState& loop);
   bool RestoreCheckpoint(const Checkpoint& cp, const Program& program,
                          VertexMeta<Value>& meta,
-                         std::vector<VertexId>& frontier,
-                         FusionAccountant& fusion, RunStats& stats,
+                         std::vector<VertexId>& frontier, RunStats& stats,
                          LoopState* state);
 
   // --- push (engine_push.h) ---

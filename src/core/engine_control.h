@@ -4,7 +4,6 @@
 #ifndef SIMDX_CORE_ENGINE_CONTROL_H_
 #define SIMDX_CORE_ENGINE_CONTROL_H_
 
-#include <cstring>
 #include <utility>
 
 #include "core/engine.h"
@@ -64,7 +63,6 @@ template <AccProgram Program>
 bool Engine<Program>::IterationControl(const Program& program,
                                        const VertexMeta<Value>& meta,
                                        const std::vector<VertexId>& frontier,
-                                       const FusionAccountant& fusion,
                                        RunStats& stats, const LoopState& loop) {
   const uint32_t iter = loop.iter;
   if (!watch_cancel_ && faults_ == nullptr &&
@@ -76,10 +74,10 @@ bool Engine<Program>::IterationControl(const Program& program,
   }
   if (control_->checkpoint_every != 0 && control_->on_checkpoint &&
       iter % control_->checkpoint_every == 0) {
-    if (!WriteCheckpoint(program, meta, frontier, fusion, stats, loop)) {
-      // WriteCheckpoint set break_outcome_: kFaulted for an injected write
-      // fault, kCheckpointSinkFailed when the caller's sink refused the
-      // bytes.
+    if (!WriteCheckpoint(program, meta, frontier, stats, loop)) {
+      // WriteCheckpoint set break_outcome_: kFaulted for a broken boundary
+      // invariant or an injected write fault, kCheckpointSinkFailed when the
+      // caller's sink refused the bytes.
       control_break_ = true;
       return true;
     }
@@ -94,20 +92,27 @@ bool Engine<Program>::IterationControl(const Program& program,
 }
 
 // Builds, seals and hands out a checkpoint of the iteration-boundary
-// state. Returns false — with break_outcome_ set — when an armed
-// checkpoint-write fault fails the write (→ kFaulted) or the caller-owned
-// sink reports a persistence failure (→ kCheckpointSinkFailed); a
-// corruption-armed fault instead poisons the bytes silently — the
-// simulated torn write Validate() later catches.
+// state. Returns false — with break_outcome_ set — when prev differs from
+// curr or an armed checkpoint-write fault fails the write (→ kFaulted), or
+// when the caller-owned sink reports a persistence failure
+// (→ kCheckpointSinkFailed); a corruption-armed fault instead poisons the
+// bytes silently — the simulated torn write Validate() later catches.
 template <AccProgram Program>
 bool Engine<Program>::WriteCheckpoint(const Program& program,
                                       const VertexMeta<Value>& meta,
                                       const std::vector<VertexId>& frontier,
-                                      const FusionAccountant& fusion,
                                       RunStats& stats, const LoopState& loop) {
   const uint32_t iter = loop.iter;
   static_assert(std::is_trivially_copyable_v<Value>,
                 "checkpointing snapshots raw value bytes");
+  // A snapshot carries curr alone and a restore seeds prev from it, which is
+  // faithful only while prev == curr at the boundary (metadata.h). A commit
+  // that broke that would also skew every later sparse commit (CommitPrev),
+  // so the run ends here rather than hand out a snapshot of it.
+  if (!meta.PrevMatchesCurr()) {
+    break_outcome_ = RunOutcome::kFaulted;
+    return false;
+  }
   Checkpoint cp;
   cp.header.options_digest = SemanticOptionsDigest(options_);
   cp.header.graph_vertices = graph_.vertex_count();
@@ -123,24 +128,11 @@ bool Engine<Program>::WriteCheckpoint(const Program& program,
     w.Pod(static_cast<uint8_t>(loop.charge_init_scan));
     w.Pod(loop.refill_words);
     w.Pod(run_records_buffered_);
-    w.Pod(static_cast<uint8_t>(jit_.failed()));
-    w.Pod(jit_.ballot_iterations());
-    w.Pod(jit_.online_iterations());
-    w.Str(jit_.pattern());
-    w.Pod(static_cast<uint8_t>(fusion.launched_any()));
-    w.Pod(static_cast<uint8_t>(fusion.last_direction()));
-    w.Pod(fusion.total_launches());
-    w.Pod(fusion.total_barriers());
   }
   {
     ByteWriter w(&cp.AddSection(CheckpointSectionId::kValuesCurr));
     w.Pod(static_cast<uint64_t>(meta.size()));
     w.Bytes(meta.values().data(), meta.size() * sizeof(Value));
-  }
-  {
-    ByteWriter w(&cp.AddSection(CheckpointSectionId::kValuesPrev));
-    w.Pod(static_cast<uint64_t>(meta.size()));
-    w.Bytes(meta.prev_values().data(), meta.size() * sizeof(Value));
   }
   {
     ByteWriter w(&cp.AddSection(CheckpointSectionId::kFrontier));
@@ -187,7 +179,6 @@ bool Engine<Program>::RestoreCheckpoint(const Checkpoint& cp,
                                         const Program& program,
                                         VertexMeta<Value>& meta,
                                         std::vector<VertexId>& frontier,
-                                        FusionAccountant& fusion,
                                         RunStats& stats, LoopState* state) {
   if (!cp.Validate(nullptr)) {
     return false;
@@ -202,11 +193,10 @@ bool Engine<Program>::RestoreCheckpoint(const Checkpoint& cp,
   }
   const CheckpointSection* loop = cp.Find(CheckpointSectionId::kEngineLoop);
   const CheckpointSection* curr = cp.Find(CheckpointSectionId::kValuesCurr);
-  const CheckpointSection* prev = cp.Find(CheckpointSectionId::kValuesPrev);
   const CheckpointSection* front = cp.Find(CheckpointSectionId::kFrontier);
   const CheckpointSection* stat = cp.Find(CheckpointSectionId::kStats);
-  if (loop == nullptr || curr == nullptr || prev == nullptr ||
-      front == nullptr || stat == nullptr) {
+  if (loop == nullptr || curr == nullptr || front == nullptr ||
+      stat == nullptr) {
     return false;
   }
   {
@@ -217,52 +207,25 @@ bool Engine<Program>::RestoreCheckpoint(const Checkpoint& cp,
     r.Pod(&state->pending_filter);
     r.Pod(&init8);
     r.Pod(&state->refill_words);
-    r.Pod(&run_records_buffered_);
-    uint8_t jit_failed = 0;
-    uint32_t ballot = 0, online = 0;
-    std::string pattern;
-    r.Pod(&jit_failed);
-    r.Pod(&ballot);
-    r.Pod(&online);
-    r.Str(&pattern);
-    uint8_t launched8 = 0, last_dir8 = 0;
-    uint64_t launches = 0, barriers = 0;
-    r.Pod(&launched8);
-    r.Pod(&last_dir8);
-    r.Pod(&launches);
-    if (!r.Pod(&barriers) || !r.AtEnd() || dir8 > 1 || last_dir8 > 1) {
+    if (!r.Pod(&run_records_buffered_) || !r.AtEnd() || dir8 > 1) {
       return false;
     }
     state->prev_dir = static_cast<Direction>(dir8);
     state->frontier_sorted = sorted8 != 0;
     state->charge_init_scan = init8 != 0;
-    jit_.RestoreHistory(std::move(pattern), ballot, online, jit_failed != 0);
-    fusion.RestoreHistory(launched8 != 0, static_cast<Direction>(last_dir8),
-                          launches, barriers);
   }
   {
-    ByteReader rc(curr->bytes);
-    uint64_t curr_count = 0;
-    if (!rc.Pod(&curr_count) || curr_count != n) {
+    ByteReader r(curr->bytes);
+    uint64_t count = 0;
+    if (!r.Pod(&count) || count != n) {
       return false;
     }
-    const size_t value_bytes = static_cast<size_t>(n) * sizeof(Value);
-    const uint8_t* curr_bytes = rc.Raw(value_bytes);
-    ByteReader rp(prev->bytes);
-    uint64_t prev_count = 0;
-    if (curr_bytes == nullptr || !rc.AtEnd() || !rp.Pod(&prev_count) ||
-        prev_count != n) {
+    // One array seeds both buffers: the writer checked prev == curr.
+    const uint8_t* values = r.Raw(static_cast<size_t>(n) * sizeof(Value));
+    if (values == nullptr || !r.AtEnd()) {
       return false;
     }
-    const uint8_t* prev_bytes = rp.Raw(value_bytes);
-    // The engine checkpoints only at iteration boundaries, where prev ==
-    // curr (metadata.h); a snapshot that says otherwise would silently skew
-    // the sparse commit (CommitPrev), so it is refused.
-    if (prev_bytes == nullptr || !rp.AtEnd() ||
-        std::memcmp(prev_bytes, curr_bytes, value_bytes) != 0) {
-      return false;
-    }
-    meta.RestoreSnapshot(curr_bytes);
+    meta.RestoreSnapshot(values);
   }
   {
     ByteReader r(front->bytes);

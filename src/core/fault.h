@@ -41,7 +41,9 @@ struct ArmedFault {
   FaultPoint point = FaultPoint::kIterationStart;
   uint32_t iteration = 0;
   // >= 0: instead of failing, silently corrupt this section index of the
-  // checkpoint written at `iteration` (a simulated torn write). Only
+  // checkpoint written at `iteration` (a simulated torn write). Indices
+  // count sections in write order (checkpoint.h): 0 loop, 1 values,
+  // 2 frontier, 3 stats, 4 program state when the program has one. Only
   // meaningful with point == kCheckpointWrite.
   int32_t corrupt_section = -1;
   uint64_t seed = 0;  // picks the corrupted byte; keyed so replayable

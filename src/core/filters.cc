@@ -36,14 +36,6 @@ void BallotScanRange(VertexId range_begin, VertexId range_end,
 
 }  // namespace
 
-std::vector<VertexId> BallotFilterScan(VertexId vertex_count,
-                                       const ActivePredicate& active,
-                                       CostCounters& counters) {
-  std::vector<VertexId> frontier;
-  BallotScanRange(0, vertex_count, active, frontier, counters);
-  return frontier;
-}
-
 void BallotFilterScanInto(VertexId vertex_count, const ActivePredicate& active,
                           CostCounters& counters, std::vector<VertexId>& out,
                           BallotScratch& scratch, ThreadPool* pool,

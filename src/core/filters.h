@@ -30,19 +30,16 @@ struct BallotScratch {
   std::vector<CostCounters> chunk_cost;
 };
 
-// Runs the warp-ballot scan over [0, vertex_count): each warp of 32 lanes
-// loads 32 consecutive vertices' metadata (curr + prev, charged as coalesced
-// reads), votes with ballot, and the first lane appends the set lanes in
-// lane order. Scanning vertex blocks in order yields the sorted frontier.
-std::vector<VertexId> BallotFilterScan(VertexId vertex_count,
-                                       const ActivePredicate& active,
-                                       CostCounters& counters);
-
-// Parallel form: warp-aligned chunks scanned concurrently, compacted into
-// `out` by chunk-order prefix offsets — the host-side equivalent of the
-// scan + prefix-sum the GPU filter performs, with output (and every charged
-// counter) bit-identical to the sequential scan for any thread count.
-// `active` must be safe for concurrent calls (it only reads metadata).
+// Runs the warp-ballot scan over [0, vertex_count) into `out` (cleared
+// first): each warp of 32 lanes loads 32 consecutive vertices' metadata
+// (curr + prev, charged as coalesced reads), votes with ballot, and the
+// first lane appends the set lanes in lane order. Scanning vertex blocks in
+// order yields the sorted frontier. With a pool and `threads` > 1,
+// warp-aligned chunks are scanned concurrently and compacted by chunk-order
+// prefix offsets — the host-side equivalent of the scan + prefix-sum the GPU
+// filter performs, with output (and every charged counter) bit-identical to
+// the sequential scan for any thread count. `active` must then be safe for
+// concurrent calls (it only reads metadata).
 void BallotFilterScanInto(VertexId vertex_count, const ActivePredicate& active,
                           CostCounters& counters, std::vector<VertexId>& out,
                           BallotScratch& scratch, ThreadPool* pool,

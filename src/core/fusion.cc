@@ -66,8 +66,8 @@ KernelResources ResourcesFor(FusionPolicy policy, Direction dir,
 }
 
 FusionAccountant::IterationCharge FusionAccountant::ChargeIteration(
-    const DeviceSpec& device, Direction dir, uint32_t iteration,
-    uint32_t stages_launched) {
+    const DeviceSpec& device, Direction dir, bool first_iteration,
+    Direction prev_dir, uint32_t stages_launched) const {
   IterationCharge charge;
   const KernelResources res = ResourcesFor(policy_, dir, threads_per_cta_);
   charge.occupancy = OccupancyFraction(device, res);
@@ -83,21 +83,16 @@ FusionAccountant::IterationCharge FusionAccountant::ChargeIteration(
       // One launch at the start of every push (or pull) PHASE; inside the
       // phase, iterations cross the software barrier twice (after compute,
       // after task management — Figure 4(b)).
-      const bool phase_start = !launched_any_ || dir != last_direction_;
+      const bool phase_start = first_iteration || dir != prev_dir;
       charge.launches = phase_start ? 1 : 0;
       charge.barrier_crossings = 2;
       break;
     }
     case FusionPolicy::kAllFusion:
-      charge.launches = launched_any_ ? 0 : 1;
+      charge.launches = first_iteration ? 1 : 0;
       charge.barrier_crossings = 2;
       break;
   }
-  launched_any_ = true;
-  last_direction_ = dir;
-  (void)iteration;
-  total_launches_ += charge.launches;
-  total_barriers_ += charge.barrier_crossings;
   return charge;
 }
 

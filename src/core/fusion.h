@@ -47,7 +47,10 @@ uint32_t ComposeRegisters(const uint32_t* stage_regs, uint32_t count);
 KernelResources ResourcesFor(FusionPolicy policy, Direction dir,
                              uint32_t threads_per_cta);
 
-// Tracks launches/barriers across a run and yields the per-iteration charge.
+// Yields the per-iteration launch/barrier charge. Stateless: the one fact
+// it needs from earlier iterations — whether any ran, and in which direction
+// the last one ran — comes from the engine's loop state, so a resumed run
+// charges exactly what the uninterrupted one did.
 class FusionAccountant {
  public:
   FusionAccountant(FusionPolicy policy, uint32_t threads_per_cta)
@@ -59,34 +62,18 @@ class FusionAccountant {
     double occupancy = 1.0;
   };
 
-  // `stages_launched` counts the compute kernels with non-empty worklists
-  // this iteration (task management is always charged on top for kNoFusion).
+  // `first_iteration` is true for the run's first iteration and `prev_dir`
+  // is the direction of the iteration before this one (ignored on the
+  // first). `stages_launched` counts the compute kernels with non-empty
+  // worklists this iteration (task management is always charged on top for
+  // kNoFusion).
   IterationCharge ChargeIteration(const DeviceSpec& device, Direction dir,
-                                  uint32_t iteration, uint32_t stages_launched);
-
-  uint64_t total_launches() const { return total_launches_; }
-  uint64_t total_barriers() const { return total_barriers_; }
-  bool launched_any() const { return launched_any_; }
-  Direction last_direction() const { return last_direction_; }
-
-  // Checkpoint restore: selective fusion's launch charge depends on whether
-  // the previous iteration ran the same direction, so a resumed run must
-  // carry this history or its kernel_launches counter diverges.
-  void RestoreHistory(bool launched_any, Direction last_direction,
-                      uint64_t total_launches, uint64_t total_barriers) {
-    launched_any_ = launched_any;
-    last_direction_ = last_direction;
-    total_launches_ = total_launches;
-    total_barriers_ = total_barriers;
-  }
+                                  bool first_iteration, Direction prev_dir,
+                                  uint32_t stages_launched) const;
 
  private:
   FusionPolicy policy_;
   uint32_t threads_per_cta_;
-  uint64_t total_launches_ = 0;
-  uint64_t total_barriers_ = 0;
-  bool launched_any_ = false;
-  Direction last_direction_ = Direction::kPush;
 };
 
 }  // namespace simdx

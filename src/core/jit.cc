@@ -20,9 +20,6 @@ JitController::JitController(FilterPolicy policy, uint32_t worker_threads,
 void JitController::Reset() {
   bins_.Reset();
   failed_ = false;
-  pattern_.clear();
-  ballot_iterations_ = 0;
-  online_iterations_ = 0;
 }
 
 void JitController::RecordActivation(uint32_t worker, VertexId v,
@@ -39,15 +36,7 @@ void JitController::RecordActivation(uint32_t worker, VertexId v,
   }
 }
 
-std::vector<VertexId> JitController::BuildNextFrontier(VertexId vertex_count,
-                                                       const ActivePredicate& active,
-                                                       CostCounters& counters) {
-  std::vector<VertexId> frontier;
-  BuildNextFrontierInto(vertex_count, active, counters, frontier);
-  return frontier;
-}
-
-void JitController::BuildNextFrontierInto(VertexId vertex_count,
+char JitController::BuildNextFrontierInto(VertexId vertex_count,
                                           const ActivePredicate& active,
                                           CostCounters& counters,
                                           std::vector<VertexId>& out) {
@@ -57,11 +46,10 @@ void JitController::BuildNextFrontierInto(VertexId vertex_count,
       policy_ == FilterPolicy::kBallotOnly ||
       (policy_ == FilterPolicy::kJit && overflowed);
 
+  char filter = 'B';
   if (use_ballot) {
     BallotFilterScanInto(vertex_count, active, counters, out, scan_scratch_,
                          pool_, host_threads_);
-    pattern_ += 'B';
-    ++ballot_iterations_;
   } else {
     if (policy_ == FilterPolicy::kOnlineOnly && overflowed) {
       // Activations were dropped on the floor; results are not trustworthy.
@@ -70,10 +58,10 @@ void JitController::BuildNextFrontierInto(VertexId vertex_count,
     bins_.ConcatenateInto(out);
     // Prefix-scan concatenation of the bins: read + write each entry once.
     counters.coalesced_words += 2ull * out.size();
-    pattern_ += policy_ == FilterPolicy::kBatch ? 'A' : 'O';
-    ++online_iterations_;
+    filter = policy_ == FilterPolicy::kBatch ? 'A' : 'O';
   }
   bins_.Reset();
+  return filter;
 }
 
 }  // namespace simdx

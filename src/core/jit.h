@@ -5,12 +5,12 @@
 // regenerates the frontier; while in ballot mode, a shadow online filter
 // keeps recording (capped at the same threshold, "not on the critical path",
 // Figure 9(b)) so the controller can switch back the moment the update
-// volume fits again. The per-iteration choice is logged — that log IS
-// Figure 8.
+// volume fits again. Each frontier build returns the filter it used; the
+// engine logs that char per iteration (RunStats::filter_pattern) — that log
+// IS Figure 8.
 #ifndef SIMDX_CORE_JIT_H_
 #define SIMDX_CORE_JIT_H_
 
-#include <string>
 #include <vector>
 
 #include "core/filters.h"
@@ -34,46 +34,27 @@ class JitController {
   // update this iteration), from simulated worker `worker`.
   void RecordActivation(uint32_t worker, VertexId v, CostCounters& counters);
 
-  // Finalizes the iteration: returns the next frontier and appends one
-  // character to pattern() — 'O' when the bins produced it, 'B' when a
-  // ballot scan did. `active` is the scan predicate Active(curr[v], prev[v]).
-  std::vector<VertexId> BuildNextFrontier(VertexId vertex_count,
-                                          const ActivePredicate& active,
-                                          CostCounters& counters);
-
-  // Allocation-free form: fills `out` (cleared first), reusing the caller's
-  // buffer and this controller's scan scratch across iterations.
-  void BuildNextFrontierInto(VertexId vertex_count, const ActivePredicate& active,
+  // Finalizes the iteration: fills `out` (cleared first) with the next
+  // frontier, reusing the caller's buffer and this controller's scan scratch
+  // across iterations, and returns the filter that produced it — 'O' online
+  // bins, 'B' ballot scan, 'A' batch filter (unbounded bins, Gunrock style).
+  // `active` is the scan predicate Active(curr[v], prev[v]).
+  char BuildNextFrontierInto(VertexId vertex_count, const ActivePredicate& active,
                              CostCounters& counters, std::vector<VertexId>& out);
 
   // True when FilterPolicy::kOnlineOnly hit an overflow: activations were
   // dropped, the traversal is incomplete, the run must be reported failed
   // (the "online filter alone cannot work for many graphs" rows of
-  // Figure 12).
+  // Figure 12). The engine ends the run at that iteration, so it is false at
+  // every iteration boundary and never enters a checkpoint.
   bool failed() const { return failed_; }
 
-  // One char per iteration, in order: 'O' online bins, 'B' ballot scan,
-  // 'A' batch filter (unbounded bins, Gunrock style).
-  const std::string& pattern() const { return pattern_; }
-
-  uint32_t ballot_iterations() const { return ballot_iterations_; }
-  uint32_t online_iterations() const { return online_iterations_; }
-
   // Starts a run: empties the bins (a run broken off mid-iteration leaves
-  // activations in them) and the history, keeping every allocation — the
-  // engine owns one controller and resets it at the top of each Run.
+  // activations in them) and clears failed(), keeping every allocation — the
+  // engine owns one controller and resets it at the top of each Run. The
+  // bins are dead at iteration boundaries (emptied at the end of every
+  // frontier build), so a resumed run needs nothing else.
   void Reset();
-
-  // Checkpoint restore: the bins are dead at iteration boundaries (emptied
-  // at the end of every BuildNextFrontierInto), so the controller's only
-  // loop-carried state is this history.
-  void RestoreHistory(std::string pattern, uint32_t ballot_iterations,
-                      uint32_t online_iterations, bool failed) {
-    pattern_ = std::move(pattern);
-    ballot_iterations_ = ballot_iterations;
-    online_iterations_ = online_iterations;
-    failed_ = failed;
-  }
 
  private:
   FilterPolicy policy_;
@@ -82,9 +63,6 @@ class JitController {
   uint32_t host_threads_;
   BallotScratch scan_scratch_;
   bool failed_ = false;
-  std::string pattern_;
-  uint32_t ballot_iterations_ = 0;
-  uint32_t online_iterations_ = 0;
 };
 
 }  // namespace simdx

@@ -13,8 +13,9 @@
 //   * At every iteration boundary prev == curr: construction seeds both
 //     from one value, and every commit copies at least each vertex the
 //     iteration wrote. So a commit may copy only those vertices
-//     (Engine::CommitPrev), and a checkpoint restore refuses a snapshot
-//     whose two arrays differ.
+//     (Engine::CommitPrev), and a checkpoint stores curr alone: writing one
+//     checks the invariant (PrevMatchesCurr) and ends the run kFaulted if
+//     it fails, and a restore seeds both arrays from the one it stored.
 //
 // Storage uses NumaVector (default-init allocator): for trivial Values the
 // arrays' pages stay unmapped through resize and are faulted in by whichever
@@ -72,7 +73,14 @@ class VertexMeta {
   const Value& prev(VertexId v) const { return prev_[v]; }
 
   const NumaVector<Value>& values() const { return curr_; }
-  const NumaVector<Value>& prev_values() const { return prev_; }
+
+  // The iteration-boundary invariant (top of this file), checked bytewise:
+  // a checkpoint stores curr's raw bytes and seeds prev from them.
+  bool PrevMatchesCurr() const {
+    return curr_.empty() ||
+           std::memcmp(curr_.data(), prev_.data(),
+                       curr_.size() * sizeof(Value)) == 0;
+  }
 
   // Checkpoint restore at an iteration boundary: overwrite both buffers
   // from one snapshot of size() values (prev == curr there). memcpy because

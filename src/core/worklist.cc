@@ -13,25 +13,6 @@ KernelClass ClassifyDegree(uint32_t degree, uint32_t small_degree_limit,
   return KernelClass::kCta;
 }
 
-WorkLists ClassifyFrontier(const std::vector<VertexId>& frontier, const Graph& g,
-                           uint32_t small_degree_limit, uint32_t medium_degree_limit) {
-  WorkLists lists;
-  for (VertexId v : frontier) {
-    switch (ClassifyDegree(g.OutDegree(v), small_degree_limit, medium_degree_limit)) {
-      case KernelClass::kThread:
-        lists.small.push_back(v);
-        break;
-      case KernelClass::kWarp:
-        lists.medium.push_back(v);
-        break;
-      case KernelClass::kCta:
-        lists.large.push_back(v);
-        break;
-    }
-  }
-  return lists;
-}
-
 namespace {
 
 void ClassifyRange(const std::vector<VertexId>& frontier, size_t begin, size_t end,
@@ -148,12 +129,6 @@ bool ThreadBins::Record(uint32_t thread_id, VertexId v) {
   bin.push_back(v);
   ++total_recorded_;
   return true;
-}
-
-std::vector<VertexId> ThreadBins::Concatenate() const {
-  std::vector<VertexId> out;
-  ConcatenateInto(out);
-  return out;
 }
 
 void ThreadBins::ConcatenateInto(std::vector<VertexId>& out) const {

@@ -58,10 +58,6 @@ struct WorkLists {
   }
 };
 
-// Partitions `frontier` (in order) into the three lists by out-degree.
-WorkLists ClassifyFrontier(const std::vector<VertexId>& frontier, const Graph& g,
-                           uint32_t small_degree_limit, uint32_t medium_degree_limit);
-
 KernelClass ClassifyDegree(uint32_t degree, uint32_t small_degree_limit,
                            uint32_t medium_degree_limit);
 
@@ -107,12 +103,10 @@ class ThreadBins {
   uint32_t num_threads() const { return static_cast<uint32_t>(bins_.size()); }
 
   // The prefix-scan concatenation step (Figure 4(b) line 20-21): bins joined
-  // in thread order. The result is neither sorted nor duplicate-free — the
-  // documented weakness of the online filter.
-  std::vector<VertexId> Concatenate() const;
-
-  // Same, appending into a caller-owned buffer (cleared first) so the hot
-  // loop reuses one frontier allocation across iterations.
+  // in thread order into a caller-owned buffer (cleared first), so the hot
+  // loop reuses one frontier allocation across iterations. The result is
+  // neither sorted nor duplicate-free — the documented weakness of the
+  // online filter.
   void ConcatenateInto(std::vector<VertexId>& out) const;
 
   void Reset();

@@ -170,6 +170,7 @@ TEST(CombineCapabilityTest, MsBfsDeclarationEnforced) {
   MsBfsInit(&state, {0, 1, 2, 3}, 8);
   MsBfsProgram p;
   p.state = &state;
+  p.InitialFrontier();  // sizes the level table, as an engine run does
   EnforceAssociativeLaws(
       p, [](std::mt19937_64& rng) { return rng() & 0xFull; },
       [](uint64_t a, uint64_t b) { return a == b; });

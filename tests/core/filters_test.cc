@@ -10,17 +10,25 @@
 namespace simdx {
 namespace {
 
+// The serial ballot scan (no pool) into a fresh buffer.
+std::vector<VertexId> Scan(VertexId vertex_count, const ActivePredicate& active,
+                           CostCounters& c) {
+  std::vector<VertexId> frontier;
+  BallotScratch scratch;
+  BallotFilterScanInto(vertex_count, active, c, frontier, scratch, nullptr, 1);
+  return frontier;
+}
+
 TEST(BallotFilterTest, EmptyWhenNothingActive) {
   CostCounters c;
-  const auto frontier =
-      BallotFilterScan(100, [](VertexId) { return false; }, c);
+  const auto frontier = Scan(100, [](VertexId) { return false; }, c);
   EXPECT_TRUE(frontier.empty());
   EXPECT_GT(c.coalesced_words, 0u) << "the scan itself is not free";
 }
 
 TEST(BallotFilterTest, FindsAllActive) {
   CostCounters c;
-  const auto frontier = BallotFilterScan(100, [](VertexId) { return true; }, c);
+  const auto frontier = Scan(100, [](VertexId) { return true; }, c);
   EXPECT_EQ(frontier.size(), 100u);
 }
 
@@ -31,7 +39,7 @@ TEST(BallotFilterTest, OutputSortedAndUnique) {
     active[i] = rng() % 3 == 0;
   }
   CostCounters c;
-  const auto frontier = BallotFilterScan(
+  const auto frontier = Scan(
       static_cast<VertexId>(active.size()),
       [&](VertexId v) { return static_cast<bool>(active[v]); }, c);
   EXPECT_TRUE(std::is_sorted(frontier.begin(), frontier.end()));
@@ -46,16 +54,15 @@ TEST(BallotFilterTest, OutputSortedAndUnique) {
 
 TEST(BallotFilterTest, NonMultipleOf32VertexCount) {
   CostCounters c;
-  const auto frontier =
-      BallotFilterScan(37, [](VertexId v) { return v >= 33; }, c);
+  const auto frontier = Scan(37, [](VertexId v) { return v >= 33; }, c);
   EXPECT_EQ(frontier, (std::vector<VertexId>{33, 34, 35, 36}));
 }
 
 TEST(BallotFilterTest, CostProportionalToVertexCount) {
   CostCounters small_c;
   CostCounters large_c;
-  BallotFilterScan(1000, [](VertexId) { return false; }, small_c);
-  BallotFilterScan(10000, [](VertexId) { return false; }, large_c);
+  Scan(1000, [](VertexId) { return false; }, small_c);
+  Scan(10000, [](VertexId) { return false; }, large_c);
   // 2 words per vertex scanned, regardless of how many are active — the
   // fixed cost that makes ballot a poor fit for thin frontiers (Section 4).
   EXPECT_EQ(small_c.coalesced_words, 2000u);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "simt/device.h"
 
 namespace simdx {
@@ -41,59 +43,100 @@ TEST(FusionTest, ComposeApproximatesMeasuredTotals) {
   EXPECT_NEAR(composed_all, 110, 11);
 }
 
-TEST(FusionAccountantTest, NoFusionLaunchesEveryStageEveryIteration) {
-  FusionAccountant acc(FusionPolicy::kNoFusion, 128);
-  const DeviceSpec d = MakeK40();
-  for (uint32_t i = 0; i < 10; ++i) {
-    const auto charge = acc.ChargeIteration(d, Direction::kPush, i, 3);
-    EXPECT_EQ(charge.launches, 4u);  // 3 compute + task management
-    EXPECT_EQ(charge.barrier_crossings, 0u);
+// Charges a run's iterations in order, the way the engine does: the first
+// iteration is flagged, and each later one is passed the direction before
+// it. Returns the summed charge.
+FusionAccountant::IterationCharge ChargeRun(const FusionAccountant& acc,
+                                            const std::vector<Direction>& dirs,
+                                            uint32_t stages) {
+  FusionAccountant::IterationCharge total;
+  Direction prev = Direction::kPush;
+  for (size_t i = 0; i < dirs.size(); ++i) {
+    const auto charge =
+        acc.ChargeIteration(MakeK40(), dirs[i], i == 0, prev, stages);
+    total.launches += charge.launches;
+    total.barrier_crossings += charge.barrier_crossings;
+    prev = dirs[i];
   }
-  EXPECT_EQ(acc.total_launches(), 40u);
+  return total;
+}
+
+TEST(FusionAccountantTest, NoFusionLaunchesEveryStageEveryIteration) {
+  const FusionAccountant acc(FusionPolicy::kNoFusion, 128);
+  const DeviceSpec d = MakeK40();
+  for (const bool first : {true, false}) {
+    for (const Direction prev : {Direction::kPush, Direction::kPull}) {
+      const auto charge = acc.ChargeIteration(d, Direction::kPush, first, prev, 3);
+      EXPECT_EQ(charge.launches, 4u);  // 3 compute + task management
+      EXPECT_EQ(charge.barrier_crossings, 0u);
+    }
+  }
+  const auto run =
+      ChargeRun(acc, std::vector<Direction>(10, Direction::kPush), 3);
+  EXPECT_EQ(run.launches, 40u);
+  EXPECT_EQ(run.barrier_crossings, 0u);
 }
 
 TEST(FusionAccountantTest, SelectiveLaunchesOncePerPhase) {
-  FusionAccountant acc(FusionPolicy::kSelective, 128);
-  const DeviceSpec d = MakeK40();
+  const FusionAccountant acc(FusionPolicy::kSelective, 128);
   // push, push, pull, pull, pull, push — three phases.
-  const Direction dirs[] = {Direction::kPush, Direction::kPush, Direction::kPull,
-                            Direction::kPull, Direction::kPull, Direction::kPush};
-  uint64_t launches = 0;
-  for (uint32_t i = 0; i < 6; ++i) {
-    const auto charge = acc.ChargeIteration(d, dirs[i], i, 3);
-    launches += charge.launches;
-    EXPECT_EQ(charge.barrier_crossings, 2u);
+  const auto run =
+      ChargeRun(acc,
+                {Direction::kPush, Direction::kPush, Direction::kPull,
+                 Direction::kPull, Direction::kPull, Direction::kPush},
+                3);
+  EXPECT_EQ(run.launches, 3u) << "the paper's Table 2: kernel launching count 3";
+  EXPECT_EQ(run.barrier_crossings, 12u);
+}
+
+TEST(FusionAccountantTest, SelectiveChargeReadsOnlyTheFirstFlagAndPrevDir) {
+  const FusionAccountant acc(FusionPolicy::kSelective, 128);
+  const DeviceSpec d = MakeK40();
+  // A run's first iteration launches whatever prev_dir says.
+  for (const Direction prev : {Direction::kPush, Direction::kPull}) {
+    EXPECT_EQ(acc.ChargeIteration(d, Direction::kPush, true, prev, 3).launches,
+              1u);
   }
-  EXPECT_EQ(launches, 3u) << "the paper's Table 2: kernel launching count 3";
+  // Later iterations launch exactly when the direction flips.
+  EXPECT_EQ(acc.ChargeIteration(d, Direction::kPull, false, Direction::kPull, 3)
+                .launches,
+            0u);
+  EXPECT_EQ(acc.ChargeIteration(d, Direction::kPull, false, Direction::kPush, 3)
+                .launches,
+            1u);
 }
 
 TEST(FusionAccountantTest, AllFusionLaunchesExactlyOnce) {
-  FusionAccountant acc(FusionPolicy::kAllFusion, 128);
-  const DeviceSpec d = MakeK40();
-  uint64_t launches = 0;
+  const FusionAccountant acc(FusionPolicy::kAllFusion, 128);
+  std::vector<Direction> dirs;
   for (uint32_t i = 0; i < 100; ++i) {
-    const Direction dir = i % 2 ? Direction::kPull : Direction::kPush;
-    launches += acc.ChargeIteration(d, dir, i, 3).launches;
+    dirs.push_back(i % 2 ? Direction::kPull : Direction::kPush);
   }
-  EXPECT_EQ(launches, 1u);
+  EXPECT_EQ(ChargeRun(acc, dirs, 3).launches, 1u);
 }
 
 TEST(FusionAccountantTest, OccupancyOrderingAcrossPolicies) {
   const DeviceSpec d = MakeK40();
-  FusionAccountant none(FusionPolicy::kNoFusion, 128);
-  FusionAccountant selective(FusionPolicy::kSelective, 128);
-  FusionAccountant all(FusionPolicy::kAllFusion, 128);
-  const double o_none = none.ChargeIteration(d, Direction::kPush, 0, 3).occupancy;
+  const FusionAccountant none(FusionPolicy::kNoFusion, 128);
+  const FusionAccountant selective(FusionPolicy::kSelective, 128);
+  const FusionAccountant all(FusionPolicy::kAllFusion, 128);
+  const double o_none =
+      none.ChargeIteration(d, Direction::kPush, true, Direction::kPush, 3)
+          .occupancy;
   const double o_sel =
-      selective.ChargeIteration(d, Direction::kPush, 0, 3).occupancy;
-  const double o_all = all.ChargeIteration(d, Direction::kPush, 0, 3).occupancy;
+      selective.ChargeIteration(d, Direction::kPush, true, Direction::kPush, 3)
+          .occupancy;
+  const double o_all =
+      all.ChargeIteration(d, Direction::kPush, true, Direction::kPush, 3)
+          .occupancy;
   EXPECT_GT(o_none, o_sel);
   EXPECT_GT(o_sel, o_all);
 }
 
 TEST(FusionAccountantTest, EmptyStagesStillChargeTaskManagement) {
-  FusionAccountant acc(FusionPolicy::kNoFusion, 128);
-  const auto charge = acc.ChargeIteration(MakeK40(), Direction::kPush, 0, 0);
+  const FusionAccountant acc(FusionPolicy::kNoFusion, 128);
+  const auto charge =
+      acc.ChargeIteration(MakeK40(), Direction::kPush, true, Direction::kPush, 0);
   EXPECT_EQ(charge.launches, 1u);
 }
 

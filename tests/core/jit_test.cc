@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 namespace simdx {
 namespace {
@@ -10,16 +12,29 @@ namespace {
 constexpr uint32_t kWorkers = 4;
 constexpr uint32_t kThreshold = 4;
 
+// One frontier build into a fresh buffer: the filter it used and the
+// frontier it produced.
+struct Build {
+  char filter;
+  std::vector<VertexId> frontier;
+};
+
+Build BuildNext(JitController& jit, VertexId vertex_count,
+                const ActivePredicate& active, CostCounters& c) {
+  Build b;
+  b.filter = jit.BuildNextFrontierInto(vertex_count, active, c, b.frontier);
+  return b;
+}
+
 TEST(JitTest, OnlineModeWhileBinsFit) {
   JitController jit(FilterPolicy::kJit, kWorkers, kThreshold);
   CostCounters c;
   jit.RecordActivation(0, 7, c);
   jit.RecordActivation(1, 3, c);
-  const auto frontier =
-      jit.BuildNextFrontier(100, [](VertexId) { return false; }, c);
-  EXPECT_EQ(jit.pattern(), "O");
+  const Build b = BuildNext(jit, 100, [](VertexId) { return false; }, c);
+  EXPECT_EQ(b.filter, 'O');
   // Bin concatenation order, not sorted.
-  EXPECT_EQ(frontier, (std::vector<VertexId>{7, 3}));
+  EXPECT_EQ(b.frontier, (std::vector<VertexId>{7, 3}));
   EXPECT_FALSE(jit.failed());
 }
 
@@ -30,11 +45,10 @@ TEST(JitTest, SwitchesToBallotOnOverflow) {
     jit.RecordActivation(0, v, c);  // overflows after 2
   }
   // The ballot scan must reconstruct the true active set from metadata.
-  const auto frontier =
-      jit.BuildNextFrontier(10, [](VertexId v) { return v < 10; }, c);
-  EXPECT_EQ(jit.pattern(), "B");
-  EXPECT_EQ(frontier.size(), 10u);
-  EXPECT_TRUE(std::is_sorted(frontier.begin(), frontier.end()));
+  const Build b = BuildNext(jit, 10, [](VertexId v) { return v < 10; }, c);
+  EXPECT_EQ(b.filter, 'B');
+  EXPECT_EQ(b.frontier.size(), 10u);
+  EXPECT_TRUE(std::is_sorted(b.frontier.begin(), b.frontier.end()));
   EXPECT_FALSE(jit.failed()) << "JIT recovers from overflow, online-only fails";
 }
 
@@ -45,22 +59,22 @@ TEST(JitTest, SwitchesBackWhenVolumeDrops) {
   for (VertexId v = 0; v < 5; ++v) {
     jit.RecordActivation(0, v, c);
   }
-  jit.BuildNextFrontier(10, [](VertexId v) { return v < 5; }, c);
+  EXPECT_EQ(BuildNext(jit, 10, [](VertexId v) { return v < 5; }, c).filter,
+            'B');
   // Iteration 2: small volume again -> back to online (Figure 7's loop).
   jit.RecordActivation(0, 9, c);
-  const auto frontier = jit.BuildNextFrontier(10, [](VertexId) { return false; }, c);
-  EXPECT_EQ(jit.pattern(), "BO");
-  EXPECT_EQ(frontier, std::vector<VertexId>{9});
+  const Build b = BuildNext(jit, 10, [](VertexId) { return false; }, c);
+  EXPECT_EQ(b.filter, 'O');
+  EXPECT_EQ(b.frontier, std::vector<VertexId>{9});
 }
 
 TEST(JitTest, BallotOnlyAlwaysScans) {
   JitController jit(FilterPolicy::kBallotOnly, kWorkers, kThreshold);
   CostCounters c;
   jit.RecordActivation(0, 1, c);  // ignored by policy
-  const auto frontier =
-      jit.BuildNextFrontier(64, [](VertexId v) { return v == 40; }, c);
-  EXPECT_EQ(frontier, std::vector<VertexId>{40});
-  EXPECT_EQ(jit.pattern(), "B");
+  const Build b = BuildNext(jit, 64, [](VertexId v) { return v == 40; }, c);
+  EXPECT_EQ(b.frontier, std::vector<VertexId>{40});
+  EXPECT_EQ(b.filter, 'B');
 }
 
 TEST(JitTest, OnlineOnlyFailsOnOverflow) {
@@ -69,10 +83,13 @@ TEST(JitTest, OnlineOnlyFailsOnOverflow) {
   for (VertexId v = 0; v < 5; ++v) {
     jit.RecordActivation(0, v, c);
   }
-  jit.BuildNextFrontier(10, [](VertexId) { return true; }, c);
+  const Build b = BuildNext(jit, 10, [](VertexId) { return true; }, c);
   EXPECT_TRUE(jit.failed())
       << "online-only drops activations on overflow: the run is invalid";
-  EXPECT_EQ(jit.pattern(), "O");
+  EXPECT_EQ(b.filter, 'O');
+  // A new run starts clean.
+  jit.Reset();
+  EXPECT_FALSE(jit.failed());
 }
 
 TEST(JitTest, OnlineOnlyFineWithinCapacity) {
@@ -81,9 +98,9 @@ TEST(JitTest, OnlineOnlyFineWithinCapacity) {
   for (VertexId v = 0; v < 50; ++v) {
     jit.RecordActivation(v % 8, v, c);
   }
-  const auto frontier = jit.BuildNextFrontier(100, [](VertexId) { return true; }, c);
+  const Build b = BuildNext(jit, 100, [](VertexId) { return true; }, c);
   EXPECT_FALSE(jit.failed());
-  EXPECT_EQ(frontier.size(), 50u);
+  EXPECT_EQ(b.frontier.size(), 50u);
 }
 
 TEST(JitTest, BatchPolicyNeverOverflows) {
@@ -92,23 +109,30 @@ TEST(JitTest, BatchPolicyNeverOverflows) {
   for (VertexId v = 0; v < 1000; ++v) {
     jit.RecordActivation(v % 2, v, c);
   }
-  const auto frontier = jit.BuildNextFrontier(1000, [](VertexId) { return true; }, c);
+  const Build b = BuildNext(jit, 1000, [](VertexId) { return true; }, c);
   EXPECT_FALSE(jit.failed());
-  EXPECT_EQ(frontier.size(), 1000u);
-  EXPECT_EQ(jit.pattern(), "A");
+  EXPECT_EQ(b.frontier.size(), 1000u);
+  EXPECT_EQ(b.filter, 'A');
 }
 
-TEST(JitTest, PatternAccumulatesAcrossIterations) {
+TEST(JitTest, EachBuildReportsItsOwnFilter) {
+  // The controller keeps no history: an overflow switches one build to the
+  // ballot scan, and the next build with fitting bins is online again.
   JitController jit(FilterPolicy::kJit, 1, 1);
   CostCounters c;
-  jit.BuildNextFrontier(8, [](VertexId) { return false; }, c);  // O (empty)
+  std::string pattern;
+  std::vector<VertexId> out;
+  pattern += jit.BuildNextFrontierInto(8, [](VertexId) { return false; }, c,
+                                       out);  // O (empty)
   jit.RecordActivation(0, 0, c);
   jit.RecordActivation(0, 1, c);  // overflow
-  jit.BuildNextFrontier(8, [](VertexId) { return true; }, c);  // B
-  jit.BuildNextFrontier(8, [](VertexId) { return false; }, c);  // O again
-  EXPECT_EQ(jit.pattern(), "OBO");
-  EXPECT_EQ(jit.ballot_iterations(), 1u);
-  EXPECT_EQ(jit.online_iterations(), 2u);
+  pattern += jit.BuildNextFrontierInto(8, [](VertexId) { return true; }, c,
+                                       out);  // B
+  EXPECT_EQ(out.size(), 8u);
+  pattern += jit.BuildNextFrontierInto(8, [](VertexId) { return false; }, c,
+                                       out);  // O again
+  EXPECT_TRUE(out.empty()) << "the buffer is cleared before each build";
+  EXPECT_EQ(pattern, "OBO");
 }
 
 TEST(JitTest, ShadowRecordingCostCappedByThreshold) {

@@ -7,6 +7,13 @@
 namespace simdx {
 namespace {
 
+// The prefix-scan concatenation of `bins` into a fresh buffer.
+std::vector<VertexId> Joined(const ThreadBins& bins) {
+  std::vector<VertexId> out;
+  bins.ConcatenateInto(out);
+  return out;
+}
+
 TEST(ClassifyDegreeTest, PaperThresholds) {
   // Section 4: separators at warp size (32) and block size (128).
   EXPECT_EQ(ClassifyDegree(0, 32, 128), KernelClass::kThread);
@@ -17,22 +24,26 @@ TEST(ClassifyDegreeTest, PaperThresholds) {
   EXPECT_EQ(ClassifyDegree(100000, 32, 128), KernelClass::kCta);
 }
 
-TEST(ClassifyFrontierTest, SplitsByOutDegree) {
+TEST(FrontierClassifierTest, SplitsByOutDegree) {
   // Star: hub has degree 200 (CTA), leaves degree 1 (Thread).
   const Graph g = Graph::FromEdges(GenerateStar(200), false);
   std::vector<VertexId> frontier = {0, 1, 2, 3};
-  const WorkLists lists = ClassifyFrontier(frontier, g, 32, 128);
+  FrontierClassifier classifier;
+  EXPECT_EQ(classifier.Classify(frontier, g, 32, 128, nullptr, 1), 203u)
+      << "the frontier's out-edge sum";
+  const WorkLists& lists = classifier.result();
   EXPECT_EQ(lists.large, std::vector<VertexId>{0});
   EXPECT_EQ(lists.small, (std::vector<VertexId>{1, 2, 3}));
   EXPECT_TRUE(lists.medium.empty());
   EXPECT_EQ(lists.TotalSize(), 4u);
 }
 
-TEST(ClassifyFrontierTest, PreservesOrderWithinClass) {
+TEST(FrontierClassifierTest, PreservesOrderWithinClass) {
   const Graph g = Graph::FromEdges(GenerateChain(100), false);
   std::vector<VertexId> frontier = {50, 10, 70, 30};
-  const WorkLists lists = ClassifyFrontier(frontier, g, 32, 128);
-  EXPECT_EQ(lists.small, (std::vector<VertexId>{50, 10, 70, 30}));
+  FrontierClassifier classifier;
+  classifier.Classify(frontier, g, 32, 128, nullptr, 1);
+  EXPECT_EQ(classifier.result().small, (std::vector<VertexId>{50, 10, 70, 30}));
 }
 
 TEST(WorkListsTest, EmptyAndClear) {
@@ -64,13 +75,13 @@ TEST(ThreadBinsTest, ConcatenateJoinsInThreadOrder) {
   bins.Record(0, 10);
   bins.Record(1, 20);
   bins.Record(0, 11);
-  EXPECT_EQ(bins.Concatenate(), (std::vector<VertexId>{10, 11, 20, 30}));
+  EXPECT_EQ(Joined(bins), (std::vector<VertexId>{10, 11, 20, 30}));
 }
 
 TEST(ThreadBinsTest, ThreadIdWrapsAroundBinCount) {
   ThreadBins bins(4, 8);
   bins.Record(5, 55);  // 5 % 4 == 1
-  EXPECT_EQ(bins.Concatenate(), std::vector<VertexId>{55});
+  EXPECT_EQ(Joined(bins), std::vector<VertexId>{55});
 }
 
 TEST(ThreadBinsTest, ResetClearsEverything) {
@@ -81,7 +92,7 @@ TEST(ThreadBinsTest, ResetClearsEverything) {
   bins.Reset();
   EXPECT_FALSE(bins.overflowed());
   EXPECT_EQ(bins.total_recorded(), 0u);
-  EXPECT_TRUE(bins.Concatenate().empty());
+  EXPECT_TRUE(Joined(bins).empty());
   EXPECT_TRUE(bins.Record(0, 3));
 }
 
@@ -98,7 +109,7 @@ TEST_P(BinCapacitySweep, FillsToExactCapacity) {
   }
   EXPECT_EQ(accepted, threads * capacity);
   EXPECT_TRUE(bins.overflowed());
-  EXPECT_EQ(bins.Concatenate().size(), threads * capacity);
+  EXPECT_EQ(Joined(bins).size(), threads * capacity);
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, BinCapacitySweep,

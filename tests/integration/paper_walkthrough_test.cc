@@ -55,8 +55,11 @@ TEST(PaperWalkthrough, Figure6BallotFilter) {
   const std::vector<bool> updated = {false, true, false, false, false,
                                      true,  true, true,  true};
   CostCounters c;
-  const auto frontier = BallotFilterScan(
-      9, [&](VertexId v) { return static_cast<bool>(updated[v]); }, c);
+  std::vector<VertexId> frontier;
+  BallotScratch scratch;
+  BallotFilterScanInto(
+      9, [&](VertexId v) { return static_cast<bool>(updated[v]); }, c,
+      frontier, scratch, nullptr, 1);
   EXPECT_EQ(frontier, (std::vector<VertexId>{1, 5, 6, 7, 8}));
 }
 
@@ -68,7 +71,9 @@ TEST(PaperWalkthrough, Figure6OnlineFilter) {
   // processes d's and finds e updated.
   bins.Record(1, 4);
   bins.Record(0, 2);
-  EXPECT_EQ(bins.Concatenate(), (std::vector<VertexId>{2, 4}));
+  std::vector<VertexId> next;
+  bins.ConcatenateInto(next);
+  EXPECT_EQ(next, (std::vector<VertexId>{2, 4}));
   EXPECT_FALSE(bins.overflowed());
 }
 
