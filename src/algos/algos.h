@@ -37,6 +37,7 @@ RunResult<uint32_t> RunBfs(const Graph& g, VertexId source, const DeviceSpec& de
 // by MsBfsInit): `run.values` holds the final lane masks, `state` the
 // settle-time level table (DemuxLanes(state, ...).bytes[lane] is
 // bit-comparable to the bytes of RunBfs(g, state.sources[lane], ...).values).
+// Both are answers only when run.stats.ok().
 struct MsBfsRunResult {
   RunResult<uint64_t> run;
   MsBfsState state;

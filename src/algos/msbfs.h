@@ -84,10 +84,11 @@ struct MsBfsState {
 // Configure `state` for one batch: distinct sources keep their first lane
 // (duplicates collapse — callers demux several queries onto one lane), and
 // anything beyond 64 distinct sources is dropped; check lanes() when the
-// input may overflow. The level table and the settled census are not
-// touched here: InitialFrontier() sizes and resets them at the start of
-// every run, RobustRun's retries included, so they are filled once per
-// batch.
+// input may overflow. The level table is emptied here (O(1), capacity
+// kept), not filled: InitialFrontier() sizes and resets it and the settled
+// census at the start of every run, RobustRun's retries included, so they
+// are filled once per batch. A run refused before it starts (an OOM
+// verdict) leaves the table empty, which DemuxLanes reads as unreached.
 inline void MsBfsInit(MsBfsState* state, const std::vector<VertexId>& sources,
                       uint64_t vertex_count) {
   state->sources.clear();
@@ -100,6 +101,7 @@ inline void MsBfsInit(MsBfsState* state, const std::vector<VertexId>& sources,
     }
   }
   state->vertex_count = vertex_count;
+  state->levels.clear();
   const uint32_t lanes = state->lanes();
   state->full_mask =
       lanes >= 64 ? ~0ull : ((1ull << lanes) - 1ull);
@@ -121,7 +123,10 @@ struct MsBfsLaneAnswers {
 // vertex's row is read once and advances all lane digests, and only the
 // lanes set in `wanted` (bit i = lane i) are written out. Extracting lane by
 // lane would stride through the table once per lane and hash each lane in
-// its own serial FNV chain; here the lanes' chains interleave.
+// its own serial FNV chain; here the lanes' chains interleave. A table that
+// does not hold vertex_count x lanes entries (its run never started) demuxes
+// as kInfinity everywhere; read the answers only when the run's stats are
+// ok().
 inline MsBfsLaneAnswers DemuxLanes(const MsBfsState& state, uint64_t wanted) {
   const uint32_t lanes = state.lanes();
   MsBfsLaneAnswers out;
@@ -138,8 +143,12 @@ inline MsBfsLaneAnswers DemuxLanes(const MsBfsState& state, uint64_t wanted) {
       written[write_count++] = lane;
     }
   }
-  const uint32_t* row = state.levels.data();
-  for (uint64_t v = 0; v < state.vertex_count; ++v, row += lanes) {
+  uint32_t unreached[64];
+  std::fill(unreached, unreached + 64, kInfinity);
+  const bool sized = state.levels.size() == state.vertex_count * lanes;
+  const uint32_t* row = sized ? state.levels.data() : unreached;
+  const uint32_t stride = sized ? lanes : 0;
+  for (uint64_t v = 0; v < state.vertex_count; ++v, row += stride) {
     for (uint32_t lane = 0; lane < lanes; ++lane) {
       digest[lane] = Fnv1a(&row[lane], sizeof(uint32_t), digest[lane]);
     }

@@ -175,7 +175,6 @@ class Engine {
     VertexMeta<Value> meta = MakeMetadata(program);
     std::vector<VertexId> frontier = program.InitialFrontier();
     jit_.Reset();
-    const FusionAccountant fusion(options_.fusion, options_.threads_per_cta);
     // The fused kernels synchronize iterations with the software global
     // barrier; the grid must be sized by Eq. 1 or the barrier deadlocks.
     GlobalBarrier barrier(DeadlockFreeGridSize(
@@ -362,8 +361,9 @@ class Engine {
         frontier.swap(next_frontier_);
       }
 
-      const FusionAccountant::IterationCharge charge = fusion.ChargeIteration(
-          device_, dir, loop.iter == 0, loop.prev_dir, last_stage_count_);
+      const IterationCharge charge = ChargeIteration(
+          options_.fusion, options_.threads_per_cta, device_, dir,
+          loop.iter == 0, loop.prev_dir, last_stage_count_);
       it_cost.kernel_launches += charge.launches;
       it_cost.barrier_crossings += charge.barrier_crossings;
       for (uint64_t b = 0; b < charge.barrier_crossings; ++b) {

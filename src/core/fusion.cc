@@ -65,14 +65,15 @@ KernelResources ResourcesFor(FusionPolicy policy, Direction dir,
   return r;
 }
 
-FusionAccountant::IterationCharge FusionAccountant::ChargeIteration(
-    const DeviceSpec& device, Direction dir, bool first_iteration,
-    Direction prev_dir, uint32_t stages_launched) const {
+IterationCharge ChargeIteration(FusionPolicy policy, uint32_t threads_per_cta,
+                                const DeviceSpec& device, Direction dir,
+                                bool first_iteration, Direction prev_dir,
+                                uint32_t stages_launched) {
   IterationCharge charge;
-  const KernelResources res = ResourcesFor(policy_, dir, threads_per_cta_);
+  const KernelResources res = ResourcesFor(policy, dir, threads_per_cta);
   charge.occupancy = OccupancyFraction(device, res);
 
-  switch (policy_) {
+  switch (policy) {
     case FusionPolicy::kNoFusion:
       // Each non-empty compute stage plus the task-management kernel is a
       // separate launch; iteration boundaries are kernel boundaries, so no

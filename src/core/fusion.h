@@ -47,34 +47,25 @@ uint32_t ComposeRegisters(const uint32_t* stage_regs, uint32_t count);
 KernelResources ResourcesFor(FusionPolicy policy, Direction dir,
                              uint32_t threads_per_cta);
 
-// Yields the per-iteration launch/barrier charge. Stateless: the one fact
-// it needs from earlier iterations — whether any ran, and in which direction
-// the last one ran — comes from the engine's loop state, so a resumed run
-// charges exactly what the uninterrupted one did.
-class FusionAccountant {
- public:
-  FusionAccountant(FusionPolicy policy, uint32_t threads_per_cta)
-      : policy_(policy), threads_per_cta_(threads_per_cta) {}
-
-  struct IterationCharge {
-    uint64_t launches = 0;
-    uint64_t barrier_crossings = 0;
-    double occupancy = 1.0;
-  };
-
-  // `first_iteration` is true for the run's first iteration and `prev_dir`
-  // is the direction of the iteration before this one (ignored on the
-  // first). `stages_launched` counts the compute kernels with non-empty
-  // worklists this iteration (task management is always charged on top for
-  // kNoFusion).
-  IterationCharge ChargeIteration(const DeviceSpec& device, Direction dir,
-                                  bool first_iteration, Direction prev_dir,
-                                  uint32_t stages_launched) const;
-
- private:
-  FusionPolicy policy_;
-  uint32_t threads_per_cta_;
+// One iteration's launch/barrier charge under a policy.
+struct IterationCharge {
+  uint64_t launches = 0;
+  uint64_t barrier_crossings = 0;
+  double occupancy = 1.0;
 };
+
+// Charges one iteration. Stateless: the one fact it needs from earlier
+// iterations — whether any ran, and in which direction the last one ran —
+// comes from the engine's loop state, so a resumed run charges exactly what
+// the uninterrupted one did. `first_iteration` is true for the run's first
+// iteration and `prev_dir` is the direction of the iteration before this one
+// (ignored on the first). `stages_launched` counts the compute kernels with
+// non-empty worklists this iteration (task management is always charged on
+// top for kNoFusion).
+IterationCharge ChargeIteration(FusionPolicy policy, uint32_t threads_per_cta,
+                                const DeviceSpec& device, Direction dir,
+                                bool first_iteration, Direction prev_dir,
+                                uint32_t stages_launched);
 
 }  // namespace simdx
 

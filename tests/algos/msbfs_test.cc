@@ -245,6 +245,45 @@ TEST(MsBfsTest, DemuxLanesMatchesSoloBfsAndDigests) {
   }
 }
 
+// A batch refused for memory never reaches InitialFrontier, so its level
+// table is never sized. Demuxing that state, fresh or reused after a
+// finished batch, reads every lane as unreached and nothing past the table.
+TEST(MsBfsTest, OomBatchDemuxesAsUnreached) {
+  const Graph g = Graph::FromEdges(GenerateRmat(8, 8, 6), false);
+  const std::vector<VertexId> sources = DistinctRandomSources(g, 5, 9);
+  const std::vector<uint32_t> unreached(g.vertex_count(), kInfinity);
+  const std::vector<uint8_t> expected = Bytes(unreached);
+  EngineOptions tiny = TestOptions();
+  tiny.memory_budget_bytes = 1024;
+
+  MsBfsState state;
+  MsBfsProgram program;
+  program.state = &state;
+  program.graph = &g;
+  for (const bool reused : {false, true}) {
+    if (reused) {
+      MsBfsInit(&state, sources, g.vertex_count());
+      Engine<MsBfsProgram> engine(g, MakeK40(), TestOptions());
+      ASSERT_TRUE(engine.Run(program).stats.ok());
+      ASSERT_EQ(state.levels.size(), g.vertex_count() * sources.size());
+    }
+    MsBfsInit(&state, sources, g.vertex_count());
+    Engine<MsBfsProgram> engine(g, MakeK40(), tiny);
+    const RunResult<uint64_t> run = engine.Run(program);
+    ASSERT_TRUE(run.stats.oom);
+    ASSERT_FALSE(run.stats.ok());
+    const MsBfsLaneAnswers answers = DemuxLanes(state, state.full_mask);
+    ASSERT_EQ(answers.digests.size(), sources.size());
+    for (uint32_t lane = 0; lane < state.lanes(); ++lane) {
+      EXPECT_EQ(answers.bytes[lane], expected)
+          << "reused " << reused << " lane " << lane;
+      EXPECT_EQ(answers.digests[lane],
+                ValueBytesFingerprint(expected.data(), expected.size()))
+          << "reused " << reused << " lane " << lane;
+    }
+  }
+}
+
 // --- Malformed MS-BFS scheduler state. The program-state section is
 // [uint32 lanes][uint64 count][count x uint32 levels], with count = |V| x
 // lanes. Each case below breaks one rule, keeps the rest of the section

@@ -43,100 +43,115 @@ TEST(FusionTest, ComposeApproximatesMeasuredTotals) {
   EXPECT_NEAR(composed_all, 110, 11);
 }
 
-// Charges a run's iterations in order, the way the engine does: the first
-// iteration is flagged, and each later one is passed the direction before
-// it. Returns the summed charge.
-FusionAccountant::IterationCharge ChargeRun(const FusionAccountant& acc,
-                                            const std::vector<Direction>& dirs,
-                                            uint32_t stages) {
-  FusionAccountant::IterationCharge total;
-  Direction prev = Direction::kPush;
-  for (size_t i = 0; i < dirs.size(); ++i) {
-    const auto charge =
-        acc.ChargeIteration(MakeK40(), dirs[i], i == 0, prev, stages);
-    total.launches += charge.launches;
-    total.barrier_crossings += charge.barrier_crossings;
-    prev = dirs[i];
-  }
-  return total;
+IterationCharge Charge(FusionPolicy policy, Direction dir, bool first,
+                       Direction prev, uint32_t stages) {
+  return ChargeIteration(policy, 128, MakeK40(), dir, first, prev, stages);
 }
 
-TEST(FusionAccountantTest, NoFusionLaunchesEveryStageEveryIteration) {
-  const FusionAccountant acc(FusionPolicy::kNoFusion, 128);
-  const DeviceSpec d = MakeK40();
+// Charges a run's iterations in order, the way the engine does: the first
+// iteration is flagged, and each later one is passed the direction before
+// it. Returns each iteration's charge.
+std::vector<IterationCharge> ChargeRun(FusionPolicy policy,
+                                       const std::vector<Direction>& dirs,
+                                       uint32_t stages) {
+  std::vector<IterationCharge> charges;
+  Direction prev = Direction::kPush;
+  for (size_t i = 0; i < dirs.size(); ++i) {
+    charges.push_back(Charge(policy, dirs[i], i == 0, prev, stages));
+    prev = dirs[i];
+  }
+  return charges;
+}
+
+uint64_t Launches(const std::vector<IterationCharge>& charges) {
+  uint64_t launches = 0;
+  for (const IterationCharge& c : charges) {
+    launches += c.launches;
+  }
+  return launches;
+}
+
+TEST(ChargeIterationTest, NoFusionLaunchesEveryStageEveryIteration) {
   for (const bool first : {true, false}) {
     for (const Direction prev : {Direction::kPush, Direction::kPull}) {
-      const auto charge = acc.ChargeIteration(d, Direction::kPush, first, prev, 3);
+      const auto charge =
+          Charge(FusionPolicy::kNoFusion, Direction::kPush, first, prev, 3);
       EXPECT_EQ(charge.launches, 4u);  // 3 compute + task management
       EXPECT_EQ(charge.barrier_crossings, 0u);
     }
   }
-  const auto run =
-      ChargeRun(acc, std::vector<Direction>(10, Direction::kPush), 3);
-  EXPECT_EQ(run.launches, 40u);
-  EXPECT_EQ(run.barrier_crossings, 0u);
+  const auto run = ChargeRun(FusionPolicy::kNoFusion,
+                             std::vector<Direction>(10, Direction::kPush), 3);
+  for (const IterationCharge& charge : run) {
+    EXPECT_EQ(charge.launches, 4u);
+    EXPECT_EQ(charge.barrier_crossings, 0u);
+  }
+  EXPECT_EQ(Launches(run), 40u);
 }
 
-TEST(FusionAccountantTest, SelectiveLaunchesOncePerPhase) {
-  const FusionAccountant acc(FusionPolicy::kSelective, 128);
+TEST(ChargeIterationTest, SelectiveLaunchesOncePerPhase) {
   // push, push, pull, pull, pull, push — three phases.
   const auto run =
-      ChargeRun(acc,
+      ChargeRun(FusionPolicy::kSelective,
                 {Direction::kPush, Direction::kPush, Direction::kPull,
                  Direction::kPull, Direction::kPull, Direction::kPush},
                 3);
-  EXPECT_EQ(run.launches, 3u) << "the paper's Table 2: kernel launching count 3";
-  EXPECT_EQ(run.barrier_crossings, 12u);
-}
-
-TEST(FusionAccountantTest, SelectiveChargeReadsOnlyTheFirstFlagAndPrevDir) {
-  const FusionAccountant acc(FusionPolicy::kSelective, 128);
-  const DeviceSpec d = MakeK40();
-  // A run's first iteration launches whatever prev_dir says.
-  for (const Direction prev : {Direction::kPush, Direction::kPull}) {
-    EXPECT_EQ(acc.ChargeIteration(d, Direction::kPush, true, prev, 3).launches,
-              1u);
+  for (const IterationCharge& charge : run) {
+    EXPECT_EQ(charge.barrier_crossings, 2u);
   }
-  // Later iterations launch exactly when the direction flips.
-  EXPECT_EQ(acc.ChargeIteration(d, Direction::kPull, false, Direction::kPull, 3)
-                .launches,
-            0u);
-  EXPECT_EQ(acc.ChargeIteration(d, Direction::kPull, false, Direction::kPush, 3)
-                .launches,
-            1u);
+  EXPECT_EQ(Launches(run), 3u) << "the paper's Table 2: kernel launching count 3";
 }
 
-TEST(FusionAccountantTest, AllFusionLaunchesExactlyOnce) {
-  const FusionAccountant acc(FusionPolicy::kAllFusion, 128);
+TEST(ChargeIterationTest, SelectiveChargeReadsOnlyTheFirstFlagAndPrevDir) {
+  // A run's first iteration launches whatever prev_dir says; later
+  // iterations launch exactly when the direction flips. Every iteration
+  // crosses the barrier twice.
+  struct Case {
+    Direction dir;
+    bool first;
+    Direction prev;
+    uint64_t launches;
+  };
+  const Case cases[] = {
+      {Direction::kPush, true, Direction::kPush, 1},
+      {Direction::kPush, true, Direction::kPull, 1},
+      {Direction::kPull, false, Direction::kPull, 0},
+      {Direction::kPull, false, Direction::kPush, 1},
+  };
+  for (const Case& c : cases) {
+    const auto charge =
+        Charge(FusionPolicy::kSelective, c.dir, c.first, c.prev, 3);
+    EXPECT_EQ(charge.launches, c.launches);
+    EXPECT_EQ(charge.barrier_crossings, 2u);
+  }
+}
+
+TEST(ChargeIterationTest, AllFusionLaunchesExactlyOnce) {
   std::vector<Direction> dirs;
   for (uint32_t i = 0; i < 100; ++i) {
     dirs.push_back(i % 2 ? Direction::kPull : Direction::kPush);
   }
-  EXPECT_EQ(ChargeRun(acc, dirs, 3).launches, 1u);
+  const auto run = ChargeRun(FusionPolicy::kAllFusion, dirs, 3);
+  for (const IterationCharge& charge : run) {
+    EXPECT_EQ(charge.barrier_crossings, 2u);
+  }
+  EXPECT_EQ(Launches(run), 1u);
 }
 
-TEST(FusionAccountantTest, OccupancyOrderingAcrossPolicies) {
-  const DeviceSpec d = MakeK40();
-  const FusionAccountant none(FusionPolicy::kNoFusion, 128);
-  const FusionAccountant selective(FusionPolicy::kSelective, 128);
-  const FusionAccountant all(FusionPolicy::kAllFusion, 128);
-  const double o_none =
-      none.ChargeIteration(d, Direction::kPush, true, Direction::kPush, 3)
-          .occupancy;
-  const double o_sel =
-      selective.ChargeIteration(d, Direction::kPush, true, Direction::kPush, 3)
-          .occupancy;
-  const double o_all =
-      all.ChargeIteration(d, Direction::kPush, true, Direction::kPush, 3)
-          .occupancy;
-  EXPECT_GT(o_none, o_sel);
-  EXPECT_GT(o_sel, o_all);
+TEST(ChargeIterationTest, OccupancyOrderingAcrossPolicies) {
+  const auto occupancy = [](FusionPolicy policy) {
+    return Charge(policy, Direction::kPush, true, Direction::kPush, 3)
+        .occupancy;
+  };
+  EXPECT_GT(occupancy(FusionPolicy::kNoFusion),
+            occupancy(FusionPolicy::kSelective));
+  EXPECT_GT(occupancy(FusionPolicy::kSelective),
+            occupancy(FusionPolicy::kAllFusion));
 }
 
-TEST(FusionAccountantTest, EmptyStagesStillChargeTaskManagement) {
-  const FusionAccountant acc(FusionPolicy::kNoFusion, 128);
-  const auto charge =
-      acc.ChargeIteration(MakeK40(), Direction::kPush, true, Direction::kPush, 0);
+TEST(ChargeIterationTest, EmptyStagesStillChargeTaskManagement) {
+  const auto charge = Charge(FusionPolicy::kNoFusion, Direction::kPush, true,
+                             Direction::kPush, 0);
   EXPECT_EQ(charge.launches, 1u);
 }
 
